@@ -3,7 +3,7 @@
 PYTHON ?= python
 
 .PHONY: test test-batched test-numpy properties golden coverage bench \
-	bench-smoke regress serve-sweep fleet-sweep faults passes-sweep \
+	bench-smoke bench-e2e-smoke regress serve-sweep fleet-sweep faults passes-sweep \
 	ntt-cores lint examples tables profile quicktest all
 
 test:
@@ -50,6 +50,12 @@ bench:
 # Fast perf sanity check: the CI bench-smoke job runs exactly this.
 bench-smoke:
 	$(PYTHON) benchmarks/regress.py --smoke
+
+# End-to-end benchmark smoke (benchmarks/e2e): its own test suite, then
+# one quick sample of all five workloads with every output check.
+bench-e2e-smoke:
+	$(PYTHON) -m pytest benchmarks/e2e -q
+	$(PYTHON) benchmarks/e2e/run.py --quick --repeats 1
 
 # Full fixed suite vs the checked-in baseline (fails on >10% slowdown).
 regress:

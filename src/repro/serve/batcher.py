@@ -22,6 +22,7 @@ instant, which keeps the policy unit-testable without a simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from repro.errors import ParameterError
@@ -31,6 +32,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Accepted queue-ordering policies.
 ORDERS = ("fifo", "sjf")
+
+#: Sort keys: arrival order, and shortest-estimate-first with arrival
+#: order breaking ties (request ids make both total orders).
+_ARRIVAL_ORDER = attrgetter("arrival_seconds", "request_id")
+_SJF_ORDER = attrgetter("service_estimate", "arrival_seconds", "request_id")
 
 
 @dataclass(frozen=True)
@@ -88,6 +94,10 @@ class DynamicBatcher:
     def __init__(self, policy: BatchPolicy | None = None):
         self.policy = policy or BatchPolicy()
         self._queue: list["Request"] = []
+        # Left-fold of the queue's service estimates in queue order:
+        # ``offer`` appends, so adding to the fold gives exactly the
+        # floats ``sum()`` over the list would; removals refold.
+        self._backlog = 0
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -103,16 +113,23 @@ class DynamicBatcher:
         if bound is not None and len(self._queue) >= bound:
             return False
         self._queue.append(request)
+        self._backlog += request.service_estimate
         return True
+
+    def _set_queue(self, queue: list["Request"]) -> None:
+        """Replace the queue after removals and refold its backlog."""
+        self._queue = queue
+        self._backlog = sum(r.service_estimate for r in queue)
 
     def queued_estimate_seconds(self) -> float:
         """Summed service estimates of every queued request.
 
         The cluster router's shortest-expected-job and key-affinity
         policies use this (plus the inflight estimate the cluster
-        tracks) as the instance's expected backlog.
+        tracks) as the instance's expected backlog. O(1): a running
+        fold, bit-identical to summing the queue.
         """
-        return sum(r.service_estimate for r in self._queue)
+        return self._backlog
 
     def queued_count_for(self, tenant: str) -> int:
         """How many queued requests belong to ``tenant``.
@@ -161,11 +178,8 @@ class DynamicBatcher:
         requests are lost with the instance and re-enter the cluster's
         retry/abandon machinery.
         """
-        lost = sorted(
-            self._queue,
-            key=lambda r: (r.arrival_seconds, r.request_id),
-        )
-        self._queue = []
+        lost = sorted(self._queue, key=_ARRIVAL_ORDER)
+        self._set_queue([])
         return lost
 
     def expired(self, now: float) -> list["Request"]:
@@ -183,12 +197,10 @@ class DynamicBatcher:
         ]
         if out:
             gone = {r.request_id for r in out}
-            self._queue = [
-                r for r in self._queue if r.request_id not in gone
-            ]
-            out.sort(
-                key=lambda r: (r.arrival_seconds, r.request_id)
+            self._set_queue(
+                [r for r in self._queue if r.request_id not in gone]
             )
+            out.sort(key=_ARRIVAL_ORDER)
         return out
 
     def next_expiry(self) -> float | None:
@@ -201,20 +213,11 @@ class DynamicBatcher:
 
     def take_batch(self, now: float) -> list["Request"]:
         """Remove and return the next batch, in admission order."""
-        if self.policy.order == "sjf":
-            ordered = sorted(
-                self._queue,
-                key=lambda r: (r.service_estimate, r.arrival_seconds,
-                               r.request_id),
-            )
-        else:
-            ordered = sorted(
-                self._queue,
-                key=lambda r: (r.arrival_seconds, r.request_id),
-            )
+        key = _SJF_ORDER if self.policy.order == "sjf" else _ARRIVAL_ORDER
+        ordered = sorted(self._queue, key=key)
         batch = ordered[: self.policy.max_batch_size]
         taken = {r.request_id for r in batch}
-        self._queue = [
-            r for r in self._queue if r.request_id not in taken
-        ]
+        self._set_queue(
+            [r for r in self._queue if r.request_id not in taken]
+        )
         return batch

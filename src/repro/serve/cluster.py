@@ -188,7 +188,7 @@ KEY_UPLOAD_LABEL = "KeyUpload"
 
 def _with_key_upload(
     tasks, upload_bytes: int, key_set: int
-) -> list[OperatorTask]:
+) -> tuple[OperatorTask, ...]:
     """Prepend a key-set upload to a request's task chain.
 
     The upload is a pure off-chip stream (negligible compute on the MA
@@ -211,7 +211,7 @@ def _with_key_upload(
         if not shifted.depends_on:
             shifted = replace(shifted, depends_on=(0,))
         out.append(shifted)
-    return out
+    return tuple(out)
 
 
 @dataclass
@@ -554,10 +554,16 @@ class ClusterSimulator:
         now: float,
         records: list[RequestRecord],
         arrivals_pending: bool,
+        uploads: dict,
         plan: FaultPlan | None = None,
     ) -> int:
         """Launch every batch the instance's policy allows at ``now``;
         returns how many batches launched.
+
+        ``uploads`` memoizes the upload-prefixed task tuple per
+        (program tasks, upload size, key set) for the run, so every
+        key-cache miss on the same pair admits the same tuple and
+        reuses the engines' admission plans.
 
         With a fault plan, straggler / HBM-degradation windows open at
         ``now`` derate the submitted work (admission-time sampling:
@@ -589,9 +595,13 @@ class ClusterSimulator:
                 if not hit:
                     upload_bytes = self.policy.upload_bytes
                     if upload_bytes:
-                        tasks = _with_key_upload(
-                            tasks, upload_bytes, req.key_set
-                        )
+                        key = (id(tasks), upload_bytes, req.key_set)
+                        prefixed = uploads.get(key)
+                        if prefixed is None:
+                            prefixed = uploads[key] = _with_key_upload(
+                                tasks, upload_bytes, req.key_set
+                            )
+                        tasks = prefixed
                         inst.upload_bytes += upload_bytes
                 sub = inst.engine.submit(
                     tasks,
@@ -798,6 +808,9 @@ class ClusterSimulator:
         max_attempts = (
             resilience.max_attempts if resilience is not None else 1
         )
+        # Keyed by the id of a job's task tuple; ``jobs`` keeps every
+        # such tuple alive for the run, so ids cannot be recycled.
+        uploads: dict[tuple[int, int, int], tuple] = {}
 
         def total_depth() -> int:
             return sum(inst.batcher.depth for inst in instances)
@@ -896,7 +909,7 @@ class ClusterSimulator:
             for inst in instances:
                 if inst.up:
                     launched += self._launch(
-                        inst, now, records, ai < n, plan
+                        inst, now, records, ai < n, uploads, plan
                     )
             if launched:
                 depth_series.append((now, total_depth()))

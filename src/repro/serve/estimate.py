@@ -21,7 +21,9 @@ class ServiceEstimator:
 
     The estimate is the sum over the program's tasks of each task's
     core-side occupancy (``max(compute, scratchpad stream)``) — the
-    serial lower bound a request adds to an instance's backlog.
+    serial lower bound a request adds to an instance's backlog. It is
+    read off the engine's :class:`~repro.sim.engine.AdmissionPlan`, so
+    the program is costed once for both estimation and admission.
 
     The cache key is the program object itself (by identity, with the
     program kept alive by the cache so ids cannot be recycled), not the
@@ -39,13 +41,6 @@ class ServiceEstimator:
         hit = self._cache.get(id(program))
         if hit is not None and hit[0] is program:
             return hit[1]
-        cfg = engine.config
-        est = sum(
-            max(
-                engine.cores.task_cycles(t).cycles * cfg.cycle_seconds,
-                engine.memory.task_timing(t).spad_seconds,
-            )
-            for t in program.tasks
-        )
+        est = engine.admission_plan(program.tasks).service_seconds
         self._cache[id(program)] = (program, est)
         return est

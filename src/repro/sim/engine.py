@@ -38,8 +38,8 @@ from typing import TYPE_CHECKING
 from repro.errors import SchedulingError
 from repro.obs import metrics
 from repro.sim.config import CORE_ARRAYS, HardwareConfig
-from repro.sim.cores import CoreModel
-from repro.sim.memory import MemoryModel
+from repro.sim.cores import CoreModel, CoreTiming
+from repro.sim.memory import MemoryModel, MemoryTiming, record_memory_metrics
 
 if TYPE_CHECKING:  # avoid a circular import; engine only needs the type
     from repro.compiler.program import OperatorProgram
@@ -212,6 +212,36 @@ class Submission:
         return self.finish_seconds is not None
 
 
+@dataclass(frozen=True, slots=True)
+class AdmissionPlan:
+    """A task list's cost-model outputs, computed once per list.
+
+    Every FHE basic operation lowers to the same small operator DAG,
+    so a served stream admits the same few programs over and over.
+    The plan holds what admission derives from a list independently of
+    when and where it is admitted: per task, the core timing, the
+    memory timing and the *undilated* occupancy ``max(compute,
+    scratchpad)``, plus the de-duplicated local dependencies. Derates
+    (``compute_scale``/``hbm_scale``) apply on top at each admission,
+    so a straggler window never leaks into later submissions.
+
+    ``tasks`` keeps the list alive: the engine caches plans by the
+    list's identity, and a live object's id cannot be recycled.
+    """
+
+    tasks: tuple
+    timings: tuple[CoreTiming, ...]
+    mems: tuple[MemoryTiming, ...]
+    durations: tuple[float, ...]
+    deps: tuple[tuple[int, ...], ...]
+
+    @property
+    def service_seconds(self) -> float:
+        """Serial occupancy of the whole list (left-fold of
+        ``durations``, the serving layer's backlog unit)."""
+        return sum(self.durations)
+
+
 @dataclass(frozen=True)
 class CrashReport:
     """Outcome of :meth:`ScheduleEngine.crash`.
@@ -300,6 +330,12 @@ class ScheduleEngine:
         self._end: list[float | None] = []
         self._instance_of: list[int] = []
         self._owner: list[Submission] = []
+        # Admission plans by task-tuple identity. A tuple's first
+        # undilated admission only records where its tasks landed; the
+        # second slices the plan from those arrays, so a one-shot run
+        # never holds a second copy of its cost-model outputs.
+        self._plans: dict[int, AdmissionPlan] = {}
+        self._first_fill: dict[int, tuple[tuple, int]] = {}
         self.submissions: list[Submission] = []
         #: Submissions in the order they completed (serving layer polls
         #: this after each :meth:`advance_until`).
@@ -330,6 +366,11 @@ class ScheduleEngine:
         straggler and HBM-degradation derates, applied at admission.
         Both default to 1.0, in which case this path is arithmetically
         untouched (no multiplication happens at all).
+
+        A tuple admitted before reuses its :class:`AdmissionPlan`
+        instead of re-running the cost models; the derates apply on
+        top of the plan's unscaled values. A list is modelled afresh on
+        every admission, since it may change between them.
         """
         if self._dead:
             raise SchedulingError(
@@ -362,38 +403,110 @@ class ScheduleEngine:
                 self._events, (release, _EV_COMPLETE, submission.index)
             )
             return submission
-        cfg = self.config
+        plan = self._cached_plan(tasks)
+        if plan is None:
+            self._fill(
+                tasks, base, release, submission, compute_scale, hbm_scale
+            )
+        else:
+            self._admit(
+                plan, base, release, submission, compute_scale, hbm_scale
+            )
+        return submission
+
+    def admission_plan(self, tasks) -> AdmissionPlan:
+        """The :class:`AdmissionPlan` of ``tasks`` on this engine's
+        models, built on first request and cached for a tuple.
+
+        Like an admission, every call counts the list's memory-model
+        metrics (``sim.spad.*``, ``sim.hbm.transfers``,
+        ``sim.hbm.channels_used``) once.
+        """
+        plan = self._cached_plan(tasks)
+        if plan is None:
+            timings, mems, durations, deps = (
+                list(zip(*self._model(tasks, 0))) or [()] * 4
+            )
+            plan = AdmissionPlan(tasks, timings, mems, durations, deps)
+            if type(tasks) is tuple:
+                self._plans[id(tasks)] = plan
+        return plan
+
+    def _model(self, tasks, base: int):
+        """Validate and cost each task of a list, yielding ``(core
+        timing, memory timing, undilated duration, de-duplicated local
+        dependencies)``. ``base`` only numbers tasks in errors."""
+        cycle_seconds = self.config.cycle_seconds
         for local, task in enumerate(tasks):
-            i = base + local
             timing = self.cores.task_cycles(task)
             if timing.core not in CORE_NAMES:
                 raise SchedulingError(
-                    f"task {i} targets unknown core {timing.core!r}"
+                    f"task {base + local} targets unknown core "
+                    f"{timing.core!r}"
                 )
             for dep in task.depends_on:
                 if dep < 0 or dep >= local:
                     raise SchedulingError(
-                        f"task {i} has forward/invalid dependency {dep}"
+                        f"task {base + local} has forward/invalid "
+                        f"dependency {dep}"
                     )
             mem = self.memory.task_timing(task)
+            duration = max(timing.cycles * cycle_seconds, mem.spad_seconds)
+            yield timing, mem, duration, tuple(dict.fromkeys(task.depends_on))
+
+    def _cached_plan(self, tasks) -> AdmissionPlan | None:
+        """The plan of a tuple admitted before, else ``None``.
+
+        A hit replays the list's memory-model metrics, so counters stay
+        per admitted task exactly as if the models had run again.
+        """
+        if type(tasks) is not tuple:
+            return None
+        key = id(tasks)
+        plan = self._plans.get(key)
+        if plan is None:
+            first = self._first_fill.pop(key, None)
+            if first is None:
+                return None
+            base = first[1]
+            end = base + len(tasks)
+            plan = self._plans[key] = AdmissionPlan(
+                tasks,
+                tuple(self._timings[base:end]),
+                tuple(self._mems[base:end]),
+                tuple(self._durations[base:end]),
+                tuple(tuple(dict.fromkeys(t.depends_on)) for t in tasks),
+            )
+        reg = metrics.active()
+        if reg is not None:
+            for mem in plan.mems:
+                record_memory_metrics(reg, mem)
+        return plan
+
+    def _fill(
+        self, tasks, base, release, submission, compute_scale, hbm_scale
+    ) -> None:
+        """First admission of a list: run the cost models task by task
+        straight into the engine arrays."""
+        for local, (timing, mem, duration, deps) in enumerate(
+            self._model(tasks, base)
+        ):
+            i = base + local
             if hbm_scale != 1.0 and mem.hbm_bytes:
                 mem = replace(
                     mem, hbm_seconds=mem.hbm_seconds * hbm_scale
                 )
+            if compute_scale != 1.0:
+                duration *= compute_scale
+            task = tasks[local]
             self._tasks.append(task.shifted(base) if base else task)
             self._timings.append(timing)
             self._mems.append(mem)
-            duration = max(
-                timing.cycles * cfg.cycle_seconds, mem.spad_seconds
-            )
-            if compute_scale != 1.0:
-                duration *= compute_scale
             self._durations.append(duration)
-            uniq = {dep + base for dep in task.depends_on}
-            self._remaining.append(len(uniq))
+            self._remaining.append(len(deps))
             self._dependents.append([])
-            for dep in uniq:
-                self._dependents[dep].append(i)
+            for dep in deps:
+                self._dependents[base + dep].append(i)
             self._ready.append(release)
             self._start.append(None)
             self._hbm_span.append(
@@ -402,9 +515,57 @@ class ScheduleEngine:
             self._end.append(None)
             self._instance_of.append(0)
             self._owner.append(submission)
-            if not uniq:
+            if not deps:
                 heapq.heappush(self._events, (release, _EV_READY, i))
-        return submission
+        if (
+            compute_scale == 1.0 and hbm_scale == 1.0
+            and type(tasks) is tuple
+        ):
+            self._first_fill[id(tasks)] = (tasks, base)
+
+    def _admit(
+        self, plan, base, release, submission, compute_scale, hbm_scale
+    ) -> None:
+        """Repeat admission: extend the engine arrays from a plan and
+        wire the dependencies."""
+        tasks = plan.tasks
+        n = len(tasks)
+        self._tasks.extend(
+            [t.shifted(base) for t in tasks] if base else tasks
+        )
+        self._timings.extend(plan.timings)
+        mems = plan.mems
+        if hbm_scale != 1.0:
+            mems = [
+                replace(m, hbm_seconds=m.hbm_seconds * hbm_scale)
+                if m.hbm_bytes else m
+                for m in mems
+            ]
+        self._mems.extend(mems)
+        if compute_scale != 1.0:
+            self._durations.extend(
+                [d * compute_scale for d in plan.durations]
+            )
+        else:
+            self._durations.extend(plan.durations)
+        self._remaining.extend(map(len, plan.deps))
+        dependents = self._dependents
+        dependents.extend([[] for _ in range(n)])
+        events = self._events
+        for local, deps in enumerate(plan.deps):
+            if deps:
+                for dep in deps:
+                    dependents[base + dep].append(base + local)
+            else:
+                heapq.heappush(events, (release, _EV_READY, base + local))
+        self._ready.extend([release] * n)
+        self._start.extend([None] * n)
+        self._hbm_span.extend(
+            [None if m.hbm_bytes else (0.0, 0.0) for m in mems]
+        )
+        self._end.extend([None] * n)
+        self._instance_of.extend([0] * n)
+        self._owner.extend([submission] * n)
 
     # -- event processing ----------------------------------------------
     def _push_release(self, t: float) -> None:
@@ -640,6 +801,7 @@ class ScheduleEngine:
         for queue in self._core_queue.values():
             queue.clear()
         self._hbm_queue.clear()
+        self._first_fill.clear()  # its array positions are gone
         self._finished = len(keep)
         self._dead = True
         return CrashReport(
@@ -702,53 +864,42 @@ class ScheduleEngine:
         )
         hbm_bytes_total = 0
         records: list[TaskRecord] = []
+        append = records.append
+        cycle_seconds = cfg.cycle_seconds
         makespan = 0.0
-        for i, task in enumerate(self._tasks):
-            mem = self._mems[i]
-            core = self._timings[i].core
-            compute = self._timings[i].cycles * cfg.cycle_seconds
-            hbm_start, hbm_end = self._hbm_span[i]
-            busy = self._durations[i]
-            start = self._start[i]
-            end = self._end[i]
-            ready = self._ready[i]
+        for task, timing, mem, busy, start, end, ready, span, inst in zip(
+            self._tasks, self._timings, self._mems, self._durations,
+            self._start, self._end, self._ready, self._hbm_span,
+            self._instance_of,
+        ):
+            core = timing.core
+            hbm_start, hbm_end = span
+            hbm_bytes = mem.hbm_bytes
             # Clamp tiny float-negative residues so stall stays a
             # physical (non-negative) quantity and monotone counters
-            # downstream never see a negative increment.
-            stall = max(0.0, end - start - busy)
-            core_wait = max(0.0, start - ready)
-            hbm_wait = (
-                max(0.0, hbm_start - ready) if mem.hbm_bytes else 0.0
-            )
-            makespan = max(makespan, end)
-            hbm_bytes_total += mem.hbm_bytes
+            # downstream never see a negative increment. (Written as
+            # conditionals, these are exactly ``max(0.0, x)``.)
+            stall = end - start - busy
+            stall = stall if stall > 0.0 else 0.0
+            core_wait = start - ready
+            core_wait = core_wait if core_wait > 0.0 else 0.0
+            hbm_wait = hbm_start - ready if hbm_bytes else 0.0
+            hbm_wait = hbm_wait if hbm_wait > 0.0 else 0.0
+            if end > makespan:
+                makespan = end
+            hbm_bytes_total += hbm_bytes
             core_busy[core] += busy
             core_stall[core] += stall
             label = task.op_label or "unlabelled"
             op_seconds[label] += busy
             operator_seconds[label][core] += busy
-            records.append(
-                TaskRecord(
-                    start=start,
-                    end=end,
-                    core=core,
-                    compute_seconds=compute,
-                    hbm_seconds=mem.hbm_seconds,
-                    hbm_bytes=mem.hbm_bytes,
-                    op_label=label,
-                    queue_wait_seconds=max(core_wait, hbm_wait),
-                    hbm_start=hbm_start,
-                    hbm_end=hbm_end,
-                    instance=self._instance_of[i],
-                    ready_seconds=ready,
-                    stall_seconds=stall,
-                    core_wait_seconds=core_wait,
-                    hbm_wait_seconds=hbm_wait,
-                    hbm_channels_used=(
-                        mem.channels_used if mem.hbm_bytes else 0
-                    ),
-                )
-            )
+            append(TaskRecord(
+                start, end, core, timing.cycles * cycle_seconds,
+                mem.hbm_seconds, hbm_bytes, label,
+                core_wait if core_wait >= hbm_wait else hbm_wait,
+                hbm_start, hbm_end, inst, ready, stall, core_wait,
+                hbm_wait, mem.channels_used if hbm_bytes else 0,
+            ))
         return SimulationResult(
             total_seconds=makespan,
             core_busy_seconds=dict(core_busy),

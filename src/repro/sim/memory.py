@@ -38,6 +38,23 @@ class MemoryTiming:
     channels_used: int
 
 
+def record_memory_metrics(reg, timing: MemoryTiming) -> None:
+    """Count one task's scratchpad and HBM behaviour into ``reg``.
+
+    :meth:`MemoryModel.task_timing` calls this for every task it
+    models; the engine's admission plans call it again for every task
+    they replay, so the counters stay per admitted task.
+    """
+    if timing.spill_bytes:
+        reg.counter("sim.spad.misses").inc()
+        reg.counter("sim.spad.spill_bytes").inc(timing.spill_bytes)
+    else:
+        reg.counter("sim.spad.hits").inc()
+    if timing.hbm_bytes:
+        reg.counter("sim.hbm.transfers").inc()
+        reg.histogram("sim.hbm.channels_used").observe(timing.channels_used)
+
+
 class MemoryModel:
     """Traffic/timing model bound to one hardware configuration."""
 
@@ -81,23 +98,17 @@ class MemoryModel:
         else:
             hbm_seconds = 0.0
         spad_seconds = task.spad_bytes / cfg.scratchpad_bandwidth
-        reg = metrics.active()
-        if reg is not None:
-            if spill:
-                reg.counter("sim.spad.misses").inc()
-                reg.counter("sim.spad.spill_bytes").inc(spill)
-            else:
-                reg.counter("sim.spad.hits").inc()
-            if hbm_bytes:
-                reg.counter("sim.hbm.transfers").inc()
-                reg.histogram("sim.hbm.channels_used").observe(channels)
-        return MemoryTiming(
+        timing = MemoryTiming(
             hbm_seconds=hbm_seconds,
             hbm_bytes=hbm_bytes,
             spad_seconds=spad_seconds,
             spill_bytes=spill,
             channels_used=channels,
         )
+        reg = metrics.active()
+        if reg is not None:
+            record_memory_metrics(reg, timing)
+        return timing
 
     def pcie_seconds(self, payload_bytes: int) -> float:
         """Host staging time over PCIe (used once per workload)."""

@@ -34,9 +34,13 @@ class OperatorKind(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OperatorTask:
     """One schedulable unit of operator work.
+
+    Slotted: a served run holds one dependency-shifted copy per
+    admitted task, so the per-instance ``__dict__`` would dominate the
+    engine's memory.
 
     Attributes:
         kind: operator executed.
@@ -90,16 +94,23 @@ class OperatorTask:
         """Copy with dependency indices shifted by ``offset``.
 
         Used when concatenating per-operation task lists into one
-        program-level list.
+        program-level list, and by the engine once per admitted task.
+        The fields are already validated, so the copy is set slot by
+        slot instead of re-running ``__init__``/``__post_init__``.
         """
-        return OperatorTask(
-            kind=self.kind,
-            elements=self.elements,
-            degree=self.degree,
-            limbs=self.limbs,
-            hbm_read_bytes=self.hbm_read_bytes,
-            hbm_write_bytes=self.hbm_write_bytes,
-            spad_bytes=self.spad_bytes,
-            depends_on=tuple(d + offset for d in self.depends_on),
-            op_label=self.op_label,
-        )
+        new = _new(OperatorTask)
+        _set(new, "kind", self.kind)
+        _set(new, "elements", self.elements)
+        _set(new, "degree", self.degree)
+        _set(new, "limbs", self.limbs)
+        _set(new, "hbm_read_bytes", self.hbm_read_bytes)
+        _set(new, "hbm_write_bytes", self.hbm_write_bytes)
+        _set(new, "spad_bytes", self.spad_bytes)
+        _set(new, "depends_on", tuple([d + offset for d in self.depends_on]))
+        _set(new, "op_label", self.op_label)
+        return new
+
+
+# Frozen-dataclass slot writers for :meth:`OperatorTask.shifted`.
+_new = object.__new__
+_set = object.__setattr__

@@ -8,8 +8,10 @@ does not change when the pass pipeline rewrites the task list. The
 pinning tests here fail against any name-keyed cache.
 """
 
+import pytest
+
 from repro.serve import ServiceEstimator, request_type
-from repro.serve.requests import resolve_request_mix
+from repro.serve.requests import REQUEST_MIXES, resolve_request_mix
 from repro.sim.engine import ScheduleEngine
 
 
@@ -56,6 +58,27 @@ class TestEstimator:
         # Interleaved lookups keep returning each program's own value.
         assert estimator.estimate(engine, cold) == est_cold
         assert estimator.estimate(engine, hoisted) == est_hoisted
+
+    @pytest.mark.parametrize("passes", [None, "default"])
+    @pytest.mark.parametrize("mix", sorted(REQUEST_MIXES))
+    def test_plan_estimate_is_exactly_the_serial_formula(
+        self, mix, passes
+    ):
+        # The estimate now reads the engine's admission plan; it must
+        # be the same left-fold over the same floats as the serial
+        # formula it replaced, for every program the serve layer runs,
+        # whether the plan is built for the estimate or sliced from an
+        # earlier admission.
+        (job,) = resolve_request_mix(mix, passes=passes)
+        cold = ScheduleEngine()
+        assert ServiceEstimator().estimate(cold, job) == serial_sum(
+            cold, job.program
+        )
+        warm = ScheduleEngine()
+        warm.submit(job.program.tasks)
+        assert ServiceEstimator().estimate(warm, job) == serial_sum(
+            warm, job.program
+        )
 
     def test_mix_resolution_feeds_distinct_programs(self):
         engine = ScheduleEngine()
