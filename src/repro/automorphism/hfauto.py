@@ -23,6 +23,9 @@ which factors the permutation into four C-wide stages:
 
 Every stage touches ``C`` elements per cycle instead of one, which is
 the entire speedup of Tables VIII/IX.
+
+The stages index the last two axes, so :func:`hfauto_apply` runs each
+of them once on the whole ``(L, R, C)`` stack of a polynomial's limbs.
 """
 
 from __future__ import annotations
@@ -119,12 +122,14 @@ class HFAutoPlan:
         self.signs = automorphism_signs(n, k).reshape(self.r, self.c)
 
     # ------------------------------------------------------------------
-    # Stage-by-stage application (software mirror of the pipeline)
+    # Stage-by-stage application (software mirror of the pipeline).
+    # Each stage acts on the last two axes: one R x C matrix, or an
+    # (L, R, C) stack of them moved in one call.
     # ------------------------------------------------------------------
     def stage1_row_map(self, matrix: np.ndarray) -> np.ndarray:
         """Row ``i`` -> row ``i*k mod R`` (BRAM -> FIFO, C data/cycle)."""
         out = np.empty_like(matrix)
-        out[self.row_dest] = matrix
+        out[..., self.row_dest, :] = matrix
         return out
 
     def stage2_fifo_shift(self, matrix: np.ndarray) -> np.ndarray:
@@ -136,7 +141,7 @@ class HFAutoPlan:
         r_idx = np.arange(self.r, dtype=np.int64)[:, None]
         src_rows = (r_idx - self.col_row_shift[None, :]) % self.r
         cols = np.arange(self.c, dtype=np.int64)[None, :]
-        return matrix[src_rows, cols]
+        return matrix[..., src_rows, cols]
 
     def stage3_dimension_switch(self, matrix: np.ndarray) -> np.ndarray:
         """Expose columns as rows (the BRAM two-dimensional access trick).
@@ -144,22 +149,27 @@ class HFAutoPlan:
         Functionally a transpose; the hardware achieves it with the
         diagonal storage layout rather than moving data.
         """
-        return matrix.T.copy()
+        return np.swapaxes(matrix, -1, -2).copy()
 
     def stage4_column_map(self, transposed: np.ndarray) -> np.ndarray:
         """Column ``j`` -> column ``j*k mod C`` then restore layout."""
         out = np.empty_like(transposed)
-        out[self.col_dest] = transposed
-        return out.T.copy()
+        out[..., self.col_dest, :] = transposed
+        return np.swapaxes(out, -1, -2).copy()
 
-    def apply_matrix(self, matrix: np.ndarray, q: int) -> np.ndarray:
-        """Run all four stages (with Eq. 4 signs) on an R x C matrix."""
-        if matrix.shape != (self.r, self.c):
+    def apply_matrix(self, matrix: np.ndarray, q) -> np.ndarray:
+        """Run all four stages (with Eq. 4 signs) on an R x C matrix.
+
+        ``matrix`` may also be an ``(L, R, C)`` stack, with ``q`` an
+        ``(L, 1, 1)`` modulus column.
+        """
+        if matrix.shape[-2:] != (self.r, self.c):
             raise AutomorphismError(
-                f"expected shape ({self.r}, {self.c}), got {matrix.shape}"
+                f"expected shape (..., {self.r}, {self.c}), got {matrix.shape}"
             )
         matrix = np.asarray(matrix, dtype=np.uint64)
-        negated = np.where(matrix == 0, np.uint64(0), np.uint64(q) - matrix)
+        q = np.asarray(q, dtype=np.uint64)
+        negated = np.where(matrix == 0, np.uint64(0), q - matrix)
         signed = np.where(self.signs > 0, matrix, negated)
         m1 = self.stage1_row_map(signed)
         m2 = self.stage2_fifo_shift(m1)
@@ -218,8 +228,8 @@ def hfauto_apply(
         )
     c = min(subvector, poly.degree)
     plan = get_plan(poly.degree, k, c)
-    rows = [
-        plan.apply_row(poly.data[i], q)
-        for i, q in enumerate(poly.context.moduli)
-    ]
-    return RnsPolynomial(np.stack(rows), poly.context, poly.domain)
+    limbs = poly.level_count
+    q = np.array(poly.context.moduli, dtype=np.uint64)[:, None, None]
+    stack = poly.data.reshape(limbs, plan.r, plan.c)
+    out = plan.apply_matrix(stack, q).reshape(limbs, poly.degree)
+    return RnsPolynomial(out, poly.context, poly.domain)

@@ -5,11 +5,19 @@ with a ``record(op, **meta)`` method). The compiler subpackage provides
 one that turns evaluator runs into operator-level traces for the
 cycle-level Poseidon model — the same decomposition the hardware
 scheduler performs.
+
+The products stack their ciphertext parts so each step is one kernel
+call over a ``(B, L, N)`` stack: one forward NTT for all parts, one
+Hadamard call for all part products, one inverse NTT for all outputs
+— per block of the kernel budget (:func:`repro.kernels.batch_blocks`),
+which at N=4096 is one part.
 """
 
 from __future__ import annotations
 
 import functools
+
+import numpy as np
 
 from repro import kernels
 from repro.errors import EvaluationError
@@ -23,13 +31,34 @@ from repro.ckks.ciphertext import Ciphertext, Plaintext
 from repro.ckks.keys import KeyChain
 from repro.ckks.keyswitch import apply_switch_key
 from repro.ckks.params import CkksParameters
-from repro.ntt.negacyclic import intt_negacyclic, ntt_negacyclic
+from repro.ntt.negacyclic import intt_stack, ntt_stack
 from repro.obs import metrics
 from repro.rns.basis_convert import rescale as rns_rescale
-from repro.rns.poly import RnsPolynomial
+from repro.rns.poly import (
+    Domain,
+    RnsPolynomial,
+    stack_residues,
+    unstack_residues,
+)
 
 #: Relative scale mismatch tolerated before add/mult refuses to proceed.
 SCALE_TOLERANCE = 1e-9
+
+
+def _hadamard(spectra: np.ndarray, pairs, moduli) -> np.ndarray:
+    """``spectra[i] * spectra[j]`` for each ``(i, j)`` in ``pairs``.
+
+    One ``mod_mul`` per budget block; operands are gathered per block,
+    so a block of one product copies one matrix per side.
+    """
+    lhs, rhs = (list(side) for side in zip(*pairs))
+    backend = kernels.get_backend()
+    out = np.empty((len(pairs), *spectra.shape[1:]), dtype=np.uint64)
+    for block in kernels.batch_blocks(len(pairs), spectra[0].size):
+        out[block] = backend.mod_mul(
+            spectra[lhs[block]], spectra[rhs[block]], moduli
+        )
+    return out
 
 
 def _kernel_scoped(method):
@@ -208,10 +237,18 @@ class CkksEvaluator:
     def multiply_plain(self, ct: Ciphertext, pt: Plaintext) -> Ciphertext:
         """Ciphertext-plaintext multiplication (PMult); scale multiplies."""
         poly = self._plain_at_level(pt, ct.level)
-        pt_ntt = ntt_negacyclic(poly)
-        parts = tuple(
-            intt_negacyclic(ntt_negacyclic(p).hadamard(pt_ntt))
-            for p in ct.parts
+        moduli = poly.context.moduli
+        # Spectra of every part and, last, of the plaintext.
+        products = _hadamard(
+            ntt_stack(
+                stack_residues(ct.parts + (poly,), Domain.COEFFICIENT),
+                moduli,
+            ),
+            [(i, ct.size) for i in range(ct.size)],
+            moduli,
+        )
+        parts = unstack_residues(
+            intt_stack(products, moduli), poly.context, Domain.COEFFICIENT
         )
         self._record("PMult", ct)
         return Ciphertext(
@@ -237,11 +274,23 @@ class CkksEvaluator:
             raise EvaluationError(
                 "multiply expects relinearized (2-part) inputs"
             )
-        a0, a1 = (ntt_negacyclic(p) for p in a.parts)
-        b0, b1 = (ntt_negacyclic(p) for p in b.parts)
-        d0 = intt_negacyclic(a0.hadamard(b0))
-        d1 = intt_negacyclic(a0.hadamard(b1) + a1.hadamard(b0))
-        d2 = intt_negacyclic(a1.hadamard(b1))
+        context = a.parts[0].context
+        moduli = context.moduli
+        # Spectra a0, a1, b0, b1 -> products a0b0, a1b1, a0b1, a1b0;
+        # the cross terms sum into row 2, so rows 0..2 are d0, d2, d1.
+        products = _hadamard(
+            ntt_stack(
+                stack_residues(a.parts + b.parts, Domain.COEFFICIENT), moduli
+            ),
+            ((0, 2), (1, 3), (0, 3), (1, 2)),
+            moduli,
+        )
+        products[2] = kernels.get_backend().mod_add(
+            products[2], products[3], moduli
+        )
+        d0, d2, d1 = unstack_residues(
+            intt_stack(products[:3], moduli), context, Domain.COEFFICIENT
+        )
         self._record("CMult", a)
         result = Ciphertext(
             parts=(d0, d1, d2), scale=a.scale * b.scale, level=a.level
@@ -255,11 +304,20 @@ class CkksEvaluator:
         """Homomorphic squaring (saves one NTT vs generic multiply)."""
         if ct.size != 2:
             raise EvaluationError("square expects a relinearized input")
-        c0, c1 = (ntt_negacyclic(p) for p in ct.parts)
-        d0 = intt_negacyclic(c0.hadamard(c0))
-        cross = c0.hadamard(c1)
-        d1 = intt_negacyclic(cross + cross)
-        d2 = intt_negacyclic(c1.hadamard(c1))
+        context = ct.parts[0].context
+        moduli = context.moduli
+        # Spectra c0, c1 -> products c0c0, c1c1, c0c1 (doubled in place).
+        products = _hadamard(
+            ntt_stack(stack_residues(ct.parts, Domain.COEFFICIENT), moduli),
+            ((0, 0), (1, 1), (0, 1)),
+            moduli,
+        )
+        products[2] = kernels.get_backend().mod_add(
+            products[2], products[2], moduli
+        )
+        d0, d2, d1 = unstack_residues(
+            intt_stack(products, moduli), context, Domain.COEFFICIENT
+        )
         self._record("CMult", ct, kind="square")
         result = Ciphertext(
             parts=(d0, d1, d2), scale=ct.scale * ct.scale, level=ct.level

@@ -13,25 +13,28 @@ is exactly what the performance plane's ``HoistedRotation`` op models.
 Per rotation ``sigma_k`` of ``ct = (c_0, c_1)``:
 
 1. (hoisted, once) digits of ``c_1`` lifted into the extended basis
-   and NTT'd;
-2. permute each NTT-domain digit by the evaluation-domain map of
-   ``sigma_k``;
-3. multiply with the Galois key pairs, accumulate, INTT, ModDown;
+   and NTT'd, in the keyswitch's kernel-budget blocks
+   (:func:`repro.ckks.keyswitch.ntt_digits`);
+2. permute every NTT-domain digit by the evaluation-domain map of
+   ``sigma_k`` (one gather over the digit stack);
+3. multiply with the Galois key pairs, accumulate, INTT, ModDown —
+   the keyswitch's own :func:`~repro.ckks.keyswitch.switch_digits`;
 4. add the coefficient-domain ``sigma_k(c_0)``.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from repro import kernels
 from repro.errors import EvaluationError
 from repro.automorphism.galois import galois_element_for_rotation
-from repro.automorphism.mapping import apply_automorphism_eval
+from repro.automorphism.mapping import eval_permutation
 from repro.ckks.ciphertext import Ciphertext
 from repro.ckks.keys import KeyChain
-from repro.ckks.keyswitch import lift_digit
+from repro.ckks.keyswitch import ntt_digits, switch_digits
 from repro.ckks.params import CkksParameters
-from repro.ntt.negacyclic import intt_negacyclic, ntt_negacyclic
-from repro.rns.basis_convert import mod_down
-from repro.rns.poly import Domain, RnsPolynomial
+from repro.rns.poly import RnsPolynomial
 
 
 class HoistedRotator:
@@ -65,12 +68,10 @@ class HoistedRotator:
         self._base_ctx = params.context_at_level(level)
         self._ext_ctx = params.key_context_at_level(level)
         # The hoisted work: lift every digit of c_1 into the extended
-        # basis and transform it once.
-        c1 = ciphertext.parts[1]
-        self._digits_ntt = [
-            ntt_negacyclic(lift_digit(c1.data[j], self._ext_ctx))
-            for j in range(level + 1)
-        ]
+        # basis and transform it once — a (level+1, L_ext, N) stack.
+        self._digits_ntt = np.concatenate(
+            list(ntt_digits(ciphertext.parts[1], self._ext_ctx))
+        )
 
     # ------------------------------------------------------------------
     def _coeff_automorphism(self, poly: RnsPolynomial, galois: int):
@@ -93,23 +94,16 @@ class HoistedRotator:
                 f"switch key rank {key.rank} below needed {level + 1}"
             )
 
-        acc_b: RnsPolynomial | None = None
-        acc_a: RnsPolynomial | None = None
-        for j, digit_ntt in enumerate(self._digits_ntt):
-            rotated = apply_automorphism_eval(digit_ntt, galois)
-            b_rows, a_rows = key.pair_rows(j, level, self.params)
-            key_b = RnsPolynomial(b_rows, self._ext_ctx, Domain.NTT)
-            key_a = RnsPolynomial(a_rows, self._ext_ctx, Domain.NTT)
-            term_b = rotated.hadamard(key_b)
-            term_a = rotated.hadamard(key_a)
-            acc_b = term_b if acc_b is None else acc_b + term_b
-            acc_a = term_a if acc_a is None else acc_a + term_a
-
-        delta0 = mod_down(
-            intt_negacyclic(acc_b), self._base_ctx, self.params.aux_context
-        )
-        delta1 = mod_down(
-            intt_negacyclic(acc_a), self._base_ctx, self.params.aux_context
+        rotated = self._digits_ntt[
+            ..., eval_permutation(self.params.degree, galois)
+        ]
+        blocks = kernels.batch_blocks(len(rotated), rotated[0].size)
+        delta0, delta1 = switch_digits(
+            (rotated[block] for block in blocks),
+            key,
+            self.params,
+            self._base_ctx,
+            self._ext_ctx,
         )
         rotated_c0 = self._coeff_automorphism(ct.parts[0], galois)
         return Ciphertext(

@@ -99,7 +99,7 @@ class PublicKey:
     a: RnsPolynomial
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SwitchKey:
     """An RNS-gadget keyswitch key: one ``(b_j, a_j)`` pair per limb.
 
@@ -112,31 +112,37 @@ class SwitchKey:
 
     ``s_source`` is the key being switched *from*: ``s^2`` for
     relinearization, ``sigma_k(s)`` for rotation. All parts are stored
-    in the NTT domain, since every use multiplies them pointwise.
+    in the NTT domain, since every use multiplies them pointwise, in
+    one ``(rank, 2, L, N)`` array over the key basis ``context``:
+    ``rows[j, 0]`` is ``b_j`` and ``rows[j, 1]`` is ``a_j``, so a block
+    of digits meets its key rows in a single kernel call.
     """
 
-    pairs: tuple[tuple[RnsPolynomial, RnsPolynomial], ...]
+    rows: np.ndarray
+    context: RnsContext
     source_label: str
 
     @property
     def rank(self) -> int:
         """Number of gadget digits (= chain length at generation)."""
-        return len(self.pairs)
+        return self.rows.shape[0]
 
-    def pair_rows(
-        self, j: int, level: int, params: CkksParameters
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Residue rows of pair ``j`` for a level-``level`` keyswitch.
+    def digit_rows(
+        self, digits: slice, level: int, params: CkksParameters
+    ) -> np.ndarray:
+        """Key rows of ``digits`` for a level-``level`` keyswitch.
 
-        Returns (b_rows, a_rows) covering chain limbs [0..level] plus
-        all aux limbs — the extended basis used at that level.
+        Returns a ``(len(digits), 2, L_ext, N)`` array covering chain
+        limbs [0..level] plus all aux limbs — the extended basis used
+        at that level; a view when that basis is the whole key basis.
         """
+        block = self.rows[digits]
         chain_len = len(params.chain_moduli)
-        keep = list(range(level + 1)) + list(
-            range(chain_len, chain_len + len(params.aux_moduli))
+        if level + 1 == chain_len:
+            return block
+        return np.concatenate(
+            (block[:, :, : level + 1], block[:, :, chain_len:]), axis=2
         )
-        b, a = self.pairs[j]
-        return b.data[keep], a.data[keep]
 
 
 class KeyChain:
@@ -213,20 +219,22 @@ class KeyChain:
             RnsPolynomial.from_integers(source_integers, key_ctx)
         )
         p_product = params.aux_product
-        pairs = []
-        for j in range(len(params.chain_moduli)):
+        rank = len(params.chain_moduli)
+        rows = np.empty(
+            (rank, 2, key_ctx.level_count, params.degree), dtype=np.uint64
+        )
+        for j in range(rank):
             a = ntt_negacyclic(sample_uniform(key_ctx, params.degree, rng))
             e = ntt_negacyclic(sample_gaussian(key_ctx, params.degree, rng))
             b = (-(a.hadamard(s))) + e
             q_j = params.chain_moduli[j]
-            data = b.data.copy()
-            data[j] = mod_mul(
+            rows[j, 0] = b.data
+            injected = mod_mul(
                 np.uint64(p_product % q_j), source_ntt.data[j], q_j
             )
-            data[j] = (data[j] + b.data[j]) % np.uint64(q_j)
-            b = RnsPolynomial(data, key_ctx, Domain.NTT)
-            pairs.append((b, a))
-        return SwitchKey(pairs=tuple(pairs), source_label=label)
+            rows[j, 0, j] = (injected + b.data[j]) % np.uint64(q_j)
+            rows[j, 1] = a.data
+        return SwitchKey(rows=rows, context=key_ctx, source_label=label)
 
     def rotation_key(self, steps: int) -> SwitchKey:
         """Galois key for a rotation by ``steps`` slots (cached)."""

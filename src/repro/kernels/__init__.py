@@ -34,6 +34,7 @@ from repro.errors import KernelError
 from repro.kernels.base import (
     BatchedTwiddleTable,
     KernelBackend,
+    batch_blocks,
     get_batched_tables,
 )
 from repro.kernels.batched import BatchedBackend
@@ -131,6 +132,7 @@ __all__ = [
     "NumpyBackend",
     "ReferenceBackend",
     "available_backends",
+    "batch_blocks",
     "get_batched_tables",
     "get_backend",
     "reset_selection",

@@ -24,6 +24,29 @@ Backends are required to be **bit-identical**: every operator computes
 an exact modular result (residues reduced into ``[0, q_i)``), so the
 output of any op is uniquely defined and the differential suite in
 ``tests/kernels`` can assert equality element by element.
+
+Batch axis
+----------
+``ntt``, ``intt``, ``barrett_reduce`` and every element-wise op accept
+either one ``(L, N)`` matrix or a ``(B, L, N)`` stack of ``B`` matrices
+over the same ``L`` moduli, and return the same shape; ``lift`` maps
+``(N,)`` to ``(L, N)`` and ``(B, N)`` rows to ``(B, L, N)``. The limb
+axis is always second to last, so no backend can read a batch as
+limbs. A second operand must have exactly the first operand's shape
+(callers broadcast explicitly, e.g. with ``np.broadcast_to``). Results
+are the per-matrix results stacked, bit for bit: ``numpy`` broadcasts
+its per-limb plans over ``B``, while ``reference`` and ``batched`` run
+their per-matrix code on each ``(L, N)`` slice. A batch is one kernel
+call — the software counterpart of Poseidon streaming every keyswitch
+digit through the same cores. ``basis_convert`` keeps its ``(l, N)``
+contract.
+
+Callers split the stacks they build (keyswitch digits, ciphertext
+parts) into blocks of at most :data:`BATCH_ELEMENTS` residues with
+:func:`batch_blocks`, and make one call per block and step. Batching
+pays where rows are short and per-call overhead dominates; on long rows
+one matrix already fills the budget, so a block holds one matrix and
+the call shapes and temporaries stay those of a per-matrix loop.
 """
 
 from __future__ import annotations
@@ -73,6 +96,26 @@ class BatchedTwiddleTable:
         self.bitrev = bit_reverse_permutation(n)
 
 
+#: Most residues in one block of a stack that callers batch. A
+#: bootstrapping keyswitch at N=64 (16 digits x 17 limbs x 64 = 17,408
+#: residues) is one block; at N=4096 one 9-limb digit (36,864) already
+#: exceeds it, so each block is one digit.
+BATCH_ELEMENTS = 1 << 15
+
+
+def batch_blocks(count: int, matrix_elements: int) -> list[slice]:
+    """Consecutive slices of ``count`` stacked matrices within the budget.
+
+    A block holds as many ``matrix_elements``-residue matrices as fit in
+    :data:`BATCH_ELEMENTS`, and always at least one.
+    """
+    per_block = max(1, BATCH_ELEMENTS // matrix_elements)
+    return [
+        slice(start, min(start + per_block, count))
+        for start in range(0, count, per_block)
+    ]
+
+
 @lru_cache(maxsize=256)
 def get_batched_tables(moduli: tuple[int, ...], n: int) -> BatchedTwiddleTable:
     """Process-wide cache of stacked twiddle tables per (basis, degree)."""
@@ -80,16 +123,56 @@ def get_batched_tables(moduli: tuple[int, ...], n: int) -> BatchedTwiddleTable:
 
 
 def check_matrix(data: np.ndarray, moduli) -> np.ndarray:
-    """Validate an (L, N) residue matrix against its basis; return it."""
+    """Validate an (L, N) matrix or (B, L, N) stack against its basis."""
     data = np.asarray(data, dtype=np.uint64)
-    if data.ndim != 2:
-        raise KernelError(f"expected an (L, N) matrix, got shape {data.shape}")
-    if data.shape[0] != len(moduli):
+    if data.ndim not in (2, 3):
         raise KernelError(
-            f"matrix has {data.shape[0]} rows but basis has "
+            f"expected an (L, N) matrix or a (B, L, N) stack, got shape "
+            f"{data.shape}"
+        )
+    if data.shape[-2] != len(moduli):
+        raise KernelError(
+            f"matrix has {data.shape[-2]} rows but basis has "
             f"{len(moduli)} moduli"
         )
     return data
+
+
+def check_operand(b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Validate a second operand: exactly ``a``'s shape, no broadcasting."""
+    b = np.asarray(b, dtype=np.uint64)
+    if b.shape != a.shape:
+        raise KernelError(
+            f"second operand has shape {b.shape}, expected {a.shape}"
+        )
+    return b
+
+
+def check_rows(rows: np.ndarray) -> np.ndarray:
+    """Validate ``lift`` input: one (N,) row or a (B, N) stack of rows."""
+    rows = np.asarray(rows, dtype=np.uint64)
+    if rows.ndim not in (1, 2):
+        raise KernelError(
+            f"expected an (N,) row or a (B, N) stack, got shape {rows.shape}"
+        )
+    return rows
+
+
+def per_matrix(kernel, data: np.ndarray, *operands) -> np.ndarray:
+    """Run an (L, N) ``kernel`` on ``data`` or on each matrix of a stack.
+
+    ``operands`` are sliced along the batch axis with ``data``; the
+    per-matrix results are stacked back, so the output of a stack is
+    the per-matrix outputs by construction.
+    """
+    if data.ndim == 2:
+        return kernel(data, *operands)
+    if data.shape[0] == 0:
+        return np.empty_like(data)
+    return np.stack([
+        kernel(matrix, *(op[i] for op in operands))
+        for i, matrix in enumerate(data)
+    ])
 
 
 @lru_cache(maxsize=4096)
@@ -113,7 +196,8 @@ class KernelBackend(abc.ABC):
 
     All inputs are assumed reduced (row ``i`` in ``[0, moduli[i])``)
     and all outputs are returned reduced — the invariant that makes
-    backend outputs unique and therefore bit-comparable.
+    backend outputs unique and therefore bit-comparable. Every op but
+    ``basis_convert`` also takes a leading batch axis (module docstring).
     """
 
     #: Registry/display name ("reference", "batched", "numpy").
@@ -139,6 +223,11 @@ class KernelBackend(abc.ABC):
         """Combined matrix-shape + modulus-width validation."""
         self.check_moduli(moduli)
         return check_matrix(data, moduli)
+
+    def _check_pair(self, a: np.ndarray, b: np.ndarray, moduli):
+        """Validate both operands of a binary element-wise op."""
+        a = self._check(a, moduli)
+        return a, check_operand(b, a)
 
     # ------------------------------------------------------------------
     # Observability
@@ -193,7 +282,10 @@ class KernelBackend(abc.ABC):
 
     @abc.abstractmethod
     def lift(self, row: np.ndarray, moduli) -> np.ndarray:
-        """Exact lift of one digit row into every modulus: (N,) -> (L, N)."""
+        """Exact lift of digit rows into every modulus.
+
+        ``(N,) -> (L, N)``, or ``(B, N) -> (B, L, N)`` for a stack.
+        """
 
     @abc.abstractmethod
     def basis_convert(

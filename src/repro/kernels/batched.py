@@ -15,6 +15,10 @@ full-width accumulation when ``B * q^2 < 2^64``, reduce-per-product
 otherwise), vectorized across limbs *and* across all blocks of a
 phase.
 
+A ``(B, L, N)`` stack runs the NTT code above on each of its ``B``
+matrices; the element-wise operators broadcast their ``(L, 1)``
+modulus columns over the batch axis unchanged.
+
 Every operator computes the exact reduced result, so outputs are
 bit-identical to the ``reference`` backend by construction; the
 differential suite in ``tests/kernels`` enforces it.
@@ -27,7 +31,12 @@ from functools import lru_cache
 import numpy as np
 
 from repro.errors import KernelError
-from repro.kernels.base import KernelBackend, get_batched_tables
+from repro.kernels.base import (
+    KernelBackend,
+    check_rows,
+    get_batched_tables,
+    per_matrix,
+)
 
 
 @lru_cache(maxsize=256)
@@ -62,18 +71,22 @@ class BatchedBackend(KernelBackend):
     def ntt(self, data, moduli, *, radix_log2: int = 1):
         data = self._check(data, moduli)
         self._count("ntt", data.size)
-        tbl = get_batched_tables(tuple(moduli), data.shape[1])
+        tbl = get_batched_tables(tuple(moduli), data.shape[-1])
         if radix_log2 >= 2:
-            return self._fused_forward(data, tbl, radix_log2)
-        return self._radix2_forward(data, tbl)
+            return per_matrix(
+                lambda m: self._fused_forward(m, tbl, radix_log2), data
+            )
+        return per_matrix(lambda m: self._radix2_forward(m, tbl), data)
 
     def intt(self, data, moduli, *, radix_log2: int = 1):
         data = self._check(data, moduli)
         self._count("intt", data.size)
-        tbl = get_batched_tables(tuple(moduli), data.shape[1])
+        tbl = get_batched_tables(tuple(moduli), data.shape[-1])
         if radix_log2 >= 2:
-            return self._fused_inverse(data, tbl, radix_log2)
-        return self._radix2_inverse(data, tbl)
+            return per_matrix(
+                lambda m: self._fused_inverse(m, tbl, radix_log2), data
+            )
+        return per_matrix(lambda m: self._radix2_inverse(m, tbl), data)
 
     # -- stage-parallel radix-2 ----------------------------------------
     @staticmethod
@@ -188,16 +201,14 @@ class BatchedBackend(KernelBackend):
     # Element-wise modular operators
     # ------------------------------------------------------------------
     def mod_add(self, a, b, moduli):
-        a = self._check(a, moduli)
-        b = self._check(b, moduli)
+        a, b = self._check_pair(a, b, moduli)
         self._count("elementwise", a.size)
         qc = _barrett_columns(tuple(moduli))[0]
         s = a + b
         return np.where(s >= qc, s - qc, s)
 
     def mod_sub(self, a, b, moduli):
-        a = self._check(a, moduli)
-        b = self._check(b, moduli)
+        a, b = self._check_pair(a, b, moduli)
         self._count("elementwise", a.size)
         qc = _barrett_columns(tuple(moduli))[0]
         s = a + qc - b
@@ -210,8 +221,7 @@ class BatchedBackend(KernelBackend):
         return np.where(a == 0, np.uint64(0), qc - a)
 
     def mod_mul(self, a, b, moduli):
-        a = self._check(a, moduli)
-        b = self._check(b, moduli)
+        a, b = self._check_pair(a, b, moduli)
         self._count("elementwise", a.size)
         qc = _barrett_columns(tuple(moduli))[0]
         return (a * b) % qc
@@ -251,11 +261,11 @@ class BatchedBackend(KernelBackend):
         return r
 
     def lift(self, row, moduli):
-        row = np.asarray(row, dtype=np.uint64)
+        row = check_rows(row)
         self.check_moduli(moduli)
         self._count("lift", row.size * len(moduli))
         qc = _barrett_columns(tuple(moduli))[0]
-        return row[None, :] % qc
+        return row[..., None, :] % qc
 
     def basis_convert(self, y, table, target_moduli):
         """RNSconv cascade vectorized across the whole target basis.

@@ -25,6 +25,11 @@ vectorized 64x64 -> 128-bit multiply (32-bit limb split) and a
 full-width Barrett reduction (``mu = floor(2^2k / q)`` with per-modulus
 shift columns) so intermediates never overflow ``uint64``.
 
+A ``(B, L, N)`` stack runs the same plans with every twiddle and
+modulus column broadcast over the leading batch axis: the engines index
+the limb and coefficient axes from the right (``a[..., :t]``), so one
+call transforms all ``B * L`` rows.
+
 Fused radix-2^k requests (``radix_log2 >= 2``) execute on the same
 vectorized engine: stage fusion is an execution strategy, not a
 different transform, and this engine already performs one full-width
@@ -38,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.kernels.base import KernelBackend, check_matrix
+from repro.kernels.base import KernelBackend, check_rows
 from repro.ntt.tables import get_twiddle_table
 from repro.utils.bitops import ilog2, reverse_bits_array
 
@@ -198,10 +203,29 @@ def _stage_inv(lo, hi, w, ws, q, bound, u1, u2, u3, lazy4):
     np.minimum(u1, u3, out=lo)
 
 
+def _to_lanes(a: np.ndarray, lanes: int) -> np.ndarray:
+    """Lane-major copy: ``(..., n)`` rows viewed as ``(..., n/lanes, lanes)``."""
+    blk = a.shape[-1] // lanes
+    return np.ascontiguousarray(
+        a.reshape(*a.shape[:-1], lanes, blk).swapaxes(-1, -2)
+    )
+
+
+def _from_lanes(a: np.ndarray, lanes: int) -> np.ndarray:
+    """Undo :func:`_to_lanes` back to natural ``(..., n)`` rows."""
+    lead = a.shape[:-2]
+    n = a.shape[-2] * a.shape[-1]
+    return np.ascontiguousarray(
+        a.reshape(*lead, n // lanes, lanes).swapaxes(-1, -2)
+    ).reshape(*lead, n)
+
+
 def _run_fwd(a: np.ndarray, plan: _NarrowPlan) -> np.ndarray:
-    levels, n = a.shape
+    """In-place CT stages over ``a``: (L, n) or a (B, L, n) stack."""
+    lead, n = a.shape[:-1], a.shape[-1]
+    levels = lead[-1]
     half = n >> 1
-    b1 = np.empty((levels, half), dtype=np.uint64)
+    b1 = np.empty((*lead, half), dtype=np.uint64)
     b2 = np.empty_like(b1)
     b3 = np.empty_like(b1)
     q3 = plan.q_col[:, :, None]
@@ -212,48 +236,45 @@ def _run_fwd(a: np.ndarray, plan: _NarrowPlan) -> np.ndarray:
     transposed = False
     for kind, m, t, w, ws in plan.fwd:
         if kind == "lane" and not transposed:
-            blk = n // lanes
-            a = np.ascontiguousarray(
-                a.reshape(levels, lanes, blk).transpose(0, 2, 1)
-            )
+            a = _to_lanes(a, lanes)
             transposed = True
         if kind == "full":
-            a3 = a.reshape(levels, m, 2 * t)
-            shape = (levels, m, t)
+            a3 = a.reshape(*lead, m, 2 * t)
+            shape = (*lead, m, t)
+            wshape = (levels, m, t)
             _stage_fwd(
-                a3[:, :, :t], a3[:, :, t:],
-                w.reshape(shape), ws.reshape(shape), q3, c3,
+                a3[..., :t], a3[..., t:],
+                w.reshape(wshape), ws.reshape(wshape), q3, c3,
                 b1.reshape(shape), b2.reshape(shape), b3.reshape(shape),
                 plan.lazy4,
             )
         else:
             msub = m // lanes
-            a4 = a.reshape(levels, msub, 2 * t, lanes)
-            shape = (levels, msub, t, lanes)
+            a4 = a.reshape(*lead, msub, 2 * t, lanes)
+            shape = (*lead, msub, t, lanes)
             _stage_fwd(
-                a4[:, :, :t, :], a4[:, :, t:, :], w, ws, q4, c4,
+                a4[..., :t, :], a4[..., t:, :], w, ws, q4, c4,
                 b1.reshape(shape), b2.reshape(shape), b3.reshape(shape),
                 plan.lazy4,
             )
     if transposed:
-        blk = n // lanes
-        a = np.ascontiguousarray(
-            a.reshape(levels, blk, lanes).transpose(0, 2, 1)
-        ).reshape(levels, n)
+        a = _from_lanes(a, lanes)
     scratch = np.empty_like(a)
     if plan.lazy4:
         np.subtract(a, plan.C2_col, out=scratch)
         np.minimum(a, scratch, out=a)
     np.subtract(a, plan.q_col, out=scratch)
     np.minimum(a, scratch, out=a)
-    return a[:, plan.bitrev]
+    return a[..., plan.bitrev]
 
 
 def _run_inv(src: np.ndarray, plan: _NarrowPlan) -> np.ndarray:
-    a = src[:, plan.bitrev]
-    levels, n = a.shape
+    """GS stages over a permuted copy of ``src``: (L, n) or (B, L, n)."""
+    a = src[..., plan.bitrev]
+    lead, n = a.shape[:-1], a.shape[-1]
+    levels = lead[-1]
     half = n >> 1
-    b1 = np.empty((levels, half), dtype=np.uint64)
+    b1 = np.empty((*lead, half), dtype=np.uint64)
     b2 = np.empty_like(b1)
     b3 = np.empty_like(b1)
     q3 = plan.q_col[:, :, None]
@@ -263,33 +284,28 @@ def _run_inv(src: np.ndarray, plan: _NarrowPlan) -> np.ndarray:
     lanes = plan.lanes
     transposed = False
     if plan.inv and plan.inv[0][0] == "lane":
-        blk = n // lanes
-        a = np.ascontiguousarray(
-            a.reshape(levels, lanes, blk).transpose(0, 2, 1)
-        )
+        a = _to_lanes(a, lanes)
         transposed = True
     for kind, h, t, w, ws in plan.inv:
         if transposed and kind == "full":
-            blk = n // lanes
-            a = np.ascontiguousarray(
-                a.reshape(levels, blk, lanes).transpose(0, 2, 1)
-            ).reshape(levels, n)
+            a = _from_lanes(a, lanes)
             transposed = False
         if kind == "full":
-            a3 = a.reshape(levels, h, 2 * t)
-            shape = (levels, h, t)
+            a3 = a.reshape(*lead, h, 2 * t)
+            shape = (*lead, h, t)
+            wshape = (levels, h, t)
             _stage_inv(
-                a3[:, :, :t], a3[:, :, t:],
-                w.reshape(shape), ws.reshape(shape), q3, c3,
+                a3[..., :t], a3[..., t:],
+                w.reshape(wshape), ws.reshape(wshape), q3, c3,
                 b1.reshape(shape), b2.reshape(shape), b3.reshape(shape),
                 plan.lazy4,
             )
         else:
             msub = h // lanes
-            a4 = a.reshape(levels, msub, 2 * t, lanes)
-            shape = (levels, msub, t, lanes)
+            a4 = a.reshape(*lead, msub, 2 * t, lanes)
+            shape = (*lead, msub, t, lanes)
             _stage_inv(
-                a4[:, :, :t, :], a4[:, :, t:, :], w, ws, q4, c4,
+                a4[..., :t, :], a4[..., t:, :], w, ws, q4, c4,
                 b1.reshape(shape), b2.reshape(shape), b3.reshape(shape),
                 plan.lazy4,
             )
@@ -386,44 +402,44 @@ def _wide_plan(moduli: tuple[int, ...], n: int) -> _WidePlan:
 
 
 def _run_fwd_wide(a: np.ndarray, plan: _WidePlan) -> np.ndarray:
-    levels, n = a.shape
+    lead, n = a.shape[:-1], a.shape[-1]
     q3 = plan.q_col[:, :, None]
     t, m = n, 1
     while m < n:
         t >>= 1
-        a3 = a.reshape(levels, m, 2 * t)
-        lo = a3[:, :, :t]
-        hi = a3[:, :, t:]
+        a3 = a.reshape(*lead, m, 2 * t)
+        lo = a3[..., :t]
+        hi = a3[..., t:]
         w = plan.psi[:, m:2 * m][:, :, None]
         prod = _mulmod_wide(hi, w, plan.cols3)  # < q
         s = lo + prod  # < 2q < 2^63
         s = np.minimum(s, s - q3)
         d = lo + (q3 - prod)
         d = np.minimum(d, d - q3)
-        a3[:, :, :t] = s
-        a3[:, :, t:] = d
+        a3[..., :t] = s
+        a3[..., t:] = d
         m <<= 1
-    return a[:, plan.bitrev]
+    return a[..., plan.bitrev]
 
 
 def _run_inv_wide(src: np.ndarray, plan: _WidePlan) -> np.ndarray:
-    a = src[:, plan.bitrev]
-    levels, n = a.shape
+    a = src[..., plan.bitrev]
+    lead, n = a.shape[:-1], a.shape[-1]
     q3 = plan.q_col[:, :, None]
     t, m = 1, n
     while m > 1:
         h = m >> 1
-        a3 = a.reshape(levels, h, 2 * t)
-        lo = a3[:, :, :t]
-        hi = a3[:, :, t:]
+        a3 = a.reshape(*lead, h, 2 * t)
+        lo = a3[..., :t]
+        hi = a3[..., t:]
         w = plan.ipsi[:, h:2 * h][:, :, None]
         s = lo + hi
         s = np.minimum(s, s - q3)
         d = lo + (q3 - hi)
         d = np.minimum(d, d - q3)
         prod = _mulmod_wide(d, w, plan.cols3)
-        a3[:, :, :t] = s
-        a3[:, :, t:] = prod
+        a3[..., :t] = s
+        a3[..., t:] = prod
         t <<= 1
         m = h
     return _mulmod_wide(a, plan.inv_n_col, plan.cols)
@@ -447,13 +463,21 @@ def _narrow_columns(moduli: tuple[int, ...]):
 
 
 def _barrett_narrow(x, cols):
-    """Reduce ``x < q^2`` below ``q`` for moduli <= 31 bits."""
+    """Reduce ``x < q^2`` below ``q`` for moduli <= 31 bits, in place.
+
+    ``x`` is overwritten with the result; one scratch array of its size
+    is the only temporary.
+    """
     q, mu, klo, khi = cols
-    q1 = x >> klo
-    q3 = (q1 * mu) >> khi  # q1, mu < 2^(k+1); product < 2^64 for k <= 31
-    r = x - q3 * q  # < 3q
-    r = np.minimum(r, r - q)
-    return np.minimum(r, r - q)
+    t = x >> klo
+    t *= mu  # q1, mu < 2^(k+1); product < 2^64 for k <= 31
+    t >>= khi
+    t *= q
+    x -= t  # < 3q
+    for _ in range(2):
+        np.subtract(x, q, out=t)
+        np.minimum(x, t, out=x)
+    return x
 
 
 def _mulmod_rows(a, b, moduli):
@@ -479,7 +503,7 @@ class NumpyBackend(KernelBackend):
         data = self._check(data, moduli)
         self._count("ntt", data.size)
         key = self._key(moduli)
-        n = data.shape[1]
+        n = data.shape[-1]
         if _is_narrow(key):
             return _run_fwd(data.copy(), _narrow_plan(key, n))
         return _run_fwd_wide(data.copy(), _wide_plan(key, n))
@@ -489,23 +513,21 @@ class NumpyBackend(KernelBackend):
         data = self._check(data, moduli)
         self._count("intt", data.size)
         key = self._key(moduli)
-        n = data.shape[1]
+        n = data.shape[-1]
         if _is_narrow(key):
             return _run_inv(data, _narrow_plan(key, n))
         return _run_inv_wide(data, _wide_plan(key, n))
 
     # ------------------------------------------------------------------
     def mod_add(self, a, b, moduli):
-        a = self._check(a, moduli)
-        b = check_matrix(b, moduli)
+        a, b = self._check_pair(a, b, moduli)
         self._count("elementwise", a.size)
         q = self._q_col(moduli)
         s = a + b  # both < q <= 2^62, so the sum fits
         return np.minimum(s, s - q)
 
     def mod_sub(self, a, b, moduli):
-        a = self._check(a, moduli)
-        b = check_matrix(b, moduli)
+        a, b = self._check_pair(a, b, moduli)
         self._count("elementwise", a.size)
         q = self._q_col(moduli)
         d = a + (q - b)
@@ -519,8 +541,7 @@ class NumpyBackend(KernelBackend):
         return np.minimum(d, d - q)
 
     def mod_mul(self, a, b, moduli):
-        a = self._check(a, moduli)
-        b = check_matrix(b, moduli)
+        a, b = self._check_pair(a, b, moduli)
         self._count("elementwise", a.size)
         return _mulmod_rows(a, b, self._key(moduli))
 
@@ -535,20 +556,19 @@ class NumpyBackend(KernelBackend):
 
     # ------------------------------------------------------------------
     def barrett_reduce(self, x, moduli):
-        x = np.asarray(x, dtype=np.uint64)
-        self.check_moduli(moduli)
+        x = self._check(x, moduli)
         self._count("barrett", x.size)
         key = self._key(moduli)
         if _is_narrow(key):
-            return _barrett_narrow(x, _narrow_columns(key))
+            return _barrett_narrow(x.copy(), _narrow_columns(key))
         zero = np.zeros_like(x)
         return _barrett_wide(zero, x, _wide_columns(key))
 
     def lift(self, row, moduli):
-        row = np.asarray(row, dtype=np.uint64)
+        row = check_rows(row)
         self.check_moduli(moduli)
         self._count("lift", row.size * len(moduli))
-        return row[None, :] % self._q_col(moduli)
+        return row[..., None, :] % self._q_col(moduli)
 
     def basis_convert(self, y, table, target_moduli):
         y = np.asarray(y, dtype=np.uint64)

@@ -6,6 +6,10 @@ forward/inverse kernels (radix-2 by default, radix-2^k fused when the
 caller opts in) behind one object per (q, n) pair, and the module-level
 functions transform whole RNS matrices limb by limb — which is exactly
 how the 64 parallel NTT cores in Poseidon chew through limbs.
+:func:`ntt_stack` / :func:`intt_stack` transform a ``(B, L, N)`` stack
+of residue matrices (keyswitch digits, ciphertext parts) in one kernel
+call per :func:`repro.kernels.batch_blocks` block; the ``ntt.*``
+counters still count one transform per limb row.
 """
 
 from __future__ import annotations
@@ -80,14 +84,65 @@ def get_transformer(q: int, n: int, radix_log2: int = 1) -> NegacyclicTransforme
     return NegacyclicTransformer(q, n, radix_log2=radix_log2)
 
 
-def _count_poly_transforms(direction: str, limbs: int, degree: int) -> None:
-    """Semantic TAM counters for an all-limbs transform, any backend."""
+def _count_poly_transforms(direction: str, data: np.ndarray) -> None:
+    """Semantic TAM counters: one transform per limb row, any backend."""
     reg = metrics.active()
     if reg is not None:
-        reg.counter(f"ntt.transforms.{direction}").inc(limbs)
+        degree = data.shape[-1]
+        rows = data.size // degree
+        reg.counter(f"ntt.transforms.{direction}").inc(rows)
         reg.counter("ntt.butterflies").inc(
-            limbs * (degree // 2) * ilog2(degree)
+            rows * (degree // 2) * ilog2(degree)
         )
+
+
+def _per_block(transform, data: np.ndarray) -> np.ndarray:
+    """``transform`` over the budget blocks of a stack, one call each."""
+    if data.ndim == 2:
+        return transform(data)
+    blocks = kernels.batch_blocks(len(data), data[0].size)
+    if len(blocks) == 1:
+        return transform(data)
+    out = np.empty(data.shape, dtype=np.uint64)
+    for block in blocks:
+        out[block] = transform(data[block])
+    return out
+
+
+def ntt_stack(
+    data: np.ndarray,
+    moduli,
+    *,
+    radix_log2: int = 1,
+    backend: str | kernels.KernelBackend | None = None,
+) -> np.ndarray:
+    """Forward NTT of an (L, N) matrix or a (B, L, N) stack.
+
+    ``data`` holds coefficient-domain residues over ``moduli``; the
+    caller owns the domain bookkeeping that :func:`ntt_negacyclic`
+    does for a single polynomial. A stack takes one kernel call per
+    budget block (:func:`repro.kernels.batch_blocks`).
+    """
+    _count_poly_transforms("forward", data)
+    kernel = kernels.resolve(backend)
+    return _per_block(
+        lambda block: kernel.ntt(block, moduli, radix_log2=radix_log2), data
+    )
+
+
+def intt_stack(
+    data: np.ndarray,
+    moduli,
+    *,
+    radix_log2: int = 1,
+    backend: str | kernels.KernelBackend | None = None,
+) -> np.ndarray:
+    """Inverse NTT of an (L, N) matrix or a (B, L, N) stack (see above)."""
+    _count_poly_transforms("inverse", data)
+    kernel = kernels.resolve(backend)
+    return _per_block(
+        lambda block: kernel.intt(block, moduli, radix_log2=radix_log2), data
+    )
 
 
 def ntt_negacyclic(
@@ -104,9 +159,8 @@ def ntt_negacyclic(
     """
     if poly.domain is not Domain.COEFFICIENT:
         raise NTTError("polynomial is already in the NTT domain")
-    _count_poly_transforms("forward", poly.level_count, poly.degree)
-    data = kernels.resolve(backend).ntt(
-        poly.data, poly.context.moduli, radix_log2=radix_log2
+    data = ntt_stack(
+        poly.data, poly.context.moduli, radix_log2=radix_log2, backend=backend
     )
     return RnsPolynomial(data, poly.context, Domain.NTT)
 
@@ -120,9 +174,8 @@ def intt_negacyclic(
     """Transform an RNS polynomial back to the coefficient domain."""
     if poly.domain is not Domain.NTT:
         raise NTTError("polynomial is already in the coefficient domain")
-    _count_poly_transforms("inverse", poly.level_count, poly.degree)
-    data = kernels.resolve(backend).intt(
-        poly.data, poly.context.moduli, radix_log2=radix_log2
+    data = intt_stack(
+        poly.data, poly.context.moduli, radix_log2=radix_log2, backend=backend
     )
     return RnsPolynomial(data, poly.context, Domain.COEFFICIENT)
 

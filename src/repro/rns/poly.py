@@ -217,3 +217,27 @@ class RnsPolynomial:
             f"RnsPolynomial(N={self.degree}, L={self.level_count}, "
             f"domain={self.domain.value})"
         )
+
+
+def stack_residues(polys, domain: Domain) -> np.ndarray:
+    """The ``(B, L, N)`` residue stack of same-basis polynomials.
+
+    One operand for a batched kernel call: every polynomial must share
+    the first one's basis and degree and be in ``domain``.
+    """
+    first = polys[0]
+    if first.domain is not domain:
+        raise RNSError(
+            f"expected {domain.value}-domain polynomials, got "
+            f"{first.domain.value}"
+        )
+    for other in polys[1:]:
+        first._check_compatible(other)
+    return np.stack([p.data for p in polys])
+
+
+def unstack_residues(
+    stack: np.ndarray, context: RnsContext, domain: Domain
+) -> tuple[RnsPolynomial, ...]:
+    """Split a ``(B, L, N)`` kernel result back into ``B`` polynomials."""
+    return tuple(RnsPolynomial(matrix, context, domain) for matrix in stack)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.errors import EvaluationError
-from repro.ckks.keyswitch import apply_switch_key, lift_digit
+from repro.ckks.keyswitch import apply_switch_key
 from repro.ntt.negacyclic import intt_negacyclic, ntt_negacyclic
 from repro.rns.poly import Domain, RnsPolynomial
 
@@ -12,13 +13,21 @@ from repro.rns.poly import Domain, RnsPolynomial
 class TestLiftDigit:
     def test_exact_lift(self, params):
         rng = np.random.default_rng(0)
-        q0 = params.chain_moduli[0]
-        digit = rng.integers(0, q0, params.degree, dtype=np.uint64)
+        digits = np.stack([
+            rng.integers(0, q, params.degree, dtype=np.uint64)
+            for q in params.chain_moduli
+        ])
         target = params.key_context
-        lifted = lift_digit(digit, target)
-        # The lift must represent the same integers in every limb.
-        recovered = lifted.to_integers(signed=False)
-        assert recovered == [int(v) for v in digit]
+        lifted = kernels.get_backend().lift(digits, target.moduli)
+        assert lifted.shape == (
+            len(digits), target.level_count, params.degree
+        )
+        # Each lift must represent the same integers in every limb.
+        for digit, rows in zip(digits, lifted):
+            recovered = RnsPolynomial(
+                rows, target, Domain.COEFFICIENT
+            ).to_integers(signed=False)
+            assert recovered == [int(v) for v in digit]
 
 
 class TestApplySwitchKey:

@@ -168,3 +168,60 @@ def test_cli_exposes_kernel_backend_flag(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args(["table2", "--kernel-backend", "nope"])
     capsys.readouterr()
+
+
+# A second operand must match the first exactly: no backend may drop
+# extra rows or broadcast a mismatched batch.
+_BINARY_OPS = ("mod_add", "mod_sub", "mod_mul")
+_MISMATCHED = {
+    "extra_rows": ((2, 2), (3, 2)),
+    "wrong_degree": ((2, 4), (2, 8)),
+    "mismatched_batch": ((2, 2, 4), (3, 2, 4)),
+    "matrix_vs_stack": ((2, 4), (1, 2, 4)),
+    "stack_vs_matrix": ((3, 2, 4), (2, 4)),
+}
+
+
+@pytest.mark.parametrize("name", kernels.available_backends())
+@pytest.mark.parametrize("op", _BINARY_OPS)
+@pytest.mark.parametrize("case", sorted(_MISMATCHED))
+def test_binary_ops_reject_mismatched_operand(name, op, case):
+    a_shape, b_shape = _MISMATCHED[case]
+    moduli = (97, 193)
+    a = np.ones(a_shape, dtype=np.uint64)
+    b = np.ones(b_shape, dtype=np.uint64)
+    with pytest.raises(KernelError, match="second operand has shape"):
+        getattr(kernels.resolve(name), op)(a, b, moduli)
+
+
+@pytest.mark.parametrize("name", kernels.available_backends())
+def test_ops_reject_limb_count_and_rank_mismatch(name):
+    backend = kernels.resolve(name)
+    moduli = (97, 193)
+    with pytest.raises(KernelError, match="rows but basis has"):
+        backend.ntt(np.ones((2, 3, 4), dtype=np.uint64), moduli)
+    with pytest.raises(KernelError, match="expected an"):
+        backend.mod_neg(np.ones((1, 1, 2, 4), dtype=np.uint64), moduli)
+    with pytest.raises(KernelError, match="expected an"):
+        backend.lift(np.ones((1, 2, 4), dtype=np.uint64), moduli)
+
+
+def test_backend_counters_count_whole_stacks():
+    """A (B, L, N) stack is one call over all of its elements."""
+    from repro.obs import collecting
+
+    data = np.arange(24, dtype=np.uint64).reshape(3, 1, 8)
+    moduli = (97,)
+    for name in kernels.available_backends():
+        backend = kernels.resolve(name)
+        with collecting() as registry:
+            backend.mod_add(data, data, moduli)
+            backend.ntt(data, moduli)
+            backend.lift(data[:, 0, :], moduli)
+        snap = registry.snapshot()
+        assert snap[f"kernels.{name}.elementwise.calls"] == 1
+        assert snap[f"kernels.{name}.elementwise.elements"] == 24
+        assert snap[f"kernels.{name}.ntt.calls"] == 1
+        assert snap[f"kernels.{name}.ntt.elements"] == 24
+        assert snap[f"kernels.{name}.lift.calls"] == 1
+        assert snap[f"kernels.{name}.lift.elements"] == 24

@@ -101,3 +101,50 @@ class TestKernelMetrics:
         assert snap["ckks.keyswitch.ntt_limb_transforms"] > 0
         assert snap["ckks.op.CMult"] == 1
         assert snap["ntt.butterflies"] > 0
+
+
+#: The functional-plane snapshot of ``rotate(multiply(ct, ct), 1)`` at
+#: N=64, levels=4, scale 2^30, pinned from the per-digit/per-part code
+#: it must not drift from. Kernel batching may change only ``.calls``.
+PINNED_ROTATE_MULTIPLY = {
+    "ntt.transforms.forward": 56,
+    "ntt.transforms.inverse": 32,
+    "ntt.butterflies": 16896,
+    "ckks.keyswitch.calls": 2,
+    "ckks.keyswitch.digits": 8,
+    "ckks.keyswitch.ntt_limb_transforms": 60,
+    "kernels.{backend}.ntt.elements": 3584,
+    "kernels.{backend}.intt.elements": 2048,
+}
+
+
+class TestPinnedFunctionalCounters:
+    @pytest.fixture(scope="class")
+    def setup(self):
+        from repro.ckks import (
+            CkksEncoder,
+            CkksEncryptor,
+            CkksParameters,
+            KeyChain,
+        )
+
+        params = CkksParameters.default(degree=64, levels=4, scale_bits=30)
+        keys = KeyChain.generate(params, seed=0)
+        keys.rotation_key(1)  # before collection starts
+        encoder = CkksEncoder(params)
+        ct = CkksEncryptor(params, keys, seed=0).encrypt(
+            encoder.encode(np.linspace(-1, 1, params.slot_count))
+        )
+        return params, keys, ct
+
+    @pytest.mark.parametrize("backend", ["reference", "batched", "numpy"])
+    def test_rotate_multiply_snapshot(self, setup, backend):
+        from repro.ckks import CkksEvaluator
+
+        params, keys, ct = setup
+        evaluator = CkksEvaluator(params, keys, kernel_backend=backend)
+        with collecting() as reg:
+            evaluator.rotate(evaluator.multiply(ct, ct), 1)
+        snap = reg.snapshot()
+        for name, value in PINNED_ROTATE_MULTIPLY.items():
+            assert snap[name.format(backend=backend)] == value, name
