@@ -1,11 +1,13 @@
 #!/usr/bin/env python
-"""Profile the event-driven schedule engine under a large serve trace.
+"""Profile the serving loop and its engine under a large serve trace.
 
-Drives :class:`repro.serve.ServingSimulator` over a heavy Poisson
-stream (thousands of requests, each expanding to a multi-task operator
-program) under ``cProfile``, then prints the hottest engine functions
-by cumulative and total time. This is the harness the engine hot-path
-work is measured with — run it before and after a scheduler change:
+Drives one accelerator (a one-instance :class:`repro.serve.ClusterSimulator`
+with free key uploads, the e2e benchmark's ``serve-overload`` workload)
+over a heavy Poisson stream (thousands of requests, each expanding to a
+multi-task operator program) under ``cProfile``, then prints the
+hottest functions by cumulative and total time. This is the harness
+the engine and serve-loop hot-path work is measured with — run it
+before and after a scheduler change:
 
     make profile
     # or directly:
@@ -18,22 +20,26 @@ profiler's per-call hook inflates cheap functions; use the raw number
 for before/after wall-clock comparisons and the profile for *where*.
 
 Where the time goes on the default trace (3000 requests, ~140k
-admitted tasks, ~290k events). Each request type's task tuple is
-costed once per engine (its admission plan, see ``docs/SCHEDULER.md``),
-so ``CoreModel.task_cycles`` and ``MemoryModel.task_timing`` run 92
-times in total (once per task of the two request types), not once per
-admitted task, and the batcher's backlog is a running fold. What
-remains, hottest first:
+admitted tasks, ~290k events; shares of one profiled run). Each
+request type's task tuple is costed once per engine (its admission
+plan, see ``docs/SCHEDULER.md``), so ``CoreModel.task_cycles`` and
+``MemoryModel.task_timing`` run 92 times in total (once per task of
+the two request types), not once per admitted task, and the batcher's
+backlog is a running fold. What remains, hottest first:
 
-- the event loop, about 60% of profiled time: ``_step``,
+- the engine's event loop (``advance_until``), about 55%: ``_step``,
   ``_dispatch_pass`` (its per-core free-instance scan),
   ``_grant_pass`` (its 32-slot free-channel scan) and ``_finalize``;
-- the serving loop's own per-event bookkeeping in
-  ``ServingSimulator.run``;
-- ``OperatorTask.shifted``, one dependency-shifted copy per admitted
+- the serving loop's own per-event bookkeeping, about 15%: the self
+  time of ``ClusterSimulator.run``, its loop condition's scan over
+  instances and batcher depth reads. Routing itself (``route``,
+  ``KeyCache.admit``, ``ServiceEstimator.estimate``) is under 1%;
+- admission (``ScheduleEngine.submit``), about 12%, most of it
+  ``OperatorTask.shifted``, one dependency-shifted copy per admitted
   task;
-- ``ScheduleEngine.result``, one ``TaskRecord`` per task;
-- ``DynamicBatcher.take_batch``, which sorts the queue once per batch.
+- ``ScheduleEngine.result``, one ``TaskRecord`` per task, about 7%;
+- ``DynamicBatcher.take_batch``, which sorts the queue once per batch,
+  about 3%.
 """
 
 from __future__ import annotations
@@ -52,9 +58,11 @@ if _SRC not in sys.path:
 
 
 def _build_run(requests: int, rate: float, seed: int):
-    from repro.serve import PoissonArrivals, ServingSimulator
+    from repro.serve import ClusterPolicy, ClusterSimulator, PoissonArrivals
 
-    sim = ServingSimulator()
+    sim = ClusterSimulator(
+        policy=ClusterPolicy(instances=1, key_upload_bytes=0)
+    )
     arrivals = PoissonArrivals(rate=rate, count=requests, seed=seed)
 
     def run():

@@ -1,4 +1,4 @@
-"""Dynamic batching and admission control for the serving simulator.
+"""Dynamic batching and admission control for one accelerator instance.
 
 The batcher sits between the arrival process and the warm engine. It
 holds the request queue, rejects arrivals when the queue is full
@@ -15,8 +15,9 @@ requests it contains:
   stays deterministic).
 
 The batcher is pure policy — it never touches the engine. The serving
-loop (:mod:`repro.serve.simulator`) asks it what to do at each decision
-instant, which keeps the policy unit-testable without a simulation.
+loop (:class:`repro.serve.cluster.ClusterSimulator`, one batcher per
+instance) asks it what to do at each decision instant, which keeps the
+policy unit-testable without a simulation.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import TYPE_CHECKING
 from repro.errors import ParameterError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.serve.simulator import Request
+    from repro.serve.requests import Request
 
 #: Accepted queue-ordering policies.
 ORDERS = ("fifo", "sjf")

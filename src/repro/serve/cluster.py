@@ -1,9 +1,11 @@
-"""Fleet-scale serving: N Poseidon instances behind a request router.
+"""The serving loop: N Poseidon instances behind a request router.
 
-One :class:`~repro.serve.simulator.ServingSimulator` drives a single
-warm engine; a production deployment runs *many* accelerator instances
-behind a router. This module is that fleet, still fully deterministic
-per seed:
+Requests arrive over simulated time, queue, run in batches on warm
+engines and leave; :class:`ClusterSimulator` is that open-system loop
+for a routed fleet. A single accelerator is a fleet of one:
+``ClusterPolicy(instances=1, key_upload_bytes=0)`` has nothing to
+route and uploads no keys, so its run is the warm engine fed by one
+batcher. Every run is fully deterministic per seed:
 
 - each instance is an independent warm
   :class:`~repro.sim.engine.ScheduleEngine` with its own
@@ -59,19 +61,19 @@ from repro.serve.faults import (
 )
 from repro.serve.requests import (
     KEY_SET_BYTES,
+    Request,
+    RequestRecord,
     RequestType,
     TenantPopulation,
     resolve_request_mix,
 )
 from repro.serve.router import KeyCache, InstanceView, resolve_router
-from repro.serve.simulator import (
-    Request,
-    RequestRecord,
-    RequestStats,
-    _Batch,
-)
 from repro.sim.config import HardwareConfig
-from repro.sim.engine import ScheduleEngine, SimulationResult
+from repro.sim.engine import (
+    PoseidonSimulator,
+    ScheduleEngine,
+    SimulationResult,
+)
 from repro.sim.tasks import OperatorKind, OperatorTask
 
 
@@ -215,6 +217,15 @@ def _with_key_upload(
 
 
 @dataclass
+class _Batch:
+    """A launched batch: its index on the instance and how many of its
+    requests are still in flight (the slot frees at zero)."""
+
+    index: int
+    remaining: int
+
+
+@dataclass
 class _Instance:
     """Mutable state of one fleet member during a run.
 
@@ -286,8 +297,8 @@ class InstanceReport:
         return self.sim.total_seconds
 
 
-class ClusterResult(RequestStats):
-    """Aggregate outcome of one routed fleet run."""
+class ClusterResult:
+    """Aggregate outcome of one served run."""
 
     def __init__(
         self,
@@ -317,6 +328,7 @@ class ClusterResult(RequestStats):
         #: up at the end of the run.
         self.availability = availability or {}
 
+    # -- request accounting -------------------------------------------
     @property
     def makespan_seconds(self) -> float:
         """Latest task end across the fleet (shared master clock)."""
@@ -324,6 +336,56 @@ class ClusterResult(RequestStats):
             (r.sim.total_seconds for r in self.instances), default=0.0
         )
 
+    @property
+    def arrived(self) -> int:
+        return len(self.records)
+
+    @property
+    def rejected(self) -> int:
+        return sum(1 for r in self.records if r.rejected)
+
+    @property
+    def admitted(self) -> int:
+        return self.arrived - self.rejected
+
+    @property
+    def completed(self) -> int:
+        return sum(
+            1 for r in self.records if r.finish_seconds is not None
+        )
+
+    @property
+    def max_queue_depth(self) -> int:
+        return max(
+            (depth for _, depth in self.queue_depth_series), default=0
+        )
+
+    @property
+    def throughput_rps(self) -> float:
+        """Completed requests per simulated second."""
+        if self.makespan_seconds <= 0:
+            return 0.0
+        return self.completed / self.makespan_seconds
+
+    def latencies(self) -> list[float]:
+        """Sorted completed-request latencies."""
+        return sorted(
+            r.latency_seconds
+            for r in self.records
+            if r.latency_seconds is not None
+        )
+
+    def latency_percentile(self, q: float) -> float:
+        """Exact nearest-rank latency quantile over completed requests."""
+        if not 0.0 <= q <= 1.0:
+            raise ParameterError(f"quantile must be in [0, 1], got {q}")
+        ordered = self.latencies()
+        if not ordered:
+            return 0.0
+        idx = min(len(ordered) - 1, max(0, int(q * len(ordered))))
+        return ordered[idx]
+
+    # -- key movement -------------------------------------------------
     @property
     def key_hits(self) -> int:
         return sum(r.key_hits for r in self.instances)
@@ -512,7 +574,8 @@ class ClusterResult(RequestStats):
 
 
 class ClusterSimulator:
-    """Open-system serving across a routed fleet of instances."""
+    """Open-system serving across a routed fleet of instances (one
+    instance models a single accelerator)."""
 
     def __init__(
         self,
@@ -580,12 +643,7 @@ class ClusterSimulator:
         ):
             launched += 1
             members = inst.batcher.take_batch(now)
-            batch = _Batch(
-                index=inst.batches,
-                admit_seconds=now,
-                size=len(members),
-                remaining=len(members),
-            )
+            batch = _Batch(index=inst.batches, remaining=len(members))
             inst.batches += 1
             inst.inflight += 1
             for req in members:
@@ -616,8 +674,6 @@ class ClusterSimulator:
                 rec.admit_seconds = now
                 rec.batch_index = batch.index
                 rec.key_hit = hit
-                rec._base = sub.base
-                rec._count = sub.count
                 inst.inflight_estimate += req.service_estimate
                 inst.by_submission[sub.index] = (rec, batch, req)
                 inst.source_ops.extend(req.job.program.source_ops)
@@ -690,13 +746,19 @@ class ClusterSimulator:
         """Serve one arrival stream across the fleet to completion.
 
         Args:
-            workloads: request-mix spec or pre-resolved job tuple, as
-                in :meth:`repro.serve.simulator.ServingSimulator.run`.
-            arrivals: an arrival process with a ``times()`` method.
-            seed: drives the job-type and tenant/key-set draws (the
-                same seed and stream as the single-instance simulator,
-                so job sequences match across fleet sizes) plus the
-                retry-jitter stream.
+            workloads: a request-mix spec (``"keyswitch"``,
+                ``"keyswitch,streaming"``, a paper-benchmark alias) or
+                pre-resolved :class:`RequestType` tuple. With several
+                job types, each arrival draws its type from a seeded
+                RNG.
+            arrivals: an arrival process
+                (:class:`~repro.serve.arrivals.PoissonArrivals`,
+                :class:`~repro.serve.arrivals.TraceArrivals`, or any
+                object with a ``times()`` method).
+            seed: drives the job-type and tenant/key-set draws (private
+                streams independent of the fleet, so job sequences
+                match across fleet sizes) plus the retry-jitter
+                stream; arrival times carry their own seed.
             population: tenant/key-set identity of the arrivals;
                 defaults to one tenant with one key set.
             passes: compiler pass pipeline applied to each job type's
@@ -710,8 +772,7 @@ class ClusterSimulator:
             resilience: optional client-side
                 :class:`~repro.serve.faults.ResiliencePolicy`
                 (deadlines, retries, failure-detection delay). With
-                neither argument the run is byte-identical to the
-                fault-unaware simulator.
+                neither argument no fault or resilience path runs.
         """
         if isinstance(workloads, str):
             jobs = resolve_request_mix(workloads, passes=passes)
@@ -823,8 +884,6 @@ class ClusterSimulator:
             rec.admit_seconds = None
             rec.batch_index = None
             rec.key_hit = None
-            rec._base = -1
-            rec._count = 0
             if (
                 rec.deadline_seconds is not None
                 and t >= rec.deadline_seconds
@@ -1112,7 +1171,27 @@ class ClusterSimulator:
     # ------------------------------------------------------------------
     @staticmethod
     def _record_metrics(reg, result: ClusterResult) -> None:
-        """Publish the fleet run under the ``cluster.*`` namespace."""
+        """Publish the run under the ``cluster.*`` namespace, with the
+        engines' ``sim.*`` view of the same run beside it.
+
+        The ``sim.*`` counters and histograms cover the tasks of every
+        instance epoch; ``sim.makespan_seconds`` is the fleet makespan
+        and ``sim.hbm.busy_seconds`` the sum over epochs.
+        """
+        for report in result.instances:
+            sim = report.sim
+            PoseidonSimulator._record_metrics(
+                reg,
+                sim.task_records,
+                sim.total_seconds,
+                sim.hbm_busy_seconds,
+                sim.core_busy_seconds,
+                sim.core_stall_seconds,
+            )
+        reg.gauge("sim.makespan_seconds").set(result.makespan_seconds)
+        reg.gauge("sim.hbm.busy_seconds").set(
+            sum(r.sim.hbm_busy_seconds for r in result.instances)
+        )
         reg.gauge("cluster.instances").set(
             len({r.index for r in result.instances})
         )
@@ -1144,9 +1223,15 @@ class ClusterSimulator:
                 result.latency_percentile(q)
             )
         latency_h = reg.histogram("cluster.request.latency_seconds")
+        wait_h = reg.histogram("cluster.request.queue_wait_seconds")
         for rec in result.records:
             if rec.latency_seconds is not None:
                 latency_h.observe(rec.latency_seconds)
+            if rec.queue_wait_seconds is not None:
+                wait_h.observe(rec.queue_wait_seconds)
+        depth_h = reg.histogram("cluster.queue.depth")
+        for _, depth in result.queue_depth_series:
+            depth_h.observe(float(depth))
         for report in result.instances:
             prefix = f"cluster.instance.{report.index}"
             reg.counter(f"{prefix}.admitted").inc(report.admitted)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from hypothesis import given, strategies as st
 
 from repro.serve import BatchPolicy, DynamicBatcher
-from repro.serve.simulator import Request
+from repro.serve.requests import Request
 
 #: Estimates spanning many magnitudes, so fold order matters.
 _ESTIMATES = st.one_of(

@@ -18,7 +18,6 @@ from repro.serve import (
     PoissonArrivals,
     ResiliencePolicy,
     RetryPolicy,
-    ServingSimulator,
     Straggler,
     TenantPopulation,
 )
@@ -40,7 +39,10 @@ def memory_snapshot(reg):
 
 
 def single_instance_run():
-    ServingSimulator(policy=BatchPolicy(max_batch_size=4, order="sjf")).run(
+    ClusterSimulator(
+        policy=ClusterPolicy(instances=1, key_upload_bytes=0),
+        batch_policy=BatchPolicy(max_batch_size=4, order="sjf"),
+    ).run(
         "keyswitch,streaming",
         PoissonArrivals(rate=3000.0, count=40, seed=1),
         seed=1,

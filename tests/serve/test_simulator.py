@@ -1,4 +1,4 @@
-"""End-to-end serving-loop behavior on the warm engine.
+"""End-to-end serving-loop behavior on one accelerator (a fleet of one).
 
 Rates here are calibrated to the keyswitch mix on the default config:
 one request is ~3 ms of serial work, so batch=1 saturates near
@@ -12,17 +12,26 @@ from repro.errors import ParameterError
 from repro.obs import collecting
 from repro.serve import (
     BatchPolicy,
+    ClusterPolicy,
+    ClusterSimulator,
     PoissonArrivals,
-    ServingSimulator,
     TraceArrivals,
     request_type,
 )
 
 
+def single(policy=None):
+    """One accelerator: a fleet of one with free key uploads."""
+    return ClusterSimulator(
+        policy=ClusterPolicy(instances=1, key_upload_bytes=0),
+        batch_policy=policy,
+    )
+
+
 def serve(
     *, rate=200.0, count=24, seed=0, workload="keyswitch", policy=None
 ):
-    sim = ServingSimulator(policy=policy)
+    sim = single(policy)
     return sim.run(
         workload,
         PoissonArrivals(rate=rate, count=count, seed=seed),
@@ -80,12 +89,12 @@ class TestRequestLifecycle:
             result.latency_percentile(1.5)
 
     def test_empty_workload_rejected(self):
-        sim = ServingSimulator()
+        sim = single()
         with pytest.raises(ParameterError, match="job type"):
             sim.run((), PoissonArrivals(rate=10.0, count=1))
 
     def test_unknown_workload_raises_keyerror(self):
-        sim = ServingSimulator()
+        sim = single()
         with pytest.raises(KeyError, match="unknown request workload"):
             sim.run("nope", PoissonArrivals(rate=10.0, count=1))
 
@@ -95,7 +104,7 @@ class TestBackpressure:
         # All arrivals land at (nearly) the same instant while a batch
         # of one is in flight: the queue bound must reject the excess.
         policy = BatchPolicy(max_batch_size=1, max_queue_depth=2)
-        sim = ServingSimulator(policy=policy)
+        sim = single(policy)
         arrivals = TraceArrivals([0.0, 1e-5, 2e-5, 3e-5, 4e-5, 5e-5])
         result = sim.run("keyswitch", arrivals, seed=0)
         assert result.rejected > 0
@@ -178,7 +187,7 @@ class TestBatchingPolicies:
         shallow = serve(rate=900.0, count=32,
                         policy=BatchPolicy(max_batch_size=4,
                                            max_inflight_batches=1))
-        assert deep.batches >= shallow.batches or \
+        assert deep.summary()["batches"] >= shallow.summary()["batches"] or \
             deep.throughput_rps >= shallow.throughput_rps
         deep.validate()
 
@@ -197,14 +206,43 @@ class TestMetricsPublishing:
         with collecting() as reg:
             result = serve(count=16)
         snap = reg.snapshot()
-        assert snap["serve.requests.arrived"] == 16
-        assert snap["serve.requests.completed"] == 16
-        assert snap["serve.throughput_rps"] == result.throughput_rps
-        assert snap["serve.latency.p99_seconds"] == \
+        assert snap["cluster.requests.arrived"] == 16
+        assert snap["cluster.requests.completed"] == 16
+        assert snap["cluster.throughput_rps"] == result.throughput_rps
+        assert snap["cluster.latency.p99_seconds"] == \
             result.latency_percentile(0.99)
-        assert snap["serve.request.latency_seconds"]["count"] == 16
+        assert snap["cluster.request.latency_seconds"]["count"] == 16
         # The engine-level view rides along in the same context.
-        assert snap["sim.tasks"] == len(result.sim.task_records)
+        assert snap["sim.tasks"] == len(result.instances[0].sim.task_records)
+
+    def test_queue_histograms_published(self):
+        with collecting() as reg:
+            result = serve(count=16)
+        snap = reg.snapshot()
+        assert snap["cluster.request.queue_wait_seconds"]["count"] == 16
+        assert snap["cluster.queue.depth"]["count"] == \
+            len(result.queue_depth_series)
+
+    def test_sim_view_covers_every_instance(self):
+        sim = ClusterSimulator(
+            policy=ClusterPolicy(instances=2, router="round-robin"),
+        )
+        with collecting() as reg:
+            result = sim.run(
+                "keyswitch",
+                PoissonArrivals(rate=600.0, count=16, seed=0),
+                seed=0,
+            )
+        snap = reg.snapshot()
+        assert len(result.instances) == 2
+        assert snap["sim.tasks"] == sum(
+            len(r.sim.task_records) for r in result.instances
+        )
+        assert snap["sim.task.busy_seconds"]["count"] == snap["sim.tasks"]
+        assert snap["sim.makespan_seconds"] == result.makespan_seconds
+        assert snap["sim.hbm.busy_seconds"] == sum(
+            r.sim.hbm_busy_seconds for r in result.instances
+        )
 
     def test_no_collection_no_cost(self):
         result = serve(count=4)
@@ -216,9 +254,9 @@ class TestHeavyRequestTypes:
         # A single LR request served open-system: same task count as
         # the closed-system compile, full lifecycle accounting.
         job = request_type("lr")
-        sim = ServingSimulator(policy=BatchPolicy(max_batch_size=1))
+        sim = single(BatchPolicy(max_batch_size=1))
         result = sim.run((job,), TraceArrivals([0.0]), seed=0)
         assert result.completed == 1
-        assert len(result.program.tasks) == job.task_count
+        assert len(result.instances[0].program.tasks) == job.task_count
         assert result.records[0].latency_seconds > 0
         result.validate()

@@ -233,7 +233,7 @@ class TestServe:
         assert paths[0].read_bytes() == paths[1].read_bytes()
         doc = json.loads(paths[0].read_text())
         assert doc["meta"]["requests_completed"] == 24
-        assert doc["metrics"]["serve.requests.completed"] == 24
+        assert doc["metrics"]["cluster.requests.completed"] == 24
 
     def test_serve_trace_has_request_track(self, tmp_path, capsys):
         out = tmp_path / "serve_trace.json"
@@ -245,7 +245,20 @@ class TestServe:
         doc = json.loads(out.read_text())
         cats = {e.get("cat") for e in doc["traceEvents"]}
         assert "request" in cats
-        assert doc["otherData"]["serving"]["requests_completed"] == 8
+        assert doc["otherData"]["cluster"]["requests_completed"] == 8
+
+    def test_serve_single_instance_honours_key_flags(self, tmp_path, capsys):
+        # One instance is a fleet of one: the key-cache flags apply.
+        out = tmp_path / "keys.json"
+        assert main([
+            "serve", "--requests", "8", "--key-cache", "0",
+            "--key-bytes", "1000000", "--tenants", "4", "--key-sets", "6",
+            "--router", "round-robin", "-o", str(out),
+        ]) == 0
+        capsys.readouterr()
+        metrics = json.loads(out.read_text())["metrics"]
+        assert metrics["cluster.key_cache.misses"] == 8
+        assert metrics["cluster.key_upload.bytes"] == 8 * 10**6
 
     def test_serve_unknown_workload_errors(self):
         with pytest.raises(SystemExit, match="unknown request workload"):
