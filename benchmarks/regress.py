@@ -70,13 +70,7 @@ FIG10_SMOKE = (2, 3)
 #: Functional-plane NTT micro-benchmark shape (wall-clock, per backend).
 MICRONTT_DEGREE = 4096
 MICRONTT_LIMBS = 8
-MICRONTT_BACKENDS = ("reference", "batched", "numpy")
-#: Fused radix-2^k microbench (the paper's radix-8 configuration).
-#: Runs after the radix-2 entries, so both vectorized backends hit it
-#: with their per-(moduli, n) table caches equally warm and the entry
-#: compares execution strategies, not cold-start table builds.
-MICRONTT_FUSED_RADIX = 3
-MICRONTT_FUSED_BACKENDS = ("batched", "numpy")
+MICRONTT_BACKENDS = ("reference", "numpy")
 
 #: Open-system serving workloads. The saturation entries gate the knee
 #: of the load sweep (see bench_serving_sweep.py) as *seconds per
@@ -208,31 +202,6 @@ def _microntt_seconds(backend_name: str) -> float:
     return 0.0
 
 
-def _microntt_fused_seconds(backend_name: str) -> float:
-    """Forward+inverse fused radix-2^k NTT wall time on one backend.
-
-    Same contract as :func:`_microntt_seconds`: simulated time is 0.0,
-    the wall_seconds the runner wraps around this thunk is the
-    measurement. The numpy backend's acceptance speedup is read off
-    this entry — at the paper's fused radix the batched backend falls
-    off its precomputed-stage fast path while the vectorized engine is
-    fusion-agnostic.
-    """
-    import numpy as np
-
-    from repro import kernels
-
-    data, moduli = _microntt_data()
-    backend = kernels.resolve(backend_name)
-    fwd = backend.ntt(data, moduli, radix_log2=MICRONTT_FUSED_RADIX)
-    back = backend.intt(fwd, moduli, radix_log2=MICRONTT_FUSED_RADIX)
-    if not np.array_equal(back, data):
-        raise AssertionError(
-            f"{backend_name} fused NTT/INTT roundtrip mismatch"
-        )
-    return 0.0
-
-
 def _serve_run(rate: float, max_batch: int):
     from repro.serve import (
         BatchPolicy,
@@ -339,20 +308,6 @@ def report_microntt_speedup(workloads: dict[str, dict]) -> None:
                     f"{b} is {ref / wall:.1f}x faster than reference "
                     f"({ref * 1e3:.1f} ms -> {wall * 1e3:.1f} ms wall)"
                 )
-    fused = {
-        b: f"microntt-fused/N{MICRONTT_DEGREE}-L{MICRONTT_LIMBS}"
-           f"-k{MICRONTT_FUSED_RADIX}/{b}"
-        for b in MICRONTT_FUSED_BACKENDS
-    }
-    if all(name in workloads for name in fused.values()):
-        bat = workloads[fused["batched"]]["wall_seconds"]
-        npw = workloads[fused["numpy"]]["wall_seconds"]
-        if npw > 0:
-            print(
-                f"  microntt-fused k={MICRONTT_FUSED_RADIX}: "
-                f"numpy is {bat / npw:.1f}x faster than batched "
-                f"({bat * 1e3:.1f} ms -> {npw * 1e3:.1f} ms wall)"
-            )
 
 
 def build_suite(smoke: bool) -> list[tuple[str, object]]:
@@ -398,12 +353,6 @@ def build_suite(smoke: bool) -> list[tuple[str, object]]:
         suite.append(
             (f"microntt/N{MICRONTT_DEGREE}-L{MICRONTT_LIMBS}/{b}",
              lambda b=b: _microntt_seconds(b))
-        )
-    for b in MICRONTT_FUSED_BACKENDS:
-        suite.append(
-            (f"microntt-fused/N{MICRONTT_DEGREE}-L{MICRONTT_LIMBS}"
-             f"-k{MICRONTT_FUSED_RADIX}/{b}",
-             lambda b=b: _microntt_fused_seconds(b))
         )
     return suite
 

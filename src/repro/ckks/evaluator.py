@@ -15,8 +15,6 @@ which at N=4096 is one part.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from repro import kernels
@@ -61,21 +59,6 @@ def _hadamard(spectra: np.ndarray, pairs, moduli) -> np.ndarray:
     return out
 
 
-def _kernel_scoped(method):
-    """Run ``method`` with this evaluator's kernel backend active.
-
-    A ``None`` backend keeps the process-wide selection, so decorated
-    methods cost one no-op context manager in the default case.
-    """
-
-    @functools.wraps(method)
-    def wrapper(self, *args, **kwargs):
-        with kernels.use_backend(self.kernel_backend):
-            return method(self, *args, **kwargs)
-
-    return wrapper
-
-
 class CkksEvaluator:
     """Homomorphic operations over one parameter set / keychain.
 
@@ -86,9 +69,9 @@ class CkksEvaluator:
         use_hfauto: route automorphisms through the HFAuto sub-vector
             pipeline (True, the Poseidon design) or the naive
             element-wise mapping (False, the 'Auto' ablation).
-        kernel_backend: kernel backend name for this evaluator's
-            operations ("reference"/"batched"); ``None`` follows the
-            process-wide selection (``REPRO_KERNEL_BACKEND``).
+
+    Kernels run on the process-wide backend (:mod:`repro.kernels`);
+    scope a different one with ``kernels.use_backend``.
     """
 
     def __init__(
@@ -98,15 +81,11 @@ class CkksEvaluator:
         *,
         recorder=None,
         use_hfauto: bool = True,
-        kernel_backend: str | None = None,
     ):
         self.params = params
         self.keys = keys
         self.recorder = recorder
         self.use_hfauto = use_hfauto
-        if kernel_backend is not None:
-            kernels.resolve(kernel_backend)  # fail fast on unknown names
-        self.kernel_backend = kernel_backend
 
     # ------------------------------------------------------------------
     # Internals
@@ -145,7 +124,6 @@ class CkksEvaluator:
     # ------------------------------------------------------------------
     # Level management
     # ------------------------------------------------------------------
-    @_kernel_scoped
     def drop_to_level(self, ct: Ciphertext, level: int) -> Ciphertext:
         """Modulus-switch down by dropping chain limbs (no rescaling)."""
         if level > ct.level:
@@ -160,7 +138,6 @@ class CkksEvaluator:
         self._record("ModDrop", ct, target_level=level)
         return Ciphertext(parts=tuple(parts), scale=ct.scale, level=level)
 
-    @_kernel_scoped
     def rescale(self, ct: Ciphertext) -> Ciphertext:
         """Divide by the last chain prime and drop a level (paper §II-A.3)."""
         if ct.level == 0:
@@ -177,7 +154,6 @@ class CkksEvaluator:
     # ------------------------------------------------------------------
     # Addition (HAdd)
     # ------------------------------------------------------------------
-    @_kernel_scoped
     def add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         """Ciphertext-ciphertext homomorphic addition."""
         a, b = self._align(a, b)
@@ -190,7 +166,6 @@ class CkksEvaluator:
         self._record("HAdd", a, kind="ct-ct")
         return Ciphertext(parts=parts, scale=a.scale, level=a.level)
 
-    @_kernel_scoped
     def sub(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         """Ciphertext-ciphertext homomorphic subtraction."""
         a, b = self._align(a, b)
@@ -203,7 +178,6 @@ class CkksEvaluator:
         self._record("HAdd", a, kind="ct-ct-sub")
         return Ciphertext(parts=parts, scale=a.scale, level=a.level)
 
-    @_kernel_scoped
     def add_plain(self, ct: Ciphertext, pt: Plaintext) -> Ciphertext:
         """Ciphertext-plaintext addition: only ``c_0`` changes."""
         self._check_scales(ct.scale, pt.scale, "add_plain")
@@ -212,7 +186,6 @@ class CkksEvaluator:
         self._record("HAdd", ct, kind="ct-pt")
         return ct.with_parts(parts)
 
-    @_kernel_scoped
     def negate(self, ct: Ciphertext) -> Ciphertext:
         """Homomorphic negation."""
         self._record("HAdd", ct, kind="negate")
@@ -233,7 +206,6 @@ class CkksEvaluator:
     # ------------------------------------------------------------------
     # Multiplication (PMult / CMult)
     # ------------------------------------------------------------------
-    @_kernel_scoped
     def multiply_plain(self, ct: Ciphertext, pt: Plaintext) -> Ciphertext:
         """Ciphertext-plaintext multiplication (PMult); scale multiplies."""
         poly = self._plain_at_level(pt, ct.level)
@@ -255,7 +227,6 @@ class CkksEvaluator:
             parts=parts, scale=ct.scale * pt.scale, level=ct.level
         )
 
-    @_kernel_scoped
     def multiply(
         self,
         a: Ciphertext,
@@ -299,7 +270,6 @@ class CkksEvaluator:
             result = self.relinearize(result)
         return result
 
-    @_kernel_scoped
     def square(self, ct: Ciphertext, *, relinearize: bool = True) -> Ciphertext:
         """Homomorphic squaring (saves one NTT vs generic multiply)."""
         if ct.size != 2:
@@ -326,7 +296,6 @@ class CkksEvaluator:
             result = self.relinearize(result)
         return result
 
-    @_kernel_scoped
     def relinearize(self, ct: Ciphertext) -> Ciphertext:
         """Switch a 3-part ciphertext back to 2 parts via the relin key."""
         if ct.size == 2:
@@ -344,7 +313,6 @@ class CkksEvaluator:
             level=ct.level,
         )
 
-    @_kernel_scoped
     def multiply_scalar(self, ct: Ciphertext, value: complex) -> Ciphertext:
         """Multiply by a constant by encoding it at the ciphertext level."""
         from repro.ckks.encoder import CkksEncoder
@@ -358,7 +326,6 @@ class CkksEvaluator:
     # ------------------------------------------------------------------
     # Rotation / conjugation
     # ------------------------------------------------------------------
-    @_kernel_scoped
     def rotate(self, ct: Ciphertext, steps: int) -> Ciphertext:
         """Rotate slot vector left by ``steps`` (paper §II-A.5).
 
@@ -373,7 +340,6 @@ class CkksEvaluator:
         galois = galois_element_for_rotation(self.params.degree, steps)
         return self._apply_galois(ct, galois, f"rotate:{steps}")
 
-    @_kernel_scoped
     def conjugate(self, ct: Ciphertext) -> Ciphertext:
         """Complex-conjugate the slot vector."""
         if ct.size != 2:

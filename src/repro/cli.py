@@ -16,9 +16,6 @@ Usage::
 Each command is an argparse *subparser* carrying only the flags it
 understands, so out-of-scope flags (``table9 --validate``,
 ``trace --radix 4``) error out instead of being silently ignored.
-``--kernel-backend`` is accepted by every command and is applied as a
-scoped override around dispatch — it never leaks into the process
-after :func:`main` returns.
 
 Each table/figure command prints the same rows the corresponding bench
 target asserts on, so results can be inspected without running pytest.
@@ -29,7 +26,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro import kernels
 from repro.analysis import (
     fig7_operator_analysis,
     fig8_benchmark_op_breakdown,
@@ -530,8 +526,7 @@ def cmd_list(args) -> None:
 
 
 #: Command name -> (handler, which option groups it takes).
-#: Groups: "hw" = --lanes/--naive-auto; "obs" = --benchmark/--validate/-o;
-#: everything takes --kernel-backend.
+#: Groups: "hw" = --lanes/--naive-auto; "obs" = --benchmark/--validate/-o.
 COMMANDS = {
     "table1": (cmd_table1, ()),
     "table2": (cmd_table2, ()),
@@ -782,13 +777,6 @@ def build_parser() -> argparse.ArgumentParser:
             name, help=(handler.__doc__ or "").split("\n")[0] or None
         )
         sub.set_defaults(func=handler)
-        sub.add_argument(
-            "--kernel-backend", default=None,
-            choices=kernels.available_backends(),
-            help="functional-plane kernel backend for this invocation "
-                 f"(default: ${kernels.BACKEND_ENV_VAR} or "
-                 f"'{kernels.DEFAULT_BACKEND}'); restored afterwards",
-        )
         if "hw" in groups:
             _add_hw_options(sub)
         if "obs" in groups:
@@ -818,11 +806,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # Scoped override: the chosen backend applies to this dispatch only
-    # and the previous process-wide selection is restored afterwards
-    # (in-process callers — tests, notebooks — see no leaked state).
-    with kernels.use_backend(args.kernel_backend):
-        args.func(args)
+    args.func(args)
     return 0
 
 

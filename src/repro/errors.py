@@ -32,7 +32,7 @@ class AutomorphismError(ReproError, ValueError):
 
 
 class KernelError(ReproError, ValueError):
-    """A kernel-backend precondition failed (unknown backend, bad shape)."""
+    """A kernel backend precondition failed (unknown backend, bad shape)."""
 
 
 class EncryptionError(ReproError, RuntimeError):

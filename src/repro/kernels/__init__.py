@@ -4,25 +4,22 @@ The functional plane routes every arithmetic hot path — whole-matrix
 NTT/INTT, element-wise modular ops, Barrett reduction, digit lifting
 and the RNSconv cascade — through a *kernel backend*:
 
-- ``reference`` — the original per-limb code paths (the oracle).
-- ``batched``   — vectorized across all L limbs at once, the software
-  analogue of Poseidon's limb-parallel lane pipeline.
 - ``numpy``     — fully vectorized uint64 butterflies (Shoup
   multiplication + lazy reduction, 128-bit Barrett for wide moduli);
-  the fastest backend, with no Python-level per-element loops.
+  the default, with no Python-level per-element loops.
+- ``reference`` — the original per-limb code paths (the oracle).
 
 Selection, in precedence order:
 
-1. explicit code: ``set_backend("numpy")`` or
-   ``with use_backend("numpy"): ...``;
+1. explicit code: ``with use_backend("reference"): ...``;
 2. the ``REPRO_KERNEL_BACKEND`` environment variable, read once at
    first use (``reset_selection()`` forgets the cached choice);
-3. the default, ``reference``.
+3. the default, ``numpy``.
 
-All backends are bit-identical on every operator (enforced by
+Both backends are bit-identical on every operator (enforced by
 ``tests/kernels/test_differential.py``, the exhaustive big-int oracle
 suite in ``tests/kernels/test_exhaustive.py`` and the golden vectors
-under ``tests/golden``), so any call site can run on any of them.
+under ``tests/golden``), so any call site can run on either of them.
 """
 
 from __future__ import annotations
@@ -31,13 +28,7 @@ import os
 from contextlib import contextmanager
 
 from repro.errors import KernelError
-from repro.kernels.base import (
-    BatchedTwiddleTable,
-    KernelBackend,
-    batch_blocks,
-    get_batched_tables,
-)
-from repro.kernels.batched import BatchedBackend
+from repro.kernels.base import KernelBackend, batch_blocks
 from repro.kernels.numpy_backend import NumpyBackend
 from repro.kernels.reference import ReferenceBackend
 
@@ -45,12 +36,11 @@ from repro.kernels.reference import ReferenceBackend
 BACKEND_ENV_VAR = "REPRO_KERNEL_BACKEND"
 
 #: Name used when neither code nor the environment chose a backend.
-DEFAULT_BACKEND = "reference"
+DEFAULT_BACKEND = "numpy"
 
 _REGISTRY: dict[str, KernelBackend] = {
-    ReferenceBackend.name: ReferenceBackend(),
-    BatchedBackend.name: BatchedBackend(),
     NumpyBackend.name: NumpyBackend(),
+    ReferenceBackend.name: ReferenceBackend(),
 }
 
 _active: KernelBackend | None = None
@@ -90,13 +80,6 @@ def get_backend() -> KernelBackend:
     return _active
 
 
-def set_backend(backend: str | KernelBackend) -> KernelBackend:
-    """Install ``backend`` as the process-wide active backend."""
-    global _active
-    _active = resolve(backend)
-    return _active
-
-
 def reset_selection() -> None:
     """Forget the process-wide backend choice.
 
@@ -126,17 +109,13 @@ def use_backend(backend: str | KernelBackend | None):
 __all__ = [
     "BACKEND_ENV_VAR",
     "DEFAULT_BACKEND",
-    "BatchedBackend",
-    "BatchedTwiddleTable",
     "KernelBackend",
     "NumpyBackend",
     "ReferenceBackend",
     "available_backends",
     "batch_blocks",
-    "get_batched_tables",
     "get_backend",
     "reset_selection",
     "resolve",
-    "set_backend",
     "use_backend",
 ]

@@ -1,4 +1,4 @@
-"""Kernel backend interface and shared per-basis twiddle caches.
+"""Kernel backend interface and the shared batch-block budget.
 
 A *kernel backend* owns the arithmetic hot paths of the functional
 plane: negacyclic NTT/INTT over whole ``(L, N)`` residue matrices and
@@ -9,16 +9,15 @@ through :func:`repro.kernels.get_backend` and never touches a limb
 loop directly, so swapping the execution strategy is a one-line (or
 one-env-var) decision.
 
-Three implementations ship:
+Two implementations ship:
 
+- ``numpy`` (:mod:`repro.kernels.numpy_backend`, the default) — fully
+  vectorized uint64 butterflies (Shoup multiplication, lazy reduction,
+  branch-free conditional subtracts) with a 128-bit Barrett path for
+  wide moduli.
 - ``reference`` (:mod:`repro.kernels.reference`) — the original
-  scalar/per-limb code paths, one numpy call per limb row.
-- ``batched`` (:mod:`repro.kernels.batched`) — vectorized across all
-  ``L`` limbs at once with per-limb modulus broadcasting, mirroring
-  how Poseidon's 512-lane pipeline consumes contiguous limb rows.
-- ``numpy`` (:mod:`repro.kernels.numpy_backend`) — fully vectorized
-  uint64 butterflies (Shoup multiplication, lazy reduction, branch-free
-  conditional subtracts) with a 128-bit Barrett path for wide moduli.
+  scalar/per-limb code paths, one numpy call per limb row; the oracle
+  the test suites compare ``numpy`` against.
 
 Backends are required to be **bit-identical**: every operator computes
 an exact modular result (residues reduced into ``[0, q_i)``), so the
@@ -35,10 +34,10 @@ axis is always second to last, so no backend can read a batch as
 limbs. A second operand must have exactly the first operand's shape
 (callers broadcast explicitly, e.g. with ``np.broadcast_to``). Results
 are the per-matrix results stacked, bit for bit: ``numpy`` broadcasts
-its per-limb plans over ``B``, while ``reference`` and ``batched`` run
-their per-matrix code on each ``(L, N)`` slice. A batch is one kernel
-call — the software counterpart of Poseidon streaming every keyswitch
-digit through the same cores. ``basis_convert`` keeps its ``(l, N)``
+its per-limb plans over ``B``, while ``reference`` runs its per-matrix
+code on each ``(L, N)`` slice. A batch is one kernel call — the
+software counterpart of Poseidon streaming every keyswitch digit
+through the same cores. ``basis_convert`` keeps its ``(l, N)``
 contract.
 
 Callers split the stacks they build (keyswitch digits, ciphertext
@@ -57,43 +56,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.errors import KernelError
-from repro.ntt.tables import get_twiddle_table
 from repro.obs import metrics
-from repro.utils.bitops import bit_reverse_permutation
-
-
-class BatchedTwiddleTable:
-    """Per-basis twiddle matrices: all limb tables stacked into (L, N).
-
-    The per-``(q, n)`` :class:`~repro.ntt.tables.TwiddleTable` objects
-    are shared with the reference kernels (same underlying cache), so
-    both backends literally read the same root-of-unity values.
-    """
-
-    def __init__(self, moduli: tuple[int, ...], n: int):
-        tables = [get_twiddle_table(q, n) for q in moduli]
-        self.moduli = moduli
-        self.n = n
-        #: (L, 1) and (L, 1, 1) modulus columns for broadcasting.
-        self.q_col = np.array(moduli, dtype=np.uint64)[:, None]
-        self.q_cube = self.q_col[:, :, None]
-        self.psi_powers = np.stack([t.psi_powers for t in tables])
-        self.ipsi_powers = np.stack([t.ipsi_powers for t in tables])
-        self.psi_powers_bitrev = np.stack(
-            [t.psi_powers_bitrev for t in tables]
-        )
-        self.ipsi_powers_bitrev = np.stack(
-            [t.ipsi_powers_bitrev for t in tables]
-        )
-        self.omega_powers = np.stack([t.omega_powers for t in tables])
-        # omega has order n, so omega^{-e} = omega^{n-e}: the inverse
-        # power table is a pure re-indexing of the forward one.
-        inv_idx = (self.n - np.arange(self.n)) % self.n
-        self.inv_omega_powers = self.omega_powers[:, inv_idx]
-        self.inv_n_col = np.array(
-            [t.inv_n for t in tables], dtype=np.uint64
-        )[:, None]
-        self.bitrev = bit_reverse_permutation(n)
 
 
 #: Most residues in one block of a stack that callers batch. A
@@ -114,12 +77,6 @@ def batch_blocks(count: int, matrix_elements: int) -> list[slice]:
         slice(start, min(start + per_block, count))
         for start in range(0, count, per_block)
     ]
-
-
-@lru_cache(maxsize=256)
-def get_batched_tables(moduli: tuple[int, ...], n: int) -> BatchedTwiddleTable:
-    """Process-wide cache of stacked twiddle tables per (basis, degree)."""
-    return BatchedTwiddleTable(moduli, n)
 
 
 def check_matrix(data: np.ndarray, moduli) -> np.ndarray:
@@ -200,7 +157,7 @@ class KernelBackend(abc.ABC):
     ``basis_convert`` also takes a leading batch axis (module docstring).
     """
 
-    #: Registry/display name ("reference", "batched", "numpy").
+    #: Registry/display name ("numpy" or "reference").
     name: str = "abstract"
 
     #: Widest modulus (in bits) this backend's arithmetic stays exact
@@ -228,6 +185,15 @@ class KernelBackend(abc.ABC):
         """Validate both operands of a binary element-wise op."""
         a = self._check(a, moduli)
         return a, check_operand(b, a)
+
+    def _check_scalars(self, a: np.ndarray, scalars, moduli) -> np.ndarray:
+        """Validate ``mod_scalar_mul``'s matrix and its one scalar per row."""
+        a = self._check(a, moduli)
+        if len(scalars) != len(moduli):
+            raise KernelError(
+                f"need {len(moduli)} scalars, got {len(scalars)}"
+            )
+        return a
 
     # ------------------------------------------------------------------
     # Observability

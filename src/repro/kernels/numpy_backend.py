@@ -546,7 +546,7 @@ class NumpyBackend(KernelBackend):
         return _mulmod_rows(a, b, self._key(moduli))
 
     def mod_scalar_mul(self, a, scalars, moduli):
-        a = self._check(a, moduli)
+        a = self._check_scalars(a, scalars, moduli)
         self._count("elementwise", a.size)
         key = self._key(moduli)
         s_col = np.array(

@@ -5,8 +5,8 @@ Python-level loop over limbs, each limb handled by the scalar kernels
 in :mod:`repro.ntt.radix2` / :mod:`repro.ntt.fusion` and the
 per-modulus operators in :mod:`repro.rns.modular`. A ``(B, L, N)``
 stack runs the same per-matrix code on each of its ``B`` matrices, so
-the backend stays the correctness oracle the others are differentially
-tested against.
+the backend stays the correctness oracle that ``numpy`` is
+differentially tested against.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ class ReferenceBackend(KernelBackend):
         return per_matrix(_rowwise(mod_mul, moduli), a, b)
 
     def mod_scalar_mul(self, a, scalars, moduli):
-        a = self._check(a, moduli)
+        a = self._check_scalars(a, scalars, moduli)
         self._count("elementwise", a.size)
         return per_matrix(
             lambda m: np.stack([

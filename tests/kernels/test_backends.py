@@ -18,8 +18,8 @@ def clean_selection():
 
 
 def test_registry_contents():
-    assert kernels.available_backends() == ("batched", "numpy", "reference")
-    assert kernels.DEFAULT_BACKEND == "reference"
+    assert kernels.available_backends() == ("numpy", "reference")
+    assert kernels.DEFAULT_BACKEND == "numpy"
     for name in kernels.available_backends():
         backend = kernels.resolve(name)
         assert isinstance(backend, kernels.KernelBackend)
@@ -31,16 +31,14 @@ def test_registry_contents():
 def test_backend_capability_attributes():
     """Every backend declares the modulus width its arithmetic is exact for."""
     assert kernels.resolve("reference").max_modulus_bits == 31
-    assert kernels.resolve("batched").max_modulus_bits == 31
     assert kernels.resolve("numpy").max_modulus_bits == 62
 
 
 def test_wide_moduli_rejected_by_narrow_backends():
     data = np.zeros((1, 8), dtype=np.uint64)
-    wide = ((1 << 61) + 1,)  # width 62: beyond the 31-bit backends
-    for name in ("reference", "batched"):
-        with pytest.raises(KernelError, match="moduli up to 31 bits"):
-            kernels.resolve(name).ntt(data, wide)
+    wide = ((1 << 61) + 1,)  # width 62: beyond the 31-bit reference
+    with pytest.raises(KernelError, match="moduli up to 31 bits"):
+        kernels.resolve("reference").ntt(data, wide)
 
 
 def test_resolve_unknown_name_raises_kernel_error():
@@ -52,19 +50,19 @@ def test_resolve_unknown_name_raises_kernel_error():
 
 
 def test_resolve_passthrough_and_none(clean_selection):
-    backend = kernels.resolve("batched")
+    backend = kernels.resolve("reference")
     assert kernels.resolve(backend) is backend
-    kernels.set_backend("batched")
-    assert kernels.resolve(None) is backend
+    with kernels.use_backend("reference"):
+        assert kernels.resolve(None) is backend
 
 
 def test_env_var_consulted_on_first_use(clean_selection, monkeypatch):
-    monkeypatch.setenv(kernels.BACKEND_ENV_VAR, "batched")
-    kernels._active = None  # simulate a fresh process
-    assert kernels.get_backend().name == "batched"
-    # Read once: later env changes do not affect the selection.
     monkeypatch.setenv(kernels.BACKEND_ENV_VAR, "reference")
-    assert kernels.get_backend().name == "batched"
+    kernels._active = None  # simulate a fresh process
+    assert kernels.get_backend().name == "reference"
+    # Read once: later env changes do not affect the selection.
+    monkeypatch.setenv(kernels.BACKEND_ENV_VAR, "numpy")
+    assert kernels.get_backend().name == "reference"
 
 
 def test_env_var_invalid_name_raises(clean_selection, monkeypatch):
@@ -91,55 +89,51 @@ def test_reset_selection_rereads_environment(clean_selection, monkeypatch):
     kernels.reset_selection()
     assert kernels.get_backend().name == kernels.DEFAULT_BACKEND
     # A later env change is invisible until the cache is reset...
-    monkeypatch.setenv(kernels.BACKEND_ENV_VAR, "numpy")
+    monkeypatch.setenv(kernels.BACKEND_ENV_VAR, "reference")
     assert kernels.get_backend().name == kernels.DEFAULT_BACKEND
     # ...and picked up right after.
+    kernels.reset_selection()
+    assert kernels.get_backend().name == "reference"
+
+
+def test_default_backend_is_numpy(clean_selection, monkeypatch):
+    monkeypatch.delenv(kernels.BACKEND_ENV_VAR, raising=False)
     kernels.reset_selection()
     assert kernels.get_backend().name == "numpy"
 
 
-def test_set_backend_overrides_env(clean_selection, monkeypatch):
-    monkeypatch.setenv(kernels.BACKEND_ENV_VAR, "batched")
+def test_use_backend_overrides_env(clean_selection, monkeypatch):
+    monkeypatch.setenv(kernels.BACKEND_ENV_VAR, "numpy")
     kernels._active = None
-    kernels.set_backend("reference")
-    assert kernels.get_backend().name == "reference"
+    with kernels.use_backend("reference"):
+        assert kernels.get_backend().name == "reference"
 
 
 def test_use_backend_scoping(clean_selection):
-    kernels.set_backend("reference")
-    with kernels.use_backend("batched") as active:
-        assert active.name == "batched"
-        assert kernels.get_backend().name == "batched"
-        # Nested scopes restore in LIFO order.
-        with kernels.use_backend("reference"):
+    with kernels.use_backend("numpy"):
+        with kernels.use_backend("reference") as active:
+            assert active.name == "reference"
             assert kernels.get_backend().name == "reference"
-        assert kernels.get_backend().name == "batched"
-    assert kernels.get_backend().name == "reference"
+            # Nested scopes restore in LIFO order.
+            with kernels.use_backend("numpy"):
+                assert kernels.get_backend().name == "numpy"
+            assert kernels.get_backend().name == "reference"
+        assert kernels.get_backend().name == "numpy"
 
 
 def test_use_backend_restores_on_exception(clean_selection):
-    kernels.set_backend("reference")
-    with pytest.raises(RuntimeError):
-        with kernels.use_backend("batched"):
-            raise RuntimeError("boom")
-    assert kernels.get_backend().name == "reference"
+    with kernels.use_backend("numpy"):
+        with pytest.raises(RuntimeError):
+            with kernels.use_backend("reference"):
+                raise RuntimeError("boom")
+        assert kernels.get_backend().name == "numpy"
 
 
 def test_use_backend_none_is_a_no_op(clean_selection):
-    kernels.set_backend("batched")
-    with kernels.use_backend(None) as active:
-        assert active.name == "batched"
-    assert kernels.get_backend().name == "batched"
-
-
-def test_evaluator_accepts_backend_and_rejects_unknown():
-    from repro.ckks import CkksEvaluator, CkksParameters, KeyChain
-
-    params = CkksParameters.default(degree=16, levels=2)
-    keys = KeyChain.generate(params, seed=3)
-    CkksEvaluator(params, keys, kernel_backend="batched")
-    with pytest.raises(KernelError):
-        CkksEvaluator(params, keys, kernel_backend="gpu")
+    with kernels.use_backend("reference"):
+        with kernels.use_backend(None) as active:
+            assert active.name == "reference"
+        assert kernels.get_backend().name == "reference"
 
 
 def test_backend_counters_emitted():
@@ -158,16 +152,6 @@ def test_backend_counters_emitted():
         assert snap[f"kernels.{name}.elementwise.elements"] == 8
         assert snap[f"kernels.{name}.ntt.calls"] == 1
         assert snap[f"kernels.{name}.ntt.elements"] == 8
-
-
-def test_cli_exposes_kernel_backend_flag(capsys):
-    from repro.cli import build_parser
-
-    args = build_parser().parse_args(["table2", "--kernel-backend", "batched"])
-    assert args.kernel_backend == "batched"
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["table2", "--kernel-backend", "nope"])
-    capsys.readouterr()
 
 
 # A second operand must match the first exactly: no backend may drop
@@ -204,6 +188,15 @@ def test_ops_reject_limb_count_and_rank_mismatch(name):
         backend.mod_neg(np.ones((1, 1, 2, 4), dtype=np.uint64), moduli)
     with pytest.raises(KernelError, match="expected an"):
         backend.lift(np.ones((1, 2, 4), dtype=np.uint64), moduli)
+
+
+@pytest.mark.parametrize("name", kernels.available_backends())
+@pytest.mark.parametrize("count", [1, 3], ids=["too_few", "too_many"])
+def test_scalar_mul_rejects_wrong_scalar_count(name, count):
+    """One scalar per modulus: no backend may broadcast or drop scalars."""
+    a = np.ones((2, 4), dtype=np.uint64)
+    with pytest.raises(KernelError, match=f"need 2 scalars, got {count}"):
+        kernels.resolve(name).mod_scalar_mul(a, [5] * count, (97, 193))
 
 
 def test_backend_counters_count_whole_stacks():

@@ -3,9 +3,9 @@
 Inputs are kept intentionally small (degree <= 64, <= 4 limbs) so each
 hypothesis example runs in microseconds; the kernels are shape-generic,
 so any bug at paper scale that is not purely a size-threshold bug also
-exists at these sizes. The 31-bit pool matters: products of 31-bit
-residues are large enough to force the batched fused kernel off its
-deferred-reduction fast path.
+exists at these sizes. The 31-bit pool matters: a 31-bit modulus
+forces the numpy backend's narrow engine from its ``C = 4q`` lazy
+bound down to ``C = 2q``.
 """
 
 from __future__ import annotations

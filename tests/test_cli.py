@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro import kernels
 from repro.cli import build_parser, main
 
 
@@ -89,7 +88,6 @@ class TestFlagScoping:
         ["trace", "--benchmark", "lr", "--validate", "-o", "t.json"],
         ["metrics", "--benchmark", "lr", "-o", "m.json", "--lanes", "256"],
         ["serve", "--arrival-rate", "50", "--max-batch", "4"],
-        ["table1", "--kernel-backend", "batched"],
     ])
     def test_documented_invocations_parse(self, argv):
         args = build_parser().parse_args(argv)
@@ -156,33 +154,6 @@ class TestExecution:
             if e.get("name") == "process_name"
         }
         assert "poseidon-i1" in names
-
-
-class TestKernelBackendScoping:
-    def test_backend_restored_after_dispatch(self, capsys):
-        """Regression: main() used to call kernels.set_backend(), a
-        process-global mutation that leaked into everything the caller
-        ran afterwards (tests, notebooks embedding the CLI). The
-        override must be scoped to the dispatched command."""
-        before = kernels.get_backend()
-        assert main(["table1", "--kernel-backend", "batched"]) == 0
-        assert kernels.get_backend() is before
-        capsys.readouterr()
-
-    def test_backend_restored_on_command_failure(self, capsys):
-        before = kernels.get_backend()
-        with pytest.raises(SystemExit):
-            main(["trace", "--benchmark", "nope",
-                  "--kernel-backend", "batched"])
-        assert kernels.get_backend() is before
-        capsys.readouterr()
-
-    def test_unknown_backend_rejected_at_parse(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["table1", "--kernel-backend", "nope"]
-            )
-        capsys.readouterr()
 
 
 class TestObservability:
