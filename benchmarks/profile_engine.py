@@ -24,22 +24,25 @@ admitted tasks, ~290k events; shares of one profiled run). Each
 request type's task tuple is costed once per engine (its admission
 plan, see ``docs/SCHEDULER.md``), so ``CoreModel.task_cycles`` and
 ``MemoryModel.task_timing`` run 92 times in total (once per task of
-the two request types), not once per admitted task, and the batcher's
-backlog is a running fold. What remains, hottest first:
+the two request types), not once per admitted task. Admission copies
+no task and the batcher's backlog is a running fold. The serving loop
+wakes only where the fleet can act: ~6,000 ``advance_until`` calls,
+one per arrival and one per completion. What remains, hottest first:
 
-- the engine's event loop (``advance_until``), about 55%: ``_step``,
-  ``_dispatch_pass`` (its per-core free-instance scan),
-  ``_grant_pass`` (its 32-slot free-channel scan) and ``_finalize``;
-- the serving loop's own per-event bookkeeping, about 15%: the self
-  time of ``ClusterSimulator.run``, its loop condition's scan over
-  instances and batcher depth reads. Routing itself (``route``,
-  ``KeyCache.admit``, ``ServiceEstimator.estimate``) is under 1%;
-- admission (``ScheduleEngine.submit``), about 12%, most of it
-  ``OperatorTask.shifted``, one dependency-shifted copy per admitted
-  task;
-- ``ScheduleEngine.result``, one ``TaskRecord`` per task, about 7%;
-- ``DynamicBatcher.take_batch``, which sorts the queue once per batch,
-  about 3%.
+- the engine's event loop (``advance_until``), about 65%: the
+  dispatch pass (about 32%, its per-core free-instance scan run on
+  every event), ``_step`` over ~290k ready and release events (about
+  12% self), the grant pass (about 14%) and ``_finalize`` (about 11%);
+- committing the run (``_archive``), about 25%:
+  ``ScheduleEngine.as_program`` makes one dependency-shifted
+  ``OperatorTask`` copy per task for the merged program (about 14%),
+  and ``ScheduleEngine.result`` one ``TaskRecord`` per task (about
+  11%);
+- ``DynamicBatcher.take_batch``, which sorts and refolds the queue
+  once per batch, about 5%;
+- admission (``ScheduleEngine.submit``) about 2%, and the serving
+  loop's own bookkeeping about 1%. Routing (``route``,
+  ``KeyCache.admit``, ``ServiceEstimator.estimate``) is under 1%.
 """
 
 from __future__ import annotations

@@ -24,7 +24,10 @@ The subsystem's parts:
   routed to N warm :class:`repro.sim.engine.ScheduleEngine` instances
   on one master clock, each fed by its own batcher, with modeled
   key-set uploads on cache misses, per-tenant fair admission and
-  optional autoscaling against the queue-depth knee. Per-request
+  optional autoscaling against the queue-depth knee. The loop wakes
+  only where the fleet can act (arrivals, retries, faults, batch
+  timers, queue expiries, submission completions); between those
+  instants each engine runs on its own. Per-request
   records yield p50/p95/p99 latency, throughput and a queue-depth time
   series. A single accelerator is a fleet of one,
   ``ClusterPolicy(instances=1, key_upload_bytes=0)``;

@@ -27,6 +27,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from repro.errors import ParameterError
+from repro.utils.fold import left_fold_sum
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.requests import Request
@@ -97,7 +98,7 @@ class DynamicBatcher:
         self._queue: list["Request"] = []
         # Left-fold of the queue's service estimates in queue order:
         # ``offer`` appends, so adding to the fold gives exactly the
-        # floats ``sum()`` over the list would; removals refold.
+        # floats a refold of the list would; removals refold.
         self._backlog = 0
 
     def __len__(self) -> int:
@@ -120,7 +121,7 @@ class DynamicBatcher:
     def _set_queue(self, queue: list["Request"]) -> None:
         """Replace the queue after removals and refold its backlog."""
         self._queue = queue
-        self._backlog = sum(r.service_estimate for r in queue)
+        self._backlog = left_fold_sum(r.service_estimate for r in queue)
 
     def queued_estimate_seconds(self) -> float:
         """Summed service estimates of every queued request.

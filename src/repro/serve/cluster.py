@@ -31,10 +31,17 @@ batcher. Every run is fully deterministic per seed:
   abandoned / exhausted. Crashed instances restart as fresh engine
   epochs with cold key caches, so failover pays real key re-uploads.
 
-All instance engines advance on one master clock: every decision
-instant is the earliest of the next arrival, any instance's batcher
-deadline, and any instance's next engine event; every engine is then
-advanced to that instant. Each instance's schedule is validated
+All instances share one master clock, and the loop wakes only at
+instants where the fleet can act: the next arrival, retry or fault
+event, any instance's batch timer or queue expiry, and any instance's
+next submission completion. Each busy engine runs on its own
+(:meth:`~repro.sim.engine.ScheduleEngine.advance_until`) up to the
+fleet's next own instant and pauses at its first completion; the
+completion is observed only once the fleet clock reaches its finish
+time. An engine may therefore stand ahead of the fleet clock, but
+never past an instant at which the fleet could act on its instance,
+so every schedule is the one a lockstep loop through every engine
+event would produce. Each instance's schedule is validated
 independently via ``engine.as_program()`` +
 :func:`repro.sim.validate.validate_schedule`.
 
@@ -75,6 +82,7 @@ from repro.sim.engine import (
     SimulationResult,
 )
 from repro.sim.tasks import OperatorKind, OperatorTask
+from repro.utils.fold import left_fold_sum
 
 
 @dataclass(frozen=True)
@@ -253,6 +261,23 @@ class _Instance:
     ghost_view: InstanceView | None = None
     source_ops: list = field(default_factory=list)
     by_submission: dict = field(default_factory=dict)
+
+    def next_completion(self, until: float) -> float:
+        """Finish time of the instance's next unobserved submission
+        completion, running its engine on its own up to ``until`` to
+        find it (``inf`` when none comes by then).
+
+        The engine pauses at its first completion instant, so it never
+        runs past a point where the fleet may act on this instance.
+        Until the fleet clock reaches that instant, the completion
+        stays pending in ``engine.completions``.
+        """
+        completions = self.engine.completions
+        if self.completion_ptr == len(completions):
+            self.engine.advance_until(until)
+            if self.completion_ptr == len(completions):
+                return math.inf
+        return completions[self.completion_ptr].finish_seconds
 
     def view(self) -> InstanceView:
         return InstanceView(
@@ -508,7 +533,7 @@ class ClusterResult:
     def summary(self) -> dict:
         """Flat, JSON-ready headline numbers (deterministic)."""
         ordered = self.latencies()
-        mean = sum(ordered) / len(ordered) if ordered else 0.0
+        mean = left_fold_sum(ordered) / len(ordered) if ordered else 0.0
         return {
             "instances": len({r.index for r in self.instances}),
             "router": self.policy.router,
@@ -973,7 +998,9 @@ class ClusterSimulator:
             if launched:
                 depth_series.append((now, total_depth()))
 
-            # Earliest decision instant across the whole fleet.
+            # The fleet's own next decision instant: the next arrival,
+            # retry or fault event, or any instance's batch timer or
+            # queue expiry.
             candidates = []
             if ai < n:
                 candidates.append(requests[ai].arrival_seconds)
@@ -981,6 +1008,7 @@ class ClusterSimulator:
                 candidates.append(retry_heap[0][0])
             if fault_heap:
                 candidates.append(fault_heap[0][0])
+            expiries = []
             for inst in instances:
                 if not inst.up:
                     continue
@@ -992,28 +1020,37 @@ class ClusterSimulator:
                     deadline = inst.batcher.next_deadline()
                     if deadline is not None:
                         candidates.append(deadline)
-                if rel_deadline is not None:
+                if rel_deadline is not None and inst.batcher.depth:
                     expiry = inst.batcher.next_expiry()
                     if expiry is not None:
                         candidates.append(expiry)
-                next_event = inst.engine.next_event_time()
-                if next_event is not None:
-                    candidates.append(next_event)
-            if not candidates:  # pragma: no cover - loop invariant
-                break
-            horizon = min(candidates)
+                        expiries.append((inst, expiry))
+            fleet_next = min(candidates, default=math.inf)
 
-            # One master clock: every live engine advances.
+            # Each busy engine runs on its own up to that instant and
+            # pauses at its next completion; the horizon is the
+            # earliest instant at which the fleet can act. An engine
+            # may stand past the horizon: nothing acts on its instance
+            # before its own paused completion or ``fleet_next``.
+            horizon = fleet_next
             for inst in instances:
-                if inst.up:
-                    inst.engine.advance_until(horizon)
+                if inst.up and inst.inflight:
+                    finish = inst.next_completion(fleet_next)
+                    if finish < horizon:
+                        horizon = finish
+            if horizon == math.inf:  # pragma: no cover - loop invariant
+                break
 
-            # Completions release batch slots and backlog estimate.
+            # Completions the fleet clock has reached release batch
+            # slots and backlog estimate.
             for inst in instances:
                 if not inst.up:
                     continue
-                while inst.completion_ptr < len(inst.engine.completions):
-                    sub = inst.engine.completions[inst.completion_ptr]
+                completions = inst.engine.completions
+                while inst.completion_ptr < len(completions):
+                    sub = completions[inst.completion_ptr]
+                    if sub.finish_seconds > horizon:
+                        break
                     inst.completion_ptr += 1
                     rec, batch, req_c = inst.by_submission[sub.index]
                     rec.finish_seconds = sub.finish_seconds
@@ -1076,17 +1113,18 @@ class ClusterSimulator:
                     availability[idx].append([t_ev, None])
 
             # Queued requests whose client deadline passed are
-            # abandoned in place (frees backpressure capacity).
-            if rel_deadline is not None:
-                expired_any = False
-                for inst in instances:
-                    if not inst.up:
-                        continue
+            # abandoned in place (frees backpressure capacity). Only a
+            # queue whose earliest deadline is due can expire anything,
+            # and a crash at this horizon has already drained its
+            # instance's queue.
+            expired_any = False
+            for inst, expiry in expiries:
+                if inst.up and expiry <= horizon:
                     for req_x in inst.batcher.expired(horizon):
                         records[req_x.request_id].outcome = "abandoned"
                         expired_any = True
-                if expired_any:
-                    depth_series.append((horizon, total_depth()))
+            if expired_any:
+                depth_series.append((horizon, total_depth()))
 
             # Retries due at the horizon re-enter routing.
             while retry_heap and retry_heap[0][0] <= horizon:

@@ -40,6 +40,7 @@ from repro.obs import metrics
 from repro.sim.config import CORE_ARRAYS, HardwareConfig
 from repro.sim.cores import CoreModel, CoreTiming
 from repro.sim.memory import MemoryModel, MemoryTiming, record_memory_metrics
+from repro.utils.fold import left_fold_sum
 
 if TYPE_CHECKING:  # avoid a circular import; engine only needs the type
     from repro.compiler.program import OperatorProgram
@@ -221,9 +222,13 @@ class AdmissionPlan:
     The plan holds what admission derives from a list independently of
     when and where it is admitted: per task, the core timing, the
     memory timing and the *undilated* occupancy ``max(compute,
-    scratchpad)``, plus the de-duplicated local dependencies. Derates
-    (``compute_scale``/``hbm_scale``) apply on top at each admission,
-    so a straggler window never leaks into later submissions.
+    scratchpad)``, the de-duplicated local dependencies and the local
+    dependents (the tasks that wait on it), plus the list's root
+    tasks. Derates (``compute_scale``/``hbm_scale``) apply on top at
+    each admission, so a straggler window never leaks into later
+    submissions. Indices are local to the list; the engine adds the
+    submission's base when it walks them, so an admission copies no
+    task and builds no per-task list.
 
     ``tasks`` keeps the list alive: the engine caches plans by the
     list's identity, and a live object's id cannot be recycled.
@@ -234,12 +239,30 @@ class AdmissionPlan:
     mems: tuple[MemoryTiming, ...]
     durations: tuple[float, ...]
     deps: tuple[tuple[int, ...], ...]
+    dependents: tuple[tuple[int, ...], ...]
+    roots: tuple[int, ...]
+
+    @classmethod
+    def build(cls, tasks, timings, mems, durations, deps) -> "AdmissionPlan":
+        """A plan from per-task model outputs; derives the dependents
+        and roots from ``deps``."""
+        deps = tuple(deps)
+        dependents: list[list[int]] = [[] for _ in deps]
+        for local, task_deps in enumerate(deps):
+            for dep in task_deps:
+                dependents[dep].append(local)
+        return cls(
+            tasks, tuple(timings), tuple(mems), tuple(durations), deps,
+            tuple(map(tuple, dependents)),
+            tuple(local for local, d in enumerate(deps) if not d),
+        )
 
     @property
     def service_seconds(self) -> float:
         """Serial occupancy of the whole list (left-fold of
         ``durations``, the serving layer's backlog unit)."""
-        return sum(self.durations)
+        return left_fold_sum(self.durations)
+
 
 
 @dataclass(frozen=True)
@@ -300,6 +323,9 @@ class ScheduleEngine:
             name: [0.0] * cfg.instances_of(name) for name in CORE_NAMES
         }
         self._chan_free: list[float] = [0.0] * cfg.hbm_channels
+        # Earliest slot-free time: the grant pass skips its slot scan
+        # while no slot can be free yet.
+        self._chan_min = 0.0
         self._events: list[tuple[float, int, int]] = []
         # Timestamps with a release event already queued. Releases are
         # anonymous pass triggers (payload -1), so queueing the same
@@ -318,12 +344,17 @@ class ScheduleEngine:
         # as if it had idled since t=0.
         self._now = epoch
         # Per-task state, indexed by global task id (grows on submit).
+        # ``_tasks`` holds the submitted tasks themselves and
+        # ``_dependents`` their local dependents (a plan's own tuples on
+        # repeat admissions): both keep indices local to the task's
+        # submission, and the owner's ``base`` globalizes them
+        # (:meth:`_finalize`, :meth:`as_program`).
         self._tasks: list = []
         self._timings: list = []
         self._mems: list = []
         self._durations: list[float] = []
         self._remaining: list[int] = []
-        self._dependents: list[list[int]] = []
+        self._dependents: list = []
         self._ready: list[float] = []
         self._start: list[float | None] = []
         self._hbm_span: list[tuple[float, float] | None] = []
@@ -427,7 +458,7 @@ class ScheduleEngine:
             timings, mems, durations, deps = (
                 list(zip(*self._model(tasks, 0))) or [()] * 4
             )
-            plan = AdmissionPlan(tasks, timings, mems, durations, deps)
+            plan = AdmissionPlan.build(tasks, timings, mems, durations, deps)
             if type(tasks) is tuple:
                 self._plans[id(tasks)] = plan
         return plan
@@ -470,12 +501,12 @@ class ScheduleEngine:
                 return None
             base = first[1]
             end = base + len(tasks)
-            plan = self._plans[key] = AdmissionPlan(
+            plan = self._plans[key] = AdmissionPlan.build(
                 tasks,
-                tuple(self._timings[base:end]),
-                tuple(self._mems[base:end]),
-                tuple(self._durations[base:end]),
-                tuple(tuple(dict.fromkeys(t.depends_on)) for t in tasks),
+                self._timings[base:end],
+                self._mems[base:end],
+                self._durations[base:end],
+                (tuple(dict.fromkeys(t.depends_on)) for t in tasks),
             )
         reg = metrics.active()
         if reg is not None:
@@ -488,6 +519,7 @@ class ScheduleEngine:
     ) -> None:
         """First admission of a list: run the cost models task by task
         straight into the engine arrays."""
+        dependents: list[list[int]] = []
         for local, (timing, mem, duration, deps) in enumerate(
             self._model(tasks, base)
         ):
@@ -498,15 +530,14 @@ class ScheduleEngine:
                 )
             if compute_scale != 1.0:
                 duration *= compute_scale
-            task = tasks[local]
-            self._tasks.append(task.shifted(base) if base else task)
+            self._tasks.append(tasks[local])
             self._timings.append(timing)
             self._mems.append(mem)
             self._durations.append(duration)
             self._remaining.append(len(deps))
-            self._dependents.append([])
+            dependents.append([])
             for dep in deps:
-                self._dependents[base + dep].append(i)
+                dependents[dep].append(local)
             self._ready.append(release)
             self._start.append(None)
             self._hbm_span.append(
@@ -517,6 +548,7 @@ class ScheduleEngine:
             self._owner.append(submission)
             if not deps:
                 heapq.heappush(self._events, (release, _EV_READY, i))
+        self._dependents.extend(dependents)
         if (
             compute_scale == 1.0 and hbm_scale == 1.0
             and type(tasks) is tuple
@@ -527,12 +559,11 @@ class ScheduleEngine:
         self, plan, base, release, submission, compute_scale, hbm_scale
     ) -> None:
         """Repeat admission: extend the engine arrays from a plan and
-        wire the dependencies."""
+        queue its roots. The tasks and their dependents are the plan's
+        own tuples; nothing is copied per task."""
         tasks = plan.tasks
         n = len(tasks)
-        self._tasks.extend(
-            [t.shifted(base) for t in tasks] if base else tasks
-        )
+        self._tasks.extend(tasks)
         self._timings.extend(plan.timings)
         mems = plan.mems
         if hbm_scale != 1.0:
@@ -549,15 +580,10 @@ class ScheduleEngine:
         else:
             self._durations.extend(plan.durations)
         self._remaining.extend(map(len, plan.deps))
-        dependents = self._dependents
-        dependents.extend([[] for _ in range(n)])
+        self._dependents.extend(plan.dependents)
         events = self._events
-        for local, deps in enumerate(plan.deps):
-            if deps:
-                for dep in deps:
-                    dependents[base + dep].append(base + local)
-            else:
-                heapq.heappush(events, (release, _EV_READY, base + local))
+        for local in plan.roots:
+            heapq.heappush(events, (release, _EV_READY, base + local))
         self._ready.extend([release] * n)
         self._start.extend([None] * n)
         self._hbm_span.extend(
@@ -599,14 +625,16 @@ class ScheduleEngine:
                 self._events,
                 (owner._max_end, _EV_COMPLETE, owner.index),
             )
+        base = owner.base
+        ready = self._ready
+        remaining = self._remaining
         for d in self._dependents[i]:
-            if task_end > self._ready[d]:
-                self._ready[d] = task_end
-            self._remaining[d] -= 1
-            if self._remaining[d] == 0:
-                heapq.heappush(
-                    self._events, (self._ready[d], _EV_READY, d)
-                )
+            d += base
+            if task_end > ready[d]:
+                ready[d] = task_end
+            remaining[d] -= 1
+            if remaining[d] == 0:
+                heapq.heappush(self._events, (ready[d], _EV_READY, d))
 
     def _grant_pass(self, t: float) -> None:
         """Grant channel slots to ready transfers, in ready order.
@@ -615,15 +643,14 @@ class ScheduleEngine:
         blocking) and retried at the next release event.
         """
         queue = self._hbm_queue
-        if not queue:
+        if not queue or t < self._chan_min:
             return
         # One free-slot scan per pass, consumed incrementally: a grant
         # always takes the lowest-index free slots, so deleting the
         # granted prefix leaves exactly the slots a rescan would find.
+        # ``_chan_min <= t`` guarantees at least one free slot.
         chan_free = self._chan_free
         free_slots = [s for s, free in enumerate(chan_free) if free <= t]
-        if not free_slots:
-            return
         deferred = []
         while queue and free_slots:
             entry = heapq.heappop(queue)
@@ -643,6 +670,7 @@ class ScheduleEngine:
                 self._finalize(i)
         for entry in deferred:
             heapq.heappush(queue, entry)
+        self._chan_min = min(chan_free)
 
     def _dispatch_pass(self, t: float) -> None:
         """Dispatch ready tasks onto free core instances."""
@@ -693,13 +721,37 @@ class ScheduleEngine:
         self._grant_pass(t)
         self._dispatch_pass(t)
 
-    def next_event_time(self) -> float | None:
-        """Timestamp of the earliest pending event, if any."""
-        return self._events[0][0] if self._events else None
+    def advance_until(self, t: float) -> float:
+        """Run the engine on its own up to ``t``, pausing at the first
+        instant a submission completes.
 
-    def advance_until(self, t: float) -> None:
+        Every pending event at or before the returned instant is
+        processed, and none after it. The return value is that
+        completion instant (its submissions are appended to
+        :attr:`completions`), or ``t`` when nothing completes by then;
+        an engine already past ``t`` processes nothing. A caller that
+        needs the engine at ``t`` calls again until ``t`` comes back;
+        the serving loop instead wakes at the returned instant, since a
+        completion is where it can act.
+        """
+        events = self._events
+        step = self._step
+        while events and events[0][0] <= t:
+            head = events[0]
+            if head[1] == _EV_COMPLETE:
+                # Completions sort after every other event at their
+                # instant, so what is left there is completions only.
+                self._run_until(head[0])
+                return head[0]
+            step()
+        if t > self._now:
+            self._now = t
+        return t
+
+    def _run_until(self, t: float) -> None:
         """Process every pending event with timestamp <= ``t``."""
-        while self._events and self._events[0][0] <= t:
+        events = self._events
+        while events and events[0][0] <= t:
             self._step()
         if t > self._now:
             self._now = t
@@ -739,25 +791,12 @@ class ScheduleEngine:
             )
         # Events at exactly ``at`` land before the failure: a task (or
         # submission) finishing at the crash instant survived it.
-        self.advance_until(at)
+        self._run_until(at)
         keep = [
             i for i, end in enumerate(self._end)
             if end is not None and end <= at
         ]
         dropped = len(self._tasks) - len(keep)
-        remap = {old: new for new, old in enumerate(keep)}
-        # A kept task's dependencies are provably kept (dep end <=
-        # task ready <= start <= end <= at), so the remap is total
-        # over every dependency edge we keep.
-        new_tasks = []
-        for old in keep:
-            task = self._tasks[old]
-            if task.depends_on:
-                deps = tuple(remap[d] for d in task.depends_on)
-                if deps != task.depends_on:
-                    task = replace(task, depends_on=deps)
-            new_tasks.append(task)
-        self._tasks = new_tasks
         self._timings = [self._timings[o] for o in keep]
         self._mems = [self._mems[o] for o in keep]
         self._durations = [self._durations[o] for o in keep]
@@ -767,11 +806,9 @@ class ScheduleEngine:
         self._end = [self._end[o] for o in keep]
         self._instance_of = [self._instance_of[o] for o in keep]
         self._owner = [self._owner[o] for o in keep]
+        # A dead engine processes no more events.
         self._remaining = [0] * len(keep)
-        self._dependents = [[] for _ in keep]
-        for i, task in enumerate(self._tasks):
-            for dep in set(task.depends_on):
-                self._dependents[dep].append(i)
+        self._dependents = [()] * len(keep)
         self._hbm_intervals = [
             self._hbm_span[i]
             for i in range(len(keep))
@@ -780,13 +817,26 @@ class ScheduleEngine:
         # Re-base every submission onto the truncated index space.
         # Bases are contiguous and ``keep`` ascending, so one cursor
         # walk assigns each kept task to its owning submission; a lost
-        # submission keeps its finished prefix (possibly empty).
+        # submission keeps its finished prefix (possibly empty). A kept
+        # task's dependencies are provably kept (dep end <= task ready
+        # <= start <= end <= at) and local to its submission, so its
+        # local dependency indices remap within the kept prefix.
         lost = []
+        new_tasks = []
         cursor = 0
         for sub in self.submissions:
             sub_end = sub.base + sub.count
             new_base = cursor
+            local = {}
             while cursor < len(keep) and keep[cursor] < sub_end:
+                old = keep[cursor]
+                local[old - sub.base] = cursor - new_base
+                task = self._tasks[old]
+                if task.depends_on:
+                    deps = tuple(local[d] for d in task.depends_on)
+                    if deps != task.depends_on:
+                        task = replace(task, depends_on=deps)
+                new_tasks.append(task)
                 cursor += 1
             if sub.finish_seconds is None or sub.finish_seconds > at:
                 # Either still running, or committed analytically for
@@ -796,6 +846,7 @@ class ScheduleEngine:
                 lost.append(sub)
             sub.base = new_base
             sub.count = cursor - new_base
+        self._tasks = new_tasks
         self._events.clear()
         self._release_times.clear()
         for queue in self._core_queue.values():
@@ -836,8 +887,12 @@ class ScheduleEngine:
         """
         from repro.compiler.program import OperatorProgram
 
+        tasks = []
+        for s in self.submissions:
+            own = self._tasks[s.base:s.base + s.count]
+            tasks.extend([t.shifted(s.base) for t in own] if s.base else own)
         return OperatorProgram(
-            tasks=tuple(self._tasks),
+            tasks=tuple(tasks),
             op_boundaries=tuple(
                 (s.base, s.base + s.count) for s in self.submissions
             ),

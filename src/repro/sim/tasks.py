@@ -38,9 +38,11 @@ class OperatorKind(enum.Enum):
 class OperatorTask:
     """One schedulable unit of operator work.
 
-    Slotted: a served run holds one dependency-shifted copy per
-    admitted task, so the per-instance ``__dict__`` would dominate the
-    engine's memory.
+    Slotted: compiled programs, the merged programs of served runs
+    (:meth:`repro.sim.engine.ScheduleEngine.as_program`) and key-upload
+    prefixes hold one instance per task, so a per-instance
+    ``__dict__`` would dominate their memory. Admission itself copies
+    no task: the engine keeps each submitted list's own tasks.
 
     Attributes:
         kind: operator executed.
@@ -94,9 +96,10 @@ class OperatorTask:
         """Copy with dependency indices shifted by ``offset``.
 
         Used when concatenating per-operation task lists into one
-        program-level list, and by the engine once per admitted task.
-        The fields are already validated, so the copy is set slot by
-        slot instead of re-running ``__init__``/``__post_init__``.
+        program-level list, and when the engine merges its submissions
+        into one program. The fields are already validated, so the
+        copy is set slot by slot instead of re-running
+        ``__init__``/``__post_init__``.
         """
         new = _new(OperatorTask)
         _set(new, "kind", self.kind)

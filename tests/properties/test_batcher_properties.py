@@ -1,12 +1,12 @@
-"""The batcher's O(1) queued backlog equals a fresh sum, bit for bit.
+"""The batcher's O(1) queued backlog equals a fresh fold, bit for bit.
 
 ``DynamicBatcher.queued_estimate_seconds`` keeps a running left-fold of
 the queued service estimates instead of re-summing the queue on every
 routed arrival. Float addition is not associative, so "close" is not
 enough: after any sequence of offers, batch takes, deadline expiries
-and crash drains, the fold must be exactly what ``sum()`` over the
-queue in order returns — the value the routers and the backlog views
-used to see.
+and crash drains, the fold must be exactly the left fold over the
+queue in order (:func:`repro.utils.fold.left_fold_sum`, which is what
+``sum()`` returned before Python 3.12 made float sums compensated).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from hypothesis import given, strategies as st
 
 from repro.serve import BatchPolicy, DynamicBatcher
 from repro.serve.requests import Request
+from repro.utils.fold import left_fold_sum
 
 #: Estimates spanning many magnitudes, so fold order matters.
 _ESTIMATES = st.one_of(
@@ -65,5 +66,28 @@ def test_running_backlog_is_the_queue_sum(policy, ops):
             batcher.expired(op[1])
         else:
             batcher.drain()
-        expected = sum(r.service_estimate for r in batcher._queue)
+        expected = left_fold_sum(r.service_estimate for r in batcher._queue)
         assert _exact(batcher.queued_estimate_seconds()) == _exact(expected)
+
+
+def _request(rid, estimate):
+    return Request(
+        request_id=rid, job=None, arrival_seconds=float(rid),
+        service_estimate=estimate,
+    )
+
+
+def test_left_fold_is_not_compensated():
+    # A compensated sum (Python >= 3.12's ``sum()``) gives 0.6 here.
+    assert _exact(left_fold_sum([0.1, 0.2, 0.3])) == "float:0.6000000000000001"
+    assert _exact(left_fold_sum([])) == "int:0"
+
+
+def test_refold_after_a_take_is_the_left_fold():
+    batcher = DynamicBatcher(BatchPolicy(max_batch_size=1))
+    for rid, estimate in enumerate((0.4, 0.1, 0.2, 0.3)):
+        batcher.offer(_request(rid, estimate))
+    batcher.take_batch(0.0)  # removes 0.4, refolds the rest
+    assert _exact(batcher.queued_estimate_seconds()) == (
+        "float:0.6000000000000001"
+    )

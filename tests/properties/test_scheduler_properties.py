@@ -9,17 +9,22 @@ Two input families:
   ``op_parallel=False``) — the realistic input for the makespan
   comparison against the legacy in-order engine.
 
-The "out-of-order never slower" property is asserted only for chained
-programs: greedy list scheduling is subject to Graham anomalies on
-arbitrary parallel DAGs (an early-dispatched long independent task can
-delay a critical one that becomes ready slightly later), so the
-guarantee targets the dependent-ciphertext-chain regime the in-order
-engine modelled — and the one the paper's Table VI latencies measure.
+The "out-of-order never slower" and "more cores never slower"
+properties are asserted only for chained programs: greedy list
+scheduling is subject to Graham anomalies on arbitrary parallel DAGs
+(an early-dispatched long independent task can delay a critical one
+that becomes ready slightly later), so the guarantees target the
+dependent-ciphertext-chain regime the in-order engine modelled — and
+the one the paper's Table VI latencies measure. Four op-parallel
+programs on which doubled core arrays lose to single ones are pinned
+with their exact makespans (see docs/SCHEDULER.md, "More cores can be
+slower").
 """
 
 from __future__ import annotations
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import example, given, strategies as st
 
 from repro.compiler.ops import FheOp, FheOpName
 from repro.compiler.program import OperatorProgram, compile_trace
@@ -40,6 +45,45 @@ _KINDS = (
 #: Small-but-real transfer sizes: zero, sub-channel, a few channels,
 #: and full-stripe (engages all 32 pseudo-channels).
 _HBM_SIZES = (0, 0, 4 << 10, 64 << 10, 512 << 10, 4 << 20)
+
+#: Every core array at two instances.
+DOUBLED = HardwareConfig().with_core_instances(
+    **{core: 2 for core in CORE_ARRAYS}
+)
+
+
+def _op(name, degree, level, aux=1):
+    return FheOp.make(name, degree, level, aux_limbs=aux)
+
+
+_H, _P, _C = FheOpName.HADD, FheOpName.PMULT, FheOpName.CMULT
+
+#: name -> (ops, single-array makespan, doubled-array makespan) of
+#: op-parallel programs on which doubled core arrays are slower.
+PARALLEL_ANOMALIES = {
+    "hadd-cmult8-hadd-cmult2": (
+        (_op(_H, 4096, 2), _op(_C, 4096, 8, 3), _op(_H, 4096, 2),
+         _op(_C, 4096, 2)),
+        2.745377855072464e-05,
+        2.841665855072464e-05,
+    ),
+    "cmult3-hadd-hadd-cmult2": (
+        (_op(_C, 4096, 3, 4), _op(_H, 4096, 2), _op(_H, 4096, 2),
+         _op(_C, 4096, 2)),
+        2.3222771014492752e-05,
+        2.3249437681159423e-05,
+    ),
+    "cmult16k-pmult-cmult4": (
+        (_op(_C, 16384, 5), _op(_P, 4096, 2), _op(_C, 4096, 4)),
+        6.446707109974423e-05,
+        6.464024211423699e-05,
+    ),
+    "cmult16k-hadd-cmult2": (
+        (_op(_C, 16384, 2, 3), _op(_H, 4096, 2), _op(_C, 4096, 2)),
+        3.291610434782609e-05,
+        3.3081889855072465e-05,
+    ),
+}
 
 
 @st.composite
@@ -157,16 +201,30 @@ class TestOutOfOrderNeverSlower:
         assert ooo <= in_order * (1 + 1e-9)
 
     @given(ops=op_traces(max_ops=4))
+    @example(ops=list(PARALLEL_ANOMALIES["hadd-cmult8-hadd-cmult2"][0]))
+    @example(ops=list(PARALLEL_ANOMALIES["cmult3-hadd-hadd-cmult2"][0]))
+    @example(ops=list(PARALLEL_ANOMALIES["cmult16k-pmult-cmult4"][0]))
+    @example(ops=list(PARALLEL_ANOMALIES["cmult16k-hadd-cmult2"][0]))
     def test_replicated_cores_never_slower_than_single(self, ops):
-        program = compile_trace(ops, op_parallel=True)
+        program = compile_trace(ops, op_parallel=False)
         single = PoseidonSimulator().run(program).total_seconds
-        doubled = PoseidonSimulator(
-            HardwareConfig().with_core_instances(
-                **{core: 2 for core in CORE_ARRAYS}
-            )
-        ).run(program).total_seconds
-        # Not a theorem for greedy schedulers (Graham), but it holds on
-        # compiler-shaped programs and guards the instance plumbing:
-        # doubling every array must not lose to the single-instance
-        # schedule by more than float noise.
+        doubled = PoseidonSimulator(DOUBLED).run(program).total_seconds
+        # Not a theorem for greedy schedulers (Graham), but on chained
+        # programs no counterexample turned up in a 1,500-example
+        # search; doubling every array must not lose to the
+        # single-instance schedule by more than float noise.
         assert doubled <= single * (1 + 1e-9)
+
+    @pytest.mark.parametrize("name", sorted(PARALLEL_ANOMALIES))
+    def test_parallel_anomaly_makespans_are_pinned(self, name):
+        # Op-parallel programs where doubled arrays lose: extra
+        # concurrent streams hold HBM pseudo-channel slots that a wide
+        # critical transfer then waits for. Exact values pin the
+        # single- and multi-instance dispatch paths byte for byte.
+        ops, single, doubled = PARALLEL_ANOMALIES[name]
+        program = compile_trace(list(ops), op_parallel=True)
+        assert PoseidonSimulator().run(program).total_seconds == single
+        assert (
+            PoseidonSimulator(DOUBLED).run(program).total_seconds == doubled
+        )
+        assert doubled > single

@@ -18,6 +18,9 @@ configuration:
   one instant the fleet records one point for the launch pass, where
   the replaced loop recorded one per batch; the depth after the
   instant, and so the maximum, is the same.
+
+Eight multi-instance fleets are pinned the same way further down, plus
+their fault, scale and availability timelines.
 """
 
 import hashlib
@@ -25,12 +28,21 @@ import hashlib
 import pytest
 
 from repro.serve import (
+    AutoscalerPolicy,
     BatchPolicy,
     ClusterPolicy,
     ClusterSimulator,
+    FaultPlan,
+    HBMDegradation,
+    InstanceCrash,
     PoissonArrivals,
+    ResiliencePolicy,
+    RetryPolicy,
+    Straggler,
+    TenantPopulation,
     TraceArrivals,
 )
+from repro.sim.config import CORE_ARRAYS, HardwareConfig
 
 
 def case(workload, arrivals, seed=0, passes=None, **batch):
@@ -301,3 +313,477 @@ def test_fleet_of_one_reproduces_single_instance_loop(name):
     got = result.summary()
     assert {key: got[key] for key in summary} == summary
     assert depth_digest(result.queue_depth_series) == depth
+
+
+# ----------------------------------------------------------------------
+# Fleets: several engines on one master clock.
+#
+# The serving loop lets each engine run ahead of the fleet clock up to
+# its next submission completion, and observes that completion only
+# when the fleet clock reaches it. These eight fleets pin the cases
+# where engines stand at different instants: scale-out, three batches
+# in flight per instance, derate windows overlapping a crash, the whole
+# fleet dark inside the detection delay (ghost routing), a crash at
+# t=0, a crash while a key upload streams, a restart after the last
+# arrival, and doubled core arrays with key uploads. The values were
+# recorded from the loop that advanced every engine to every fleet-wide
+# event instant.
+PAIRED = BatchPolicy(
+    max_batch_size=4, max_queue_delay=0.0005, max_inflight_batches=2
+)
+RETRYING = ResiliencePolicy(
+    deadline_seconds=0.05,
+    retry=RetryPolicy(max_attempts=3, backoff_seconds=0.0005, jitter=0.5),
+    detection_seconds=0.001,
+)
+
+
+def fleet(workload, arrivals, *, seed=0, batch=PAIRED, config=None,
+          population=None, faults=None, resilience=None, **policy):
+    return dict(
+        workload=workload, arrivals=arrivals, seed=seed, batch=batch,
+        config=config, population=population, faults=faults,
+        resilience=resilience, policy=ClusterPolicy(**policy),
+    )
+
+
+FLEETS = {
+    "autoscale-out": fleet(
+        "keyswitch", PoissonArrivals(rate=2000.0, count=48, seed=7), seed=7,
+        population=TenantPopulation(tenants=4, key_sets=4),
+        instances=1, router="least-queue",
+        autoscaler=AutoscalerPolicy(max_instances=3, cooldown_seconds=0.0),
+    ),
+    "sjf-timer-3x3": fleet(
+        "keyswitch,streaming", PoissonArrivals(rate=2500.0, count=60, seed=2),
+        seed=2,
+        batch=BatchPolicy(
+            max_batch_size=3, max_queue_delay=0.0004, order="sjf",
+            max_inflight_batches=3,
+        ),
+        instances=3, router="shortest-job", key_upload_bytes=0,
+    ),
+    "straggler-hbm-crash": fleet(
+        "keyswitch,streaming", PoissonArrivals(rate=1500.0, count=60, seed=3),
+        seed=3, population=TenantPopulation(tenants=4, key_sets=6),
+        faults=FaultPlan((
+            Straggler(instance=1, start_seconds=0.004,
+                      duration_seconds=0.02, slowdown=2.5),
+            HBMDegradation(instance=1, start_seconds=0.008,
+                           duration_seconds=0.02, factor=0.4),
+            InstanceCrash(instance=1, at_seconds=0.015, restart_after=0.01),
+        )),
+        resilience=RETRYING, instances=2,
+    ),
+    "all-down-ghost": fleet(
+        "keyswitch", PoissonArrivals(rate=1500.0, count=50, seed=4), seed=4,
+        population=TenantPopulation(tenants=4, key_sets=4),
+        faults=FaultPlan((
+            InstanceCrash(instance=0, at_seconds=0.010, restart_after=0.006),
+            InstanceCrash(instance=1, at_seconds=0.0105, restart_after=0.004),
+        )),
+        resilience=ResiliencePolicy(
+            deadline_seconds=0.08,
+            retry=RetryPolicy(
+                max_attempts=4, backoff_seconds=0.001, jitter=0.25
+            ),
+            detection_seconds=0.003,
+        ),
+        instances=2, router="round-robin",
+    ),
+    "crash-at-zero": fleet(
+        "keyswitch", PoissonArrivals(rate=1000.0, count=30, seed=5), seed=5,
+        faults=FaultPlan((
+            InstanceCrash(instance=0, at_seconds=0.0, restart_after=0.002),
+        )),
+        resilience=RETRYING, instances=2, router="round-robin",
+    ),
+    "crash-during-upload": fleet(
+        # The first upload streams for ~1.24 ms from t=0; the crash
+        # lands inside it.
+        "keyswitch",
+        TraceArrivals(
+            [0.0, 0.0001, 0.0002, 0.0003]
+            + [0.002 + 0.0005 * i for i in range(16)]
+        ),
+        seed=6, population=TenantPopulation(tenants=2, key_sets=4),
+        faults=FaultPlan((
+            InstanceCrash(instance=0, at_seconds=0.0006, restart_after=0.003),
+        )),
+        resilience=RETRYING, instances=2,
+    ),
+    "restart-after-last-arrival": fleet(
+        # Last arrival ~10.3 ms; the restart at 14 ms takes retries.
+        "keyswitch", PoissonArrivals(rate=3000.0, count=30, seed=8), seed=8,
+        faults=FaultPlan((
+            InstanceCrash(instance=0, at_seconds=0.008, restart_after=0.006),
+        )),
+        resilience=ResiliencePolicy(
+            retry=RetryPolicy(max_attempts=3, backoff_seconds=0.0005),
+            detection_seconds=0.0005,
+        ),
+        instances=2, router="least-queue", key_upload_bytes=0,
+    ),
+    "doubled-cores-uploads": fleet(
+        "keyswitch,rotations", PoissonArrivals(rate=1200.0, count=40, seed=9),
+        seed=9,
+        config=HardwareConfig().with_core_instances(
+            **{core: 2 for core in CORE_ARRAYS}
+        ),
+        population=TenantPopulation(tenants=6, key_sets=8, skew=0.8),
+        instances=3, key_cache_capacity=2,
+    ),
+}
+
+#: ``summary()`` keys pinned per fleet.
+FLEET_SUMMARY_KEYS = (
+    "instances", "requests_arrived", "requests_admitted",
+    "requests_rejected", "requests_completed", "requests_abandoned",
+    "requests_exhausted", "goodput", "lost_events", "retries", "batches",
+    "latency_mean_seconds", "latency_p50_seconds", "latency_p99_seconds",
+    "max_queue_depth", "makespan_seconds", "key_hits", "key_misses",
+    "key_upload_bytes",
+)
+
+
+def run_fleet(name):
+    spec = FLEETS[name]
+    return ClusterSimulator(
+        config=spec["config"],
+        policy=spec["policy"],
+        batch_policy=spec["batch"],
+    ).run(
+        spec["workload"], spec["arrivals"], seed=spec["seed"],
+        population=spec["population"], faults=spec["faults"],
+        resilience=spec["resilience"],
+    )
+
+
+def fleet_pins(result) -> dict:
+    """Everything a fleet pin compares, from one run."""
+    summary = result.summary()
+    return {
+        "schedule": schedule_digest(
+            result.records,
+            [t for r in result.instances for t in r.sim.task_records],
+        ),
+        "depth": depth_digest(result.queue_depth_series),
+        "summary": {key: summary[key] for key in FLEET_SUMMARY_KEYS},
+        "fault_events": result.fault_events,
+        "scale_events": result.scale_events,
+        "availability": result.availability,
+    }
+
+#: name -> pinned values (see ``fleet_pins``).
+PINNED_FLEETS = {
+    "all-down-ghost": {
+        "schedule": (
+            "56681a52f72e78d466ed69beed6fbd52fe9afdebe26e0a8e9c33f3b2d454e3bb"
+        ),
+        "depth": (
+            "32301b810dbf5821484cd9efef9f09ae152febbc8a734fda23a951b50b5f4048"
+        ),
+        "summary": {
+            "instances": 2,
+            "requests_arrived": 50,
+            "requests_admitted": 50,
+            "requests_rejected": 0,
+            "requests_completed": 50,
+            "requests_abandoned": 0,
+            "requests_exhausted": 0,
+            "goodput": 50,
+            "lost_events": 59,
+            "retries": 59,
+            "batches": 20,
+            "latency_mean_seconds": 0.04131493925348277,
+            "latency_p50_seconds": 0.04184861299274642,
+            "latency_p99_seconds": 0.06328284694298462,
+            "max_queue_depth": 29,
+            "makespan_seconds": 0.08667614143131691,
+            "key_hits": 44,
+            "key_misses": 14,
+            "key_upload_bytes": 7963934720,
+        },
+        "fault_events": [
+            (0.01, "crash", 0),
+            (0.0105, "crash", 1),
+            (0.0145, "restart", 1),
+            (0.016, "restart", 0),
+        ],
+        "scale_events": [],
+        "availability": {
+            0: ((0.0, 0.01), (0.016, None)),
+            1: ((0.0, 0.0105), (0.0145, None)),
+        },
+    },
+    "autoscale-out": {
+        "schedule": (
+            "21097f01d79b9871c2cd41403f9818fb074ac95a4a53b0c84b80c289bb7a0572"
+        ),
+        "depth": (
+            "cf88c31a2c603e3df9c6e630c937b7fc86d0ef95339c28aa550e0fc835e19b00"
+        ),
+        "summary": {
+            "instances": 3,
+            "requests_arrived": 48,
+            "requests_admitted": 48,
+            "requests_rejected": 0,
+            "requests_completed": 48,
+            "requests_abandoned": 0,
+            "requests_exhausted": 0,
+            "goodput": 48,
+            "lost_events": 0,
+            "retries": 0,
+            "batches": 16,
+            "latency_mean_seconds": 0.025883144286964328,
+            "latency_p50_seconds": 0.0272279260017572,
+            "latency_p99_seconds": 0.03755848964024351,
+            "max_queue_depth": 22,
+            "makespan_seconds": 0.05098957498610751,
+            "key_hits": 36,
+            "key_misses": 12,
+            "key_upload_bytes": 6826229760,
+        },
+        "fault_events": [],
+        "scale_events": [
+            (0.0014825519055518294, 2),
+            (0.0022237480046477073, 3),
+        ],
+        "availability": {
+            0: ((0.0, None),),
+            1: ((0.0014825519055518294, None),),
+            2: ((0.0022237480046477073, None),),
+        },
+    },
+    "crash-at-zero": {
+        "schedule": (
+            "e16c9e6f14fe9408cd0e2d5148ba51d0dec1ef46c1625cda9cdb51075fab0d23"
+        ),
+        "depth": (
+            "d31bc5d117342e0311048ed6cc53a0c9976264854d6f79de5049d327703304c8"
+        ),
+        "summary": {
+            "instances": 2,
+            "requests_arrived": 30,
+            "requests_admitted": 30,
+            "requests_rejected": 0,
+            "requests_completed": 30,
+            "requests_abandoned": 0,
+            "requests_exhausted": 0,
+            "goodput": 30,
+            "lost_events": 1,
+            "retries": 1,
+            "batches": 20,
+            "latency_mean_seconds": 0.009071348700041558,
+            "latency_p50_seconds": 0.01062407816665049,
+            "latency_p99_seconds": 0.01637437882738182,
+            "max_queue_depth": 8,
+            "makespan_seconds": 0.043519491988817764,
+            "key_hits": 28,
+            "key_misses": 2,
+            "key_upload_bytes": 1137704960,
+        },
+        "fault_events": [
+            (0.0, "crash", 0),
+            (0.002, "restart", 0),
+        ],
+        "scale_events": [],
+        "availability": {
+            0: ((0.0, 0.0), (0.002, None)),
+            1: ((0.0, None),),
+        },
+    },
+    "crash-during-upload": {
+        "schedule": (
+            "8f2f64f38067b87e3674459904c71703c720599e6e64c127fb4f601ab148615d"
+        ),
+        "depth": (
+            "3beabe556bb9b19421c553640ad5fb5aebe4705894e5663e8ff1ef490798da23"
+        ),
+        "summary": {
+            "instances": 2,
+            "requests_arrived": 20,
+            "requests_admitted": 20,
+            "requests_rejected": 0,
+            "requests_completed": 20,
+            "requests_abandoned": 0,
+            "requests_exhausted": 0,
+            "goodput": 20,
+            "lost_events": 4,
+            "retries": 4,
+            "batches": 9,
+            "latency_mean_seconds": 0.02169454727768116,
+            "latency_p50_seconds": 0.025415424301449302,
+            "latency_p99_seconds": 0.029655544973913022,
+            "max_queue_depth": 11,
+            "makespan_seconds": 0.033069757634782634,
+            "key_hits": 13,
+            "key_misses": 8,
+            "key_upload_bytes": 4550819840,
+        },
+        "fault_events": [
+            (0.0006, "crash", 0),
+            (0.0036, "restart", 0),
+        ],
+        "scale_events": [],
+        "availability": {
+            0: ((0.0, 0.0006), (0.0036, None)),
+            1: ((0.0, None),),
+        },
+    },
+    "doubled-cores-uploads": {
+        "schedule": (
+            "751eadc0ca66dd65148da82324e9753d7ca9adc25f4cea3669f81ef4b51aafab"
+        ),
+        "depth": (
+            "e1552bf0ac67344fa3356f12d7d7f81bc21ed95177a4e94bd8da9af24b8ead24"
+        ),
+        "summary": {
+            "instances": 3,
+            "requests_arrived": 40,
+            "requests_admitted": 40,
+            "requests_rejected": 0,
+            "requests_completed": 40,
+            "requests_abandoned": 0,
+            "requests_exhausted": 0,
+            "goodput": 40,
+            "lost_events": 0,
+            "retries": 0,
+            "batches": 23,
+            "latency_mean_seconds": 0.01117166922585901,
+            "latency_p50_seconds": 0.010966909974507123,
+            "latency_p99_seconds": 0.02075724985335857,
+            "max_queue_depth": 9,
+            "makespan_seconds": 0.0376862491646462,
+            "key_hits": 19,
+            "key_misses": 21,
+            "key_upload_bytes": 11945902080,
+        },
+        "fault_events": [],
+        "scale_events": [],
+        "availability": {
+            0: ((0.0, None),),
+            1: ((0.0, None),),
+            2: ((0.0, None),),
+        },
+    },
+    "restart-after-last-arrival": {
+        "schedule": (
+            "4be86e90440040f5d415a49fca1d534b6a12e439e8cf94555f4daedb95d4e996"
+        ),
+        "depth": (
+            "aa44ee42324f7eb0e8878e91cbc796f9381b58fff5411e858c46191e3531f50e"
+        ),
+        "summary": {
+            "instances": 2,
+            "requests_arrived": 30,
+            "requests_admitted": 30,
+            "requests_rejected": 0,
+            "requests_completed": 30,
+            "requests_abandoned": 0,
+            "requests_exhausted": 0,
+            "goodput": 30,
+            "lost_events": 11,
+            "retries": 11,
+            "batches": 12,
+            "latency_mean_seconds": 0.03796464632123177,
+            "latency_p50_seconds": 0.04177418756561544,
+            "latency_p99_seconds": 0.06255360143299853,
+            "max_queue_depth": 19,
+            "makespan_seconds": 0.07260463706016185,
+            "key_hits": 33,
+            "key_misses": 2,
+            "key_upload_bytes": 0,
+        },
+        "fault_events": [
+            (0.008, "crash", 0),
+            (0.014, "restart", 0),
+        ],
+        "scale_events": [],
+        "availability": {
+            0: ((0.0, 0.008), (0.014, None)),
+            1: ((0.0, None),),
+        },
+    },
+    "sjf-timer-3x3": {
+        "schedule": (
+            "29eb7150d1245373ea96407fbea611fb4968653a31371f7d356144b64f7997ab"
+        ),
+        "depth": (
+            "466c0f6068cc7ac2b702c61a45d2fd1d5bf6858cc22e12a5d8163b4a1e1defc3"
+        ),
+        "summary": {
+            "instances": 3,
+            "requests_arrived": 60,
+            "requests_admitted": 60,
+            "requests_rejected": 0,
+            "requests_completed": 60,
+            "requests_abandoned": 0,
+            "requests_exhausted": 0,
+            "goodput": 60,
+            "lost_events": 0,
+            "retries": 0,
+            "batches": 51,
+            "latency_mean_seconds": 0.00415629677226075,
+            "latency_p50_seconds": 0.004220929686956525,
+            "latency_p99_seconds": 0.008724246134644644,
+            "max_queue_depth": 5,
+            "makespan_seconds": 0.03698674935627104,
+            "key_hits": 57,
+            "key_misses": 3,
+            "key_upload_bytes": 0,
+        },
+        "fault_events": [],
+        "scale_events": [],
+        "availability": {
+            0: ((0.0, None),),
+            1: ((0.0, None),),
+            2: ((0.0, None),),
+        },
+    },
+    "straggler-hbm-crash": {
+        "schedule": (
+            "228c881842529db45020c81c0e08b0fdb09bdb877c04ac6a7ea90f409d652bb1"
+        ),
+        "depth": (
+            "ccc50eb253d500347f57a370b18023d511d03d47bc04819f0c4247bea17d3b92"
+        ),
+        "summary": {
+            "instances": 2,
+            "requests_arrived": 60,
+            "requests_admitted": 60,
+            "requests_rejected": 0,
+            "requests_completed": 60,
+            "requests_abandoned": 0,
+            "requests_exhausted": 0,
+            "goodput": 60,
+            "lost_events": 10,
+            "retries": 10,
+            "batches": 24,
+            "latency_mean_seconds": 0.02079981563080755,
+            "latency_p50_seconds": 0.01947034684323988,
+            "latency_p99_seconds": 0.04317629925164669,
+            "max_queue_depth": 20,
+            "makespan_seconds": 0.07067698972056785,
+            "key_hits": 36,
+            "key_misses": 29,
+            "key_upload_bytes": 16496721920,
+        },
+        "fault_events": [
+            (0.015, "crash", 1),
+            (0.025, "restart", 1),
+        ],
+        "scale_events": [],
+        "availability": {
+            0: ((0.0, None),),
+            1: ((0.0, 0.015), (0.025, None)),
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLEETS))
+def test_fleet_reproduces_the_lockstep_loop(name):
+    result = run_fleet(name)
+    result.validate()
+    assert fleet_pins(result) == PINNED_FLEETS[name]

@@ -16,6 +16,7 @@ from repro.errors import SchedulingError
 from repro.serve import request_type
 from repro.sim.engine import ScheduleEngine
 from repro.sim.tasks import OperatorKind, OperatorTask
+from repro.utils.fold import left_fold_sum
 
 
 def keyswitch_tasks():
@@ -32,7 +33,8 @@ def schedule(submissions, *, distinct):
     with ``distinct`` every submission gets its own equal copy."""
     engine = ScheduleEngine()
     for tasks, release, compute_scale, hbm_scale in submissions:
-        engine.advance_until(release)
+        while engine.advance_until(release) < release:
+            pass  # paused at a completion before ``release``
         engine.submit(
             distinct_copy(tasks) if distinct else tasks,
             release=release,
@@ -139,7 +141,7 @@ class TestPlanReuse:
         tasks = keyswitch_tasks()
         engine = ScheduleEngine()
         cfg = engine.config
-        expected = sum(
+        expected = left_fold_sum(
             max(
                 engine.cores.task_cycles(t).cycles * cfg.cycle_seconds,
                 engine.memory.task_timing(t).spad_seconds,
@@ -147,6 +149,31 @@ class TestPlanReuse:
             for t in tasks
         )
         assert engine.admission_plan(tasks).service_seconds == expected
+
+    def test_plan_inverts_the_dependencies(self):
+        tasks = keyswitch_tasks()
+        plan = ScheduleEngine().admission_plan(tasks)
+        for local, dependents in enumerate(plan.dependents):
+            assert dependents == tuple(
+                j for j, deps in enumerate(plan.deps) if local in deps
+            )
+        assert plan.roots == tuple(
+            j for j, deps in enumerate(plan.deps) if not deps
+        )
+
+    def test_merged_program_rebases_each_submission(self):
+        # The engine holds each submission's own tasks with local
+        # dependency indices; the merged program re-bases them.
+        tasks = keyswitch_tasks()
+        engine = ScheduleEngine()
+        for _ in range(3):
+            engine.submit(tasks)
+        merged = engine.as_program().tasks
+        for sub in engine.submissions:
+            for local, task in enumerate(tasks):
+                assert merged[sub.base + local] == task.shifted(sub.base)
+        engine.drain()
+        assert len(engine.result().task_records) == 3 * len(tasks)
 
     def test_empty_tuple_plan(self):
         plan = ScheduleEngine().admission_plan(())

@@ -355,6 +355,41 @@ class TestWarmEngine:
         assert [s.label for s in engine.completions] == ["fast", "slow"]
         assert fast.finish_seconds < slow.finish_seconds
 
+    def test_advance_pauses_at_first_completion(self):
+        engine = self._engine()
+        slow = engine.submit(
+            [simple_task(OperatorKind.NTT, elements=64 * N)], label="slow"
+        )
+        fast = engine.submit([simple_task(OperatorKind.MA)], label="fast")
+        horizon = 1.0
+        # The first call stops where ``fast`` completes: nothing after
+        # that instant has been processed yet.
+        assert engine.advance_until(horizon) == fast.finish_seconds
+        assert fast.finish_seconds < slow.finish_seconds < horizon
+        assert engine.now == fast.finish_seconds
+        assert engine.completions == [fast]
+        assert engine.advance_until(horizon) == slow.finish_seconds
+        assert engine.completions == [fast, slow]
+        # Nothing left to complete: the engine reaches the bound.
+        assert engine.advance_until(horizon) == horizon
+        assert engine.now == horizon
+
+    def test_paused_advance_matches_one_drain(self):
+        ops = [FheOp.make(FheOpName.CMULT, N, 6),
+               FheOp.make(FheOpName.ROTATION, N, 6)]
+        tasks = compile_trace(ops).tasks
+        stepped, drained = self._engine(), self._engine()
+        for engine in (stepped, drained):
+            for i in range(4):
+                engine.submit(tasks, label=f"s{i}")
+        while stepped.advance_until(1.0) < 1.0:
+            pass
+        drained.drain()
+        assert stepped.completions == drained.completions
+        assert stepped.result().task_records == (
+            drained.result().task_records
+        )
+
     def test_empty_submission_completes_at_release(self):
         engine = self._engine()
         sub = engine.submit([], release=0.25)
