@@ -3,7 +3,7 @@
 PYTHON ?= python
 
 .PHONY: test test-reference properties golden coverage bench \
-	bench-smoke bench-e2e-smoke regress serve-sweep fleet-sweep faults passes-sweep \
+	bench-e2e-smoke serve-sweep fleet-sweep faults passes-sweep \
 	ntt-cores lint examples tables profile quicktest all
 
 test:
@@ -43,19 +43,11 @@ lint:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Fast perf sanity check: the CI bench-smoke job runs exactly this.
-bench-smoke:
-	$(PYTHON) benchmarks/regress.py --smoke
-
 # End-to-end benchmark smoke (benchmarks/e2e): its own test suite, then
 # one quick sample of all five workloads with every output check.
 bench-e2e-smoke:
 	$(PYTHON) -m pytest benchmarks/e2e -q
 	$(PYTHON) benchmarks/e2e/run.py --quick --repeats 1
-
-# Full fixed suite vs the checked-in baseline (fails on >10% slowdown).
-regress:
-	$(PYTHON) benchmarks/regress.py
 
 # cProfile the event-driven engine under a heavy serve trace; use
 # --raw wall numbers for before/after scheduler comparisons.
@@ -90,6 +82,7 @@ examples:
 	$(PYTHON) examples/quickstart.py
 	$(PYTHON) examples/private_statistics.py
 	$(PYTHON) examples/encrypted_convolution.py
+	$(PYTHON) examples/encrypted_logistic_regression.py
 	$(PYTHON) examples/hfauto_walkthrough.py
 	$(PYTHON) examples/batch_serving.py
 	$(PYTHON) examples/open_system_serving.py

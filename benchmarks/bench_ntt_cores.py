@@ -17,9 +17,10 @@ every registered :mod:`repro.sim.ntt_cores` variant is priced on
 Gates (exit non-zero on any failure):
 
 - **byte determinism** — the default ``poseidon`` variant must
-  reproduce the checked-in ``baseline.json`` simulated seconds for
-  Fig. 10 k=3 and Table VI LR *exactly* (the registry refactor may not
-  move a single bit), and re-running a point must be byte-identical.
+  reproduce the pinned ``baseline.json`` simulated seconds for Fig. 10
+  k=3 and Table VI LR *exactly*, measured by ``baseline.py`` (the
+  registry refactor may not move a single bit), and re-running a point
+  must be byte-identical.
 - **validity** — every variant's closed-system schedule passes every
   engine invariant (``repro.sim.validate``), and every variant's
   served schedule passes ``ClusterResult.validate``.
@@ -68,7 +69,7 @@ from repro.sim.tasks import OperatorKind, OperatorTask  # noqa: E402
 from repro.sim.validate import validate_schedule  # noqa: E402
 from repro.workloads import PAPER_BENCHMARKS  # noqa: E402
 
-BASELINE_PATH = REPO_ROOT / "benchmarks" / "baseline.json"
+import baseline  # noqa: E402
 
 #: Analytic winner-map grid. The paper's operating point is
 #: N=65536, L=44, 512 lanes (Table VI parameters).
@@ -87,7 +88,8 @@ TABLE6_SMOKE = ("LR",)
 BANDWIDTHS_FULL = (230e9, 460e9)
 BANDWIDTHS_SMOKE = (460e9,)
 
-#: Open-system serving load (the regress.py makespan scenario).
+#: Open-system serving load (the ``serve/keyswitch-r300-b8`` scenario
+#: of ``baseline.py``).
 SERVE_SEED = 0
 SERVE_RATE = 300.0
 SERVE_BATCH = 8
@@ -214,22 +216,6 @@ def open_system_sweep(smoke: bool) -> list[dict]:
     return points
 
 
-def _fig10_k3_seconds() -> float:
-    """The regress.py fig10/k=3 measurement, replicated exactly."""
-    task = _ntt_task(65536, 44)
-    sim = PoseidonSimulator(HardwareConfig().with_radix(3))
-    return max(
-        sim.cores.task_seconds(task),
-        sim.memory.task_timing(task).hbm_seconds,
-    )
-
-
-def _table6_lr_seconds() -> float:
-    """The regress.py table6/LR measurement, replicated exactly."""
-    program = compile_trace(PAPER_BENCHMARKS["LR"]())
-    return PoseidonSimulator(HardwareConfig()).run(program).total_seconds
-
-
 def check_gates(analytic: list[dict]) -> list[str]:
     """The acceptance gates; returns a list of failures."""
     failures = []
@@ -245,12 +231,10 @@ def check_gates(analytic: list[dict]) -> list[str]:
         failures.append("HardwareConfig default is not the default variant")
 
     # 2. Byte determinism of the default variant vs baseline.json.
-    baseline = json.loads(BASELINE_PATH.read_text())["workloads"]
-    for name, measure in (
-        ("fig10/k=3", _fig10_k3_seconds),
-        ("table6/LR", _table6_lr_seconds),
-    ):
-        want = baseline[name]["simulated_seconds"]
+    pinned = baseline.load()
+    for name in ("fig10/k=3", "table6/LR"):
+        measure = baseline.MEASUREMENTS[name]
+        want = pinned[name]
         got = measure()
         if got != want:
             failures.append(

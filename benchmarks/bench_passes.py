@@ -20,9 +20,9 @@ fixed task stream, so the whole sweep doubles as a regression gate:
 - the **lowering cache pays**: recompiling a workload with a warm
   cache serves every operator from cache (hit per op, zero misses).
 
-``benchmarks/regress.py`` additionally gates the pipelined makespans
-(``table6-passes/...``) against the checked-in baseline with its 10%
-threshold.
+``benchmarks/baseline.json`` additionally pins the pipelined makespans
+(``table6-passes/...``) exactly; ``tests/sim/test_baseline_differential.py``
+re-runs them and ``python benchmarks/baseline.py`` re-pins them.
 
 Usage::
 

@@ -17,9 +17,10 @@ The script is also a regression gate on the *shape* of the curve:
   cross-request operator-reuse argument, measured);
 - under light load the two policies must agree (work conservation).
 
-``benchmarks/regress.py`` additionally gates the saturation point
-itself (as seconds-per-request, so its 10% threshold applies) against
-the checked-in baseline.
+``benchmarks/baseline.json`` additionally pins the saturation point
+itself exactly, as seconds-per-request (``serve/saturation-*``);
+``tests/sim/test_baseline_differential.py`` re-runs it and
+``python benchmarks/baseline.py`` re-pins it.
 
 Usage::
 

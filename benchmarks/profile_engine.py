@@ -1,25 +1,26 @@
 #!/usr/bin/env python
 """Profile the serving loop and its engine under a large serve trace.
 
-Drives one accelerator (a one-instance :class:`repro.serve.ClusterSimulator`
-with free key uploads, the e2e benchmark's ``serve-overload`` workload)
-over a heavy Poisson stream (thousands of requests, each expanding to a
-multi-task operator program) under ``cProfile``, then prints the
+Runs the e2e benchmark's ``serve-overload`` workload, built by its
+own set-up in ``benchmarks/e2e/workloads.py`` (one accelerator, a
+one-instance :class:`repro.serve.ClusterSimulator` with free key
+uploads, fed 3000 Poisson arrivals at 8000 req/s, each expanding to a
+multi-task operator program), under ``cProfile``, then prints the
 hottest functions by cumulative and total time. This is the harness
 the engine and serve-loop hot-path work is measured with — run it
 before and after a scheduler change:
 
     make profile
     # or directly:
-    PYTHONPATH=src python benchmarks/profile_engine.py --requests 3000
+    python benchmarks/profile_engine.py --raw
 
-The default trace is sized so the engine loop dominates (hundreds of
+The trace is sized so the engine loop dominates (hundreds of
 thousands of heap events) while a full profile still completes in tens
 of seconds. ``--raw`` additionally times an un-profiled run, since the
 profiler's per-call hook inflates cheap functions; use the raw number
 for before/after wall-clock comparisons and the profile for *where*.
 
-Where the time goes on the default trace (3000 requests, ~140k
+Where the time goes on this trace (3000 requests, ~140k
 admitted tasks, ~290k events; shares of one profiled run). Each
 request type's task tuple is costed once per engine (its admission
 plan, see ``docs/SCHEDULER.md``), so ``CoreModel.task_cycles`` and
@@ -55,35 +56,26 @@ import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-_SRC = str(REPO_ROOT / "src")
-if _SRC not in sys.path:
-    sys.path.insert(0, _SRC)
+for _path in (REPO_ROOT / "src", REPO_ROOT / "benchmarks" / "e2e"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
+
+from workloads import WORKLOADS  # noqa: E402  (path bootstrap must come first)
 
 
-def _build_run(requests: int, rate: float, seed: int):
-    from repro.serve import ClusterPolicy, ClusterSimulator, PoissonArrivals
-
-    sim = ClusterSimulator(
-        policy=ClusterPolicy(instances=1, key_upload_bytes=0)
-    )
-    arrivals = PoissonArrivals(rate=rate, count=requests, seed=seed)
+def _build_run(seed: int):
+    workload = WORKLOADS["serve-overload"]
+    state = workload.setup(seed, False)
 
     def run():
-        return sim.run("keyswitch,streaming", arrivals, seed=seed)
+        result, _ = workload.run(state, time.perf_counter)
+        return result
 
     return run
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--requests", type=int, default=3000,
-        help="arrival count for the serve trace (default: 3000)",
-    )
-    parser.add_argument(
-        "--rate", type=float, default=8000.0,
-        help="Poisson arrival rate per simulated second (default: 8000)",
-    )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--sort", choices=("cumulative", "tottime"), default="tottime",
@@ -103,7 +95,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    run = _build_run(args.requests, args.rate, args.seed)
+    run = _build_run(args.seed)
 
     if args.raw:
         t0 = time.perf_counter()

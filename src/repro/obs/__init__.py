@@ -1,6 +1,6 @@
-"""Observability: metrics, trace export, and regression comparison.
+"""Observability: metrics and trace export.
 
-The subsystem has three parts, none of which cost anything when unused:
+The subsystem has two parts, neither of which costs anything when unused:
 
 - :mod:`repro.obs.metrics` — a process-wide :class:`MetricsRegistry`
   (counters, gauges, histograms). Disabled by default; instrumented
@@ -10,9 +10,6 @@ The subsystem has three parts, none of which cost anything when unused:
 - :mod:`repro.obs.trace_export` — converts a simulated run's per-task
   spans into Chrome-trace/Perfetto JSON (one track per operator core
   plus an HBM track) and the flat metrics snapshot into JSON.
-- :mod:`repro.obs.regression` — the baseline schema and comparator
-  behind ``benchmarks/regress.py``: fails a run whose simulated time
-  regresses more than a threshold against a checked-in baseline.
 
 Nothing here imports the simulator at module scope, so the sim/ckks/ntt
 layers can import ``repro.obs.metrics`` without cycles.
@@ -27,13 +24,6 @@ from repro.obs.metrics import (
     collecting,
     disable,
     enable,
-)
-from repro.obs.regression import (
-    Regression,
-    compare_baselines,
-    load_baseline,
-    make_baseline,
-    save_baseline,
 )
 from repro.obs.trace_export import (
     chrome_trace,
@@ -50,19 +40,14 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "Regression",
     "active",
     "chrome_trace",
     "chrome_trace_events",
     "cluster_chrome_trace",
     "cluster_trace_events",
     "collecting",
-    "compare_baselines",
     "disable",
     "enable",
-    "load_baseline",
-    "make_baseline",
-    "save_baseline",
     "write_chrome_trace",
     "write_cluster_trace",
     "write_metrics_json",

@@ -20,8 +20,9 @@ All comparisons use a tolerance relative to the makespan, since the
 schedule's floats are sums of ~1e-3 s spans. Violations raise
 :class:`~repro.errors.SimulationError` with the offending task index.
 
-Used by the scheduler tests, by ``benchmarks/regress.py`` (every bench
-run self-checks), and behind the CLI's ``--validate`` flag.
+Used by the scheduler tests, by the simulated measurements of
+``benchmarks/baseline.py`` (so every exact baseline pin self-checks),
+and behind the CLI's ``--validate`` flag.
 """
 
 from __future__ import annotations

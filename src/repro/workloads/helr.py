@@ -108,8 +108,18 @@ def helr_functional(
         out[:features] = vec
         return out
 
+    params = evaluator.params
+
+    def factor(vec, ct):
+        # Encoded at the scale of the prime the following rescale drops,
+        # so the product comes back to the ciphertext's own scale.
+        return encoder.encode(
+            pad(vec),
+            scale=params.chain_moduli[ct.level],
+            context=params.context_at_level(ct.level),
+        )
+
     weights_ct = encryptor.encrypt(encoder.encode(pad(np.zeros(features))))
-    data_pts = [encoder.encode(pad(row)) for row in data]
 
     width = 1 << max(1, int(math.ceil(math.log2(max(2, features)))))
     for _ in range(iterations):
@@ -118,24 +128,23 @@ def helr_functional(
             # margin_i = <x_i, w>, replicated into all slots via
             # rotate-accumulate over the (padded) feature width.
             prod = evaluator.rescale(
-                evaluator.multiply_plain(weights_ct, data_pts[i])
+                evaluator.multiply_plain(weights_ct, factor(data[i], weights_ct))
             )
             margin = evaluator.rotate_sum(prod, width)
             # sigmoid'(margin)-driven residual, linearized: the HELR
             # update uses c1 * y_i - poly(margin); keep degree 1 here
             # to fit toy chains, matching HELR's first-order variant.
-            residual = evaluator.multiply_scalar(
-                margin, -learning_rate * 0.15
-            )
-            residual = evaluator.rescale(residual)
-            # gradient contribution: residual * x_i + lr * y_i * x_i
+            # Gradient contribution: residual * x_i + lr * y_i * x_i,
+            # with the residual's -lr * 0.15 folded into the x_i factor.
             contrib = evaluator.rescale(
-                evaluator.multiply_plain(residual, data_pts[i])
+                evaluator.multiply_plain(
+                    margin, factor(-learning_rate * 0.15 * data[i], margin)
+                )
             )
             lr_term = encoder.encode(
                 pad(learning_rate * 0.5 * labels[i] * data[i]),
                 scale=contrib.scale,
-                context=evaluator.params.context_at_level(contrib.level),
+                context=params.context_at_level(contrib.level),
             )
             contrib = evaluator.add_plain(contrib, lr_term)
             grad_ct = contrib if grad_ct is None else evaluator.add(

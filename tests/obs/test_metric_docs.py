@@ -11,8 +11,15 @@ The functional plane gets the same check on each kernel backend:
 kernel op must emit exactly the documented ``ntt.*``, ``kernels.*``,
 ``ckks.*`` and ``rns.*`` names (``kernels.<backend>.*``,
 ``ckks.op.<Op>``), brace groups in the doc expanded.
+
+So does the performance plane: compiling annotated request mixes with
+every pass, removing a dead chain, and simulating on the default and on
+a spilling scratchpad must emit exactly the documented ``sim.*`` and
+``compiler.*`` names (``sim.core.<CORE>.*``, ``sim.op.<label>.tasks``,
+``compiler.passes.<pass>.runs``).
 """
 
+import dataclasses
 import re
 from pathlib import Path
 
@@ -20,6 +27,10 @@ import numpy as np
 import pytest
 
 from repro import kernels
+from repro.compiler import compile_trace
+from repro.compiler.decompose import clear_lowering_cache
+from repro.compiler.ops import FheOp, FheOpName
+from repro.compiler.passes import ProgramDraft, apply_pipeline
 from repro.obs import collecting
 from repro.serve import (
     AutoscalerPolicy,
@@ -33,6 +44,10 @@ from repro.serve import (
     RetryPolicy,
     TenantPopulation,
 )
+from repro.serve.requests import _keyswitch_ops, _rotations_ops
+from repro.sim.config import HardwareConfig
+from repro.sim.engine import PoseidonSimulator
+from repro.sim.tasks import OperatorKind, OperatorTask
 
 DOC = Path(__file__).resolve().parents[2] / "docs" / "OBSERVABILITY.md"
 
@@ -53,7 +68,7 @@ def documented(*prefixes: str) -> set[str]:
     names = set()
     for prefix in prefixes:
         for name in re.findall(
-            "`(" + re.escape(prefix) + r"[A-Za-z0-9_.<>{},]+)`", text
+            "`(" + re.escape(prefix) + r"[A-Za-z0-9_.<>{},-]+)`", text
         ):
             names |= _expand(name)
     return names
@@ -175,3 +190,54 @@ def test_every_documented_functional_metric_is_emitted(functional_emitted):
     backend, emitted = functional_emitted
     missing = documented(*FUNCTIONAL) - emitted
     assert missing == (set() if backend == "reference" else REFERENCE_ONLY)
+
+
+PERFORMANCE = ("sim.", "compiler.")
+
+
+def _dead_chain_draft() -> ProgramDraft:
+    """One op whose first two tasks feed nothing and write nothing."""
+    n = 1 << 10
+
+    def task(deps=(), write=0):
+        return OperatorTask(
+            kind=OperatorKind.MA, elements=n, degree=n, limbs=1,
+            hbm_write_bytes=write, depends_on=deps, op_label="HAdd",
+        )
+
+    return ProgramDraft(
+        ops=[FheOp.make(FheOpName.HADD, n, 2)],
+        task_lists=[[task(), task(deps=(0,)), task(write=8)]],
+        op_deps=[set()],
+    )
+
+
+@pytest.fixture(scope="module")
+def performance_emitted() -> set[str]:
+    # Passes publish only non-zero stats: the rotation burst is hoisted
+    # and relaxed, the keyswitch mix fused, and only a dead chain gives
+    # dce work. A cold lowering cache misses before it hits, and a
+    # 64 KiB scratchpad spills every working set.
+    clear_lowering_cache()
+    spilling = dataclasses.replace(HardwareConfig(), scratchpad_bytes=1 << 16)
+    with collecting() as reg:
+        program = compile_trace(_rotations_ops(), passes="default")
+        compile_trace(_keyswitch_ops(), passes="default")
+        apply_pipeline(_dead_chain_draft(), ("dce",))
+        PoseidonSimulator().run(program)
+        PoseidonSimulator(spilling).run(program)
+    names = set()
+    for name in reg.snapshot():
+        if not name.startswith(PERFORMANCE):
+            continue
+        name = re.sub(r"^sim\.core\.[^.]+\.", "sim.core.<CORE>.", name)
+        name = re.sub(r"^sim\.op\..+\.tasks$", "sim.op.<label>.tasks", name)
+        names.add(re.sub(
+            r"^compiler\.passes\.[^.]+\.runs$",
+            "compiler.passes.<pass>.runs", name,
+        ))
+    return names
+
+
+def test_performance_metrics_match_docs(performance_emitted):
+    assert performance_emitted == documented(*PERFORMANCE)

@@ -1,77 +1,38 @@
-"""Differential suite: the default NTT core variant reproduces every
-checked-in ``benchmarks/baseline.json`` simulated time byte-for-byte.
+"""Exact pin: the live model reproduces every ``benchmarks/baseline.json``
+simulated time byte-for-byte.
 
-The NTT core registry refactor (``repro.sim.ntt_cores``) moved the
-paper's fused radix-2^k formula out of ``CoreModel.ntt_cycles``; this
-suite proves the move did not perturb a single bit of any baseline
-measurement — no re-base was needed or performed. Each parametrized
-case re-runs one baseline workload through the live model stack and
-asserts *exact float equality* against the stored value.
-
-Wall-clock-only entries (``microntt/*``: simulated_seconds == 0.0)
-are excluded — they measure kernel backends, not the cycle model.
+Each parametrized case re-runs one pinned workload through the live
+model stack with its measurement from ``benchmarks/baseline.py`` (the
+Table VI, serving and fleet measurements validate their schedules) and
+asserts *exact float equality* against the stored value. An intended
+model change re-pins with ``python benchmarks/baseline.py`` and shows
+the movement in ``git diff benchmarks/baseline.json``.
 """
 
-import json
 import sys
 from pathlib import Path
 
 import pytest
 
-REPO_ROOT = Path(__file__).resolve().parent.parent.parent
-BENCHMARKS = REPO_ROOT / "benchmarks"
+BENCHMARKS = Path(__file__).resolve().parent.parent.parent / "benchmarks"
 if str(BENCHMARKS) not in sys.path:
     sys.path.insert(0, str(BENCHMARKS))
 
-import regress  # noqa: E402  (path bootstrap must come first)
+import baseline  # noqa: E402  (path bootstrap must come first)
 
-BASELINE = json.loads(
-    (BENCHMARKS / "baseline.json").read_text()
-)["workloads"]
-
-#: Baseline entries with a real simulated time (the cycle-model ones).
-CASES = sorted(
-    name for name, entry in BASELINE.items()
-    if entry["simulated_seconds"] > 0.0
-)
-
-
-def _measure(name: str) -> float:
-    family, _, spec = name.partition("/")
-    if family == "table4":
-        return regress._table4_seconds(spec)
-    if family == "table6":
-        return regress._table6_seconds(spec)
-    if family == "table6-passes":
-        return regress._table6_seconds(spec, passes="default")
-    if family == "fig10":
-        return regress._fig10_seconds(int(spec.removeprefix("k=")))
-    if family == "serve":
-        if spec.startswith("saturation-"):
-            return regress._serve_saturation_spr(
-                spec.removeprefix("saturation-")
-            )
-        return regress._serve_makespan_seconds(spec)
-    if family == "cluster":
-        return regress._cluster_makespan_seconds(spec)
-    raise AssertionError(f"no measurement thunk for baseline {name!r}")
+PINNED = baseline.load()
 
 
 def test_covers_every_simulated_entry():
-    """Every non-wall-clock baseline family is measurable here."""
-    assert CASES, "baseline.json has no simulated entries"
-    families = {name.partition("/")[0] for name in CASES}
-    assert families <= {
-        "table4", "table6", "table6-passes", "fig10", "serve",
-        "cluster",
-    }
+    """The file pins exactly the workloads baseline.py measures."""
+    assert sorted(PINNED) == sorted(baseline.MEASUREMENTS)
 
 
-@pytest.mark.parametrize("name", CASES)
+@pytest.mark.parametrize("name", sorted(PINNED))
 def test_default_variant_reproduces_baseline(name):
-    got = _measure(name)
-    want = BASELINE[name]["simulated_seconds"]
+    got = baseline.MEASUREMENTS[name]()
+    want = PINNED[name]
     assert got == want, (
-        f"{name}: default ntt_core drifted from baseline "
+        f"{name}: simulated time drifted from baseline "
         f"({got!r} != {want!r})"
     )

@@ -19,7 +19,7 @@ ALL_EXAMPLES = sorted(p.name for p in EXAMPLES_DIR.glob("*.py"))
 #: Examples cheap enough to execute end to end in the suite.
 RUNNABLE = ["hfauto_walkthrough.py", "private_statistics.py",
             "batch_serving.py", "open_system_serving.py",
-            "fleet_serving.py"]
+            "fleet_serving.py", "encrypted_logistic_regression.py"]
 
 
 def load_example(name: str):
