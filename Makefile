@@ -4,7 +4,7 @@ PYTHON ?= python
 
 .PHONY: test test-reference properties golden coverage bench \
 	bench-e2e-smoke serve-sweep fleet-sweep faults passes-sweep \
-	ntt-cores lint examples tables profile quicktest all
+	ntt-cores reach lint examples tables profile quicktest all
 
 test:
 	$(PYTHON) -m pytest tests/
@@ -78,8 +78,16 @@ passes-sweep:
 ntt-cores:
 	$(PYTHON) benchmarks/bench_ntt_cores.py
 
+# Reachability sweep: every kept surface (CLI, examples, bench smokes,
+# baseline measurements, e2e workloads, bench suite), then tier-1, each
+# in a fresh process under sys.setprofile; prints per module the src/
+# functions only tests reach and those nothing reaches (~13 min).
+reach:
+	$(PYTHON) benchmarks/reachability.py
+
 examples:
 	$(PYTHON) examples/quickstart.py
+	$(PYTHON) examples/bootstrap_demo.py
 	$(PYTHON) examples/private_statistics.py
 	$(PYTHON) examples/encrypted_convolution.py
 	$(PYTHON) examples/encrypted_logistic_regression.py

@@ -5,7 +5,6 @@ i.e. keyswitch under the hood) occupy the largest proportion of every
 benchmark's execution time.
 """
 
-from repro.sim.stats import benchmark_op_shares
 from repro.workloads import PAPER_BENCHMARKS
 
 from _shared import benchmark_result, print_banner
@@ -13,7 +12,7 @@ from _shared import benchmark_result, print_banner
 
 def collect():
     return {
-        name: benchmark_op_shares(benchmark_result(name))
+        name: benchmark_result(name).op_share()
         for name in PAPER_BENCHMARKS
     }
 

@@ -101,12 +101,6 @@ def eval_permutation(n: int, k: int) -> np.ndarray:
     return (odd - 1) // 2
 
 
-def apply_automorphism_eval_row(row: np.ndarray, k: int) -> np.ndarray:
-    """Apply ``sigma_k`` to one NTT-domain (point-value) residue row."""
-    row = np.asarray(row)
-    return row[eval_permutation(row.shape[0], k)]
-
-
 def apply_automorphism_eval(poly: RnsPolynomial, k: int) -> RnsPolynomial:
     """Apply ``sigma_k`` to an NTT-domain polynomial (all limbs)."""
     if poly.domain is not Domain.NTT:

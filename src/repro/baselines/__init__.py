@@ -15,12 +15,10 @@ from repro.baselines.asics import ASIC_BENCHMARK_MS, AsicModel
 from repro.baselines.cpu import CpuModel
 from repro.baselines.gpu import GPU_BASIC_OPS, GPU_BENCHMARK_MS
 from repro.baselines.heax import HEAX_BASIC_OPS, HEAX_RESOURCES
-from repro.baselines.registry import BaselineRegistry
 
 __all__ = [
     "ASIC_BENCHMARK_MS",
     "AsicModel",
-    "BaselineRegistry",
     "CpuModel",
     "GPU_BASIC_OPS",
     "GPU_BENCHMARK_MS",

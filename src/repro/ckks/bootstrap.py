@@ -39,6 +39,7 @@ from repro.ckks.encoder import CkksEncoder
 from repro.ckks.evaluator import CkksEvaluator
 from repro.ckks.linear import LinearTransform
 from repro.ckks.params import CkksParameters
+from repro.ckks.polyeval import evaluate_horner, multiply_const
 from repro.rns.poly import RnsPolynomial
 
 
@@ -56,6 +57,12 @@ class BootstrapConfig:
     taylor_degree: int = 7
     double_angles: int = 4
     message_bound: float = 0.05
+
+    def __post_init__(self):
+        if self.taylor_degree < 1:
+            raise BootstrapError(
+                f"taylor_degree must be >= 1, got {self.taylor_degree}"
+            )
 
     @property
     def depth(self) -> int:
@@ -167,14 +174,13 @@ class Bootstrapper:
             (1j * tau) ** j / math.factorial(j)
             for j in range(cfg.taylor_degree + 1)
         ]
-        w = self._horner(ct, coeffs)
+        w = evaluate_horner(ev, self.encoder, ct, coeffs)
         # Double-angle: square r times to recover exp(i * 2*pi * t).
         for _ in range(cfg.double_angles):
             w = ev.rescale(ev.square(w))
         # Imaginary part: sin = (w - conj(w)) / 2i; divide by 2*pi.
         diff = ev.sub(w, ev.conjugate(w))
-        scaled = self._multiply_const(diff, -0.25j / math.pi)
-        return scaled
+        return multiply_const(ev, self.encoder, diff, -0.25j / math.pi)
 
     def slot_to_coeff(self, u: Ciphertext, v: Ciphertext) -> Ciphertext:
         """Inverse of :meth:`coeff_to_slot`; consumes one level."""
@@ -197,41 +203,3 @@ class Bootstrapper:
         # The pipeline's scalars were exact, so the scale tracked on the
         # ciphertext is the true decode scale already.
         return refreshed
-
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-    def _multiply_const(self, ct: Ciphertext, value: complex) -> Ciphertext:
-        """Multiply by a constant encoded at the ciphertext's own scale."""
-        ev, enc = self.evaluator, self.encoder
-        pt = enc.encode_scalar(
-            value,
-            context=self.params.context_at_level(ct.level),
-        )
-        return ev.rescale(ev.multiply_plain(ct, pt))
-
-    def _add_const(self, ct: Ciphertext, value: complex) -> Ciphertext:
-        """Add a constant encoded at the ciphertext's exact scale."""
-        ev, enc = self.evaluator, self.encoder
-        pt = enc.encode_scalar(
-            value,
-            scale=ct.scale,
-            context=self.params.context_at_level(ct.level),
-        )
-        return ev.add_plain(ct, pt)
-
-    def _horner(self, ct: Ciphertext, coeffs: list[complex]) -> Ciphertext:
-        """Evaluate ``sum_j coeffs[j] * ct^j`` by Horner's rule.
-
-        Consumes ``len(coeffs) - 1`` levels.
-        """
-        ev = self.evaluator
-        if len(coeffs) < 2:
-            raise BootstrapError("Horner needs a degree >= 1 polynomial")
-        acc = self._multiply_const(ct, coeffs[-1])
-        acc = self._add_const(acc, coeffs[-2])
-        for j in range(len(coeffs) - 3, -1, -1):
-            aligned = ev.drop_to_level(ct, acc.level) if ct.level > acc.level else ct
-            acc = ev.rescale(ev.multiply(acc, aligned))
-            acc = self._add_const(acc, coeffs[j])
-        return acc

@@ -74,10 +74,6 @@ class Ciphertext:
         """Copy with replaced parts (same scale/level)."""
         return replace(self, parts=tuple(parts))
 
-    def with_scale(self, scale: float) -> "Ciphertext":
-        """Copy with replaced scale."""
-        return replace(self, scale=scale)
-
     def __repr__(self) -> str:
         return (
             f"Ciphertext(parts={len(self.parts)}, N={self.degree}, "

@@ -118,7 +118,3 @@ class CkksEncoder:
             scale=scale,
             context=context,
         )
-
-    def decode_real(self, plaintext: Plaintext, *, slots: int | None = None) -> np.ndarray:
-        """Decode and take real parts (for real-valued pipelines)."""
-        return self.decode(plaintext, slots=slots).real

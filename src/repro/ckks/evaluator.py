@@ -313,16 +313,6 @@ class CkksEvaluator:
             level=ct.level,
         )
 
-    def multiply_scalar(self, ct: Ciphertext, value: complex) -> Ciphertext:
-        """Multiply by a constant by encoding it at the ciphertext level."""
-        from repro.ckks.encoder import CkksEncoder
-
-        encoder = CkksEncoder(self.params)
-        pt = encoder.encode_scalar(
-            value, context=self.params.context_at_level(ct.level)
-        )
-        return self.multiply_plain(ct, pt)
-
     # ------------------------------------------------------------------
     # Rotation / conjugation
     # ------------------------------------------------------------------
@@ -368,10 +358,12 @@ class CkksEvaluator:
         return self.rescale(self.multiply(a, b))
 
     def rotate_sum(self, ct: Ciphertext, width: int) -> Ciphertext:
-        """Sum the first ``width`` slots into every slot (log-depth).
+        """Window-sum ``width`` consecutive slots (log-depth).
 
-        ``width`` must be a power of two. A standard building block for
-        inner products in HELR/LSTM-style workloads.
+        Slot ``j`` receives ``ct[j] + ... + ct[j + width - 1]`` (indices
+        mod the slot count). That is the same sum in every slot only
+        when the input repeats with period ``width``, as HELR's tiled
+        layout does. ``width`` must be a power of two.
         """
         if width & (width - 1):
             raise EvaluationError(f"width must be a power of two, got {width}")

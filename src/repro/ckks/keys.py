@@ -18,10 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.automorphism.galois import (
-    conjugation_element,
-    galois_element_for_rotation,
-)
+from repro.automorphism.galois import galois_element_for_rotation
 from repro.ckks.params import ERROR_STD, CkksParameters
 from repro.ntt.negacyclic import ntt_negacyclic
 from repro.rns.context import RnsContext
@@ -240,10 +237,6 @@ class KeyChain:
         """Galois key for a rotation by ``steps`` slots (cached)."""
         galois = galois_element_for_rotation(self.params.degree, steps)
         return self.galois_key(galois)
-
-    def conjugation_key(self) -> SwitchKey:
-        """Galois key for slot conjugation."""
-        return self.galois_key(conjugation_element(self.params.degree))
 
     def galois_key(self, galois: int) -> SwitchKey:
         """Switch key for an arbitrary Galois element (cached)."""

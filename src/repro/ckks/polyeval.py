@@ -26,18 +26,20 @@ from repro.ckks.encoder import CkksEncoder
 from repro.ckks.evaluator import CkksEvaluator
 
 
-def _mul_const(
+def multiply_const(
     ev: CkksEvaluator, enc: CkksEncoder, ct: Ciphertext, value: complex
 ) -> Ciphertext:
+    """Multiply by a constant encoded at the default scale, then rescale."""
     pt = enc.encode_scalar(
         value, context=ev.params.context_at_level(ct.level)
     )
     return ev.rescale(ev.multiply_plain(ct, pt))
 
 
-def _add_const(
+def add_const(
     ev: CkksEvaluator, enc: CkksEncoder, ct: Ciphertext, value: complex
 ) -> Ciphertext:
+    """Add a constant encoded at the ciphertext's exact scale (0 is free)."""
     if value == 0:
         return ct
     pt = enc.encode_scalar(
@@ -102,8 +104,8 @@ def evaluate_horner(
     coeffs = [complex(c) for c in coefficients]
     if len(coeffs) < 2:
         raise EvaluationError("polynomial must have degree >= 1")
-    acc = _mul_const(evaluator, encoder, ct, coeffs[-1])
-    acc = _add_const(evaluator, encoder, acc, coeffs[-2])
+    acc = multiply_const(evaluator, encoder, ct, coeffs[-1])
+    acc = add_const(evaluator, encoder, acc, coeffs[-2])
     for j in range(len(coeffs) - 3, -1, -1):
         aligned = (
             evaluator.drop_to_level(ct, acc.level)
@@ -111,7 +113,7 @@ def evaluate_horner(
             else ct
         )
         acc = evaluator.rescale(evaluator.multiply(acc, aligned))
-        acc = _add_const(evaluator, encoder, acc, coeffs[j])
+        acc = add_const(evaluator, encoder, acc, coeffs[j])
     return acc
 
 
@@ -171,4 +173,4 @@ def evaluate_power_basis(
         acc = term if acc is None else evaluator.add(acc, term)
     if acc is None:
         raise EvaluationError("polynomial has no nonzero terms of degree>=1")
-    return _add_const(evaluator, encoder, acc, coeffs[0])
+    return add_const(evaluator, encoder, acc, coeffs[0])

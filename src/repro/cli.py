@@ -254,10 +254,10 @@ def _simulate_benchmark(args):
 def cmd_trace(args) -> None:
     """Export one benchmark run as Chrome-trace/Perfetto JSON."""
     from repro.obs import write_chrome_trace
-    from repro.sim.timeline import Timeline
+    from repro.sim.validate import validate_schedule
 
     name, result, _ = _simulate_benchmark(args)
-    Timeline(result).verify_no_overlap()
+    validate_schedule(result, config=_config_from_args(args))
     out = args.output or "trace.json"
     doc = write_chrome_trace(result, out, label=name)
     print(

@@ -71,10 +71,6 @@ class TraceRecorder:
         op = FheOp.make(name, degree, level, aux_limbs=aux, **meta)
         self.ops.extend([op] * count)
 
-    def extend(self, ops) -> None:
-        """Append a sequence of prebuilt ops."""
-        self.ops.extend(ops)
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Workload builders enforce level discipline as they emit, but traces
 also arrive from evaluator recordings, files, or user code. The
-validator re-derives the invariants so the simulator never consumes a
-physically impossible program:
+validator re-derives the invariants from a trace; nothing in the
+compile or simulate path calls it, so a caller that wants them checked
+runs :func:`validate_trace` itself:
 
 - levels are non-negative and within the declared chain;
 - degrees are consistent across the trace (one ring per program);

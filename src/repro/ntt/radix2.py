@@ -16,8 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import NTTError
-from repro.ntt.tables import TwiddleTable, get_twiddle_table
-from repro.utils.bitops import bit_reverse_permutation, ilog2
+from repro.ntt.tables import TwiddleTable
+from repro.utils.bitops import bit_reverse_permutation
 
 
 def _check_input(values: np.ndarray, table: TwiddleTable) -> np.ndarray:
@@ -93,54 +93,3 @@ def intt_radix2(values: np.ndarray, table: TwiddleTable) -> np.ndarray:
         m = h
     inv_n = np.uint64(table.inv_n)
     return (a * inv_n) % q
-
-
-def ntt_radix2_cyclic(values: np.ndarray, q: int, omega: int) -> np.ndarray:
-    """Plain cyclic radix-2 NTT with explicit root (for Table III demos).
-
-    Natural-order input, uses an on-the-fly omega power table. Slower
-    than :func:`ntt_radix2`; exists for pedagogy and the access-pattern
-    experiments where the cyclic transform is the textbook object.
-    """
-    a = np.asarray(values, dtype=np.uint64).copy()
-    n = a.shape[0]
-    ilog2(n)  # validates n is a power of two
-    if pow(omega, n, q) != 1 or pow(omega, n // 2, q) == 1:
-        raise NTTError(f"omega={omega} is not a primitive {n}-th root mod {q}")
-    # Bit-reverse input for in-place DIT.
-    a = a[bit_reverse_permutation(n)]
-    q64 = np.uint64(q)
-    length = 2
-    while length <= n:
-        w_len = pow(omega, n // length, q)
-        half = length // 2
-        w_powers = np.empty(half, dtype=np.uint64)
-        acc = 1
-        for i in range(half):
-            w_powers[i] = acc
-            acc = acc * w_len % q
-        for start in range(0, n, length):
-            lo = a[start:start + half]
-            hi = (a[start + half:start + length] * w_powers) % q64
-            a[start:start + half] = (lo + hi) % q64
-            a[start + half:start + length] = (lo + q64 - hi) % q64
-        length <<= 1
-    return a
-
-
-def ntt_poly(data: np.ndarray, moduli, degree: int) -> np.ndarray:
-    """Forward-transform every limb row of an (L, N) residue matrix."""
-    rows = [
-        ntt_radix2(data[i], get_twiddle_table(q, degree))
-        for i, q in enumerate(moduli)
-    ]
-    return np.stack(rows)
-
-
-def intt_poly(data: np.ndarray, moduli, degree: int) -> np.ndarray:
-    """Inverse-transform every limb row of an (L, N) residue matrix."""
-    rows = [
-        intt_radix2(data[i], get_twiddle_table(q, degree))
-        for i, q in enumerate(moduli)
-    ]
-    return np.stack(rows)

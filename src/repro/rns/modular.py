@@ -78,11 +78,6 @@ def mod_scalar_mul(a, scalar: int, q: int) -> np.ndarray:
     return mod_mul(a, np.uint64(scalar % q), q)
 
 
-def mod_pow(base: int, exponent: int, q: int) -> int:
-    """Scalar modular exponentiation (delegates to Python's pow)."""
-    return pow(base, exponent, q)
-
-
 def mod_inverse(a: int, q: int) -> int:
     """Modular inverse of ``a`` modulo ``q``.
 
@@ -93,12 +88,3 @@ def mod_inverse(a: int, q: int) -> int:
         return pow(int(a), -1, int(q))
     except ValueError as exc:
         raise RNSError(f"{a} has no inverse modulo {q}") from exc
-
-
-def mod_dot(a, b, q: int) -> int:
-    """``sum(a[i] * b[i]) mod q`` accumulated without overflow."""
-    a = _as_u64(a)
-    b = _as_u64(b)
-    prods = (a * b) % np.uint64(q)
-    # Accumulate in Python ints to avoid uint64 overflow on long sums.
-    return int(np.sum(prods.astype(object))) % int(q)

@@ -192,10 +192,6 @@ class RnsPolynomial:
             self.data[:-1].copy(), self.context.drop_last(), self.domain
         )
 
-    def limb(self, index: int) -> np.ndarray:
-        """The residue vector of limb ``index`` (view, do not mutate)."""
-        return self.data[index]
-
     def with_domain(self, domain: Domain) -> "RnsPolynomial":
         """Retag the domain without touching data (transform code only)."""
         return RnsPolynomial(self.data, self.context, domain)

@@ -178,13 +178,6 @@ class ClusterPolicy:
             )
 
     @property
-    def max_instances(self) -> int:
-        """Largest instance count this policy can reach."""
-        if self.autoscaler is None:
-            return self.instances
-        return self.autoscaler.max_instances
-
-    @property
     def upload_bytes(self) -> int:
         """Effective key-set upload size (default: mix-shape keys)."""
         if self.key_upload_bytes is not None:
@@ -316,10 +309,6 @@ class InstanceReport:
     upload_bytes: int
     epoch: int = 0
     crashed_seconds: float | None = None
-
-    @property
-    def makespan_seconds(self) -> float:
-        return self.sim.total_seconds
 
 
 class ClusterResult:

@@ -104,11 +104,6 @@ class HardwareConfig:
         """HBM bytes deliverable per core cycle."""
         return self.hbm_bandwidth / self.frequency_hz
 
-    @property
-    def scratchpad_bytes_per_cycle(self) -> float:
-        """Scratchpad bytes deliverable per core cycle."""
-        return self.scratchpad_bandwidth / self.frequency_hz
-
     def with_lanes(self, lanes: int) -> "HardwareConfig":
         """Copy with a different lane count (Fig. 11 sweeps).
 

@@ -147,16 +147,6 @@ class SimulationResult:
         """Achieved bandwidth as a fraction of the configured peak."""
         return self.achieved_bandwidth() / config.hbm_bandwidth
 
-    def core_share(self) -> dict[str, float]:
-        """Normalized busy-time share per core (Fig. 9-style)."""
-        total = sum(self.core_busy_seconds.values())
-        if total <= 0:
-            return {name: 0.0 for name in self.core_busy_seconds}
-        return {
-            name: busy / total
-            for name, busy in self.core_busy_seconds.items()
-        }
-
     def op_share(self) -> dict[str, float]:
         """Normalized time share per basic operation (Fig. 8-style)."""
         total = sum(self.op_seconds.values())
@@ -872,11 +862,6 @@ class ScheduleEngine:
         """Current engine time (latest processed event or advance)."""
         return self._now
 
-    @property
-    def pending(self) -> int:
-        """Admitted tasks whose end is not yet committed."""
-        return len(self._tasks) - self._finished
-
     # -- results -------------------------------------------------------
     def as_program(self, source_ops=()) -> "OperatorProgram":
         """The merged tasks of every submission, as one compiled program.
@@ -1076,10 +1061,9 @@ def in_order_makespan(
     This is the pre-event-driven engine, kept verbatim as a comparison
     oracle: it reserves the (single, fully serialized) HBM channel and
     each core array in *submission* order, so a ready later task can
-    sit blocked behind a stalled earlier one. Tests and benchmarks use
-    it to demonstrate that the out-of-order scheduler removes that
-    head-of-line blocking (its makespan should not exceed this one on
-    the paper workloads).
+    sit blocked behind a stalled earlier one. Tests use it to show that
+    the out-of-order scheduler removes that head-of-line blocking (its
+    makespan should not exceed this one on the paper workloads).
     """
     config = config or HardwareConfig()
     cores = CoreModel(config)

@@ -21,7 +21,6 @@ from repro.sim.ntt_cores import (
     NTT_BASE,
     NTT_SHAPE,
     get_ntt_core,
-    ntt_shape_factor,
 )
 
 #: Unit costs of one 32-bit datapath element on UltraScale+ fabric.
@@ -111,9 +110,6 @@ class ResourceModel:
     #: backwards compatibility.
     NTT_SHAPE = NTT_SHAPE
     NTT_BASE = NTT_BASE
-
-    def _ntt_shape(self, k: int) -> float:
-        return ntt_shape_factor(k)
 
     def ntt_core(self) -> ResourceVector:
         """NTT array resources of the configured core variant.

@@ -1,65 +1,19 @@
-"""Post-simulation analysis: bandwidth utilization and time breakdowns.
+"""Post-simulation analysis: operator-core time breakdowns.
 
 These helpers turn :class:`~repro.sim.engine.SimulationResult` objects
-into the aggregates the paper reports:
+into the operator-core aggregates the paper reports:
 
-- Table VII: per-operation and per-benchmark HBM bandwidth utilization;
 - Fig. 7: operator-core time share per basic operation;
-- Fig. 8: basic-operation time share per benchmark;
 - Fig. 9: key-operator time share per benchmark.
+
+Table VII's bandwidth utilization and Fig. 8's basic-operation shares
+are read off the result itself (``bandwidth_utilization``,
+``op_share()``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.compiler.ops import FheOp
-from repro.sim.config import HardwareConfig
-from repro.sim.engine import PoseidonSimulator, SimulationResult
-
-
-@dataclass(frozen=True)
-class BandwidthReport:
-    """Bandwidth utilization of one operation or benchmark.
-
-    ``utilization`` is occupancy (fraction of the run during which the
-    HBM streamed); ``delivered_fraction`` is achieved average bytes/s
-    over the configured peak — the two differ when transfers engage
-    only a subset of the pseudo-channels.
-    """
-
-    name: str
-    utilization: float          # fraction of runtime the HBM streamed
-    achieved_bytes_per_s: float
-    delivered_fraction: float   # achieved / configured peak bandwidth
-    total_bytes: int
-    seconds: float
-
-    @property
-    def utilization_percent(self) -> float:
-        return 100.0 * self.utilization
-
-
-def bandwidth_report(
-    name: str, result: SimulationResult, config: HardwareConfig
-) -> BandwidthReport:
-    """Summarize HBM usage of one simulated run."""
-    return BandwidthReport(
-        name=name,
-        utilization=result.bandwidth_utilization,
-        achieved_bytes_per_s=result.achieved_bandwidth(),
-        delivered_fraction=result.delivered_bandwidth_fraction(config),
-        total_bytes=result.hbm_bytes,
-        seconds=result.total_seconds,
-    )
-
-
-def operation_bandwidth(
-    op: FheOp, simulator: PoseidonSimulator
-) -> BandwidthReport:
-    """Table VII row: bandwidth utilization of one basic operation."""
-    result = simulator.run_ops([op])
-    return bandwidth_report(op.name.value, result, simulator.config)
+from repro.sim.engine import SimulationResult
 
 
 def operator_core_shares(result: SimulationResult) -> dict[str, dict[str, float]]:
@@ -75,11 +29,6 @@ def operator_core_shares(result: SimulationResult) -> dict[str, dict[str, float]
             continue
         out[label] = {core: t / total for core, t in cores.items()}
     return out
-
-
-def benchmark_op_shares(result: SimulationResult) -> dict[str, float]:
-    """Fig. 8: share of total busy time per basic operation."""
-    return result.op_share()
 
 
 def benchmark_operator_shares(result: SimulationResult) -> dict[str, float]:

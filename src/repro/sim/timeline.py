@@ -3,9 +3,9 @@
 Turns the per-task records of a :class:`~repro.sim.engine.
 SimulationResult` into per-core occupancy intervals, idle-gap
 statistics and a coarse text rendering. Used to debug operator-reuse
-behaviour (is the NTT array actually saturated during keyswitch?) and
-by tests asserting the scheduler's invariants (no overlap on any core
-instance).
+behaviour (is the NTT array actually saturated during keyswitch?).
+The scheduler's invariants, no overlap on any core instance among
+them, are checked by :func:`repro.sim.validate.validate_schedule`.
 
 Occupancy vs. compute: an interval spans the whole time the core
 instance was *held* (including the stall tail waiting on the task's
@@ -82,33 +82,6 @@ class Timeline:
             intervals.sort(key=lambda iv: (iv.start, iv.instance))
 
     # ------------------------------------------------------------------
-    def verify_no_overlap(self) -> None:
-        """Assert the scheduler never double-booked a core instance.
-
-        Intervals are grouped per ``(core, instance)`` — replicated
-        arrays legitimately run concurrent tasks on different
-        instances. The overlap tolerance is relative to the makespan
-        (spans are ~1e-3 s, so a fixed 1e-15 would be far below the
-        float resolution of the arithmetic that produced them).
-
-        Raises:
-            SimulationError: on any overlapping pair.
-        """
-        eps = max(1e-15, 1e-9 * self.result.total_seconds)
-        for core, intervals in self.intervals.items():
-            by_instance: dict[int, list[CoreInterval]] = {}
-            for iv in intervals:
-                by_instance.setdefault(iv.instance, []).append(iv)
-            for instance, ivs in by_instance.items():
-                ivs.sort(key=lambda iv: iv.start)
-                for prev, cur in zip(ivs, ivs[1:]):
-                    if cur.start < prev.end - eps:
-                        raise SimulationError(
-                            f"core {core}#{instance} double-booked: "
-                            f"[{prev.start:.3e}, {prev.end:.3e}] overlaps "
-                            f"[{cur.start:.3e}, {cur.end:.3e}]"
-                        )
-
     def utilization(self, core: str) -> float:
         """Occupancy fraction of one core array over the makespan.
 

@@ -1,7 +1,6 @@
-"""Shared low-level utilities: bit manipulation, prime generation, checks."""
+"""Shared low-level utilities: bit manipulation and prime generation."""
 
 from repro.utils.bitops import (
-    bit_length,
     bit_reverse,
     bit_reverse_permutation,
     ilog2,
@@ -13,11 +12,9 @@ from repro.utils.primes import (
     find_primitive_root,
     is_prime,
     minimal_primitive_root,
-    nth_root_of_unity,
 )
 
 __all__ = [
-    "bit_length",
     "bit_reverse",
     "bit_reverse_permutation",
     "ilog2",
@@ -27,5 +24,4 @@ __all__ = [
     "find_primitive_root",
     "is_prime",
     "minimal_primitive_root",
-    "nth_root_of_unity",
 ]

@@ -35,13 +35,6 @@ def next_power_of_two(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
-def bit_length(n: int) -> int:
-    """Bit length of a non-negative integer (0 has bit length 0)."""
-    if n < 0:
-        raise ValueError(f"expected n >= 0, got {n}")
-    return n.bit_length()
-
-
 def bit_reverse(value: int, width: int) -> int:
     """Reverse the lowest ``width`` bits of ``value``.
 

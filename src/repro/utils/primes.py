@@ -162,11 +162,6 @@ def find_primitive_root(q: int, order: int) -> int:
     return root
 
 
-def nth_root_of_unity(q: int, n: int) -> int:
-    """Primitive ``n``-th root of unity modulo prime ``q`` (n | q-1)."""
-    return find_primitive_root(q, n)
-
-
 def find_ntt_primes(
     bit_size: int,
     count: int,
@@ -212,21 +207,3 @@ def find_ntt_primes(
         f"only found {len(primes)}/{count} NTT primes of {bit_size} bits "
         f"for n={n}"
     )
-
-
-def default_modulus_chain(n: int, length: int, *, bit_size: int = 30) -> list[int]:
-    """Convenience: the default RNS modulus chain for degree ``n``.
-
-    Returns ``length`` distinct NTT-friendly primes of ``bit_size`` bits,
-    largest first (chain head is consumed last by rescaling).
-    """
-    return find_ntt_primes(bit_size, length, n)
-
-
-def special_primes(n: int, count: int, *, bit_size: int = 31) -> list[int]:
-    """Auxiliary ('special') primes for the hybrid keyswitch base P.
-
-    Drawn from a disjoint bit range (default 31-bit) so they never
-    collide with the ciphertext chain primes.
-    """
-    return find_ntt_primes(bit_size, count, n)

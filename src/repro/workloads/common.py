@@ -187,11 +187,6 @@ class WorkloadBuilder:
         self.hadd(max(0, giants - 1))
         self.rescale()
 
-    def polynomial_activation(self, multiply_depth: int) -> None:
-        """Odd-polynomial activation via ``multiply_depth`` CMults."""
-        self.cmult(multiply_depth)
-        self.hadd(multiply_depth, kind="ct-pt")
-
     def _eval_mod(self, taylor_degree: int, double_angles: int) -> None:
         """One EvalMod pass: Horner ladder + double-angle squarings."""
         self.pmult(1, rescale=True)          # Taylor argument scaling

@@ -73,11 +73,6 @@ def helr_trace(
 # ----------------------------------------------------------------------
 # Functional variant (toy scale)
 # ----------------------------------------------------------------------
-def sigmoid_poly(x: np.ndarray) -> np.ndarray:
-    """The degree-3 sigmoid approximation HELR uses (plaintext ref)."""
-    return 0.5 + 0.15 * x - 0.0015 * x**3
-
-
 def helr_functional(
     evaluator,
     encoder,
@@ -91,22 +86,25 @@ def helr_functional(
 ) -> np.ndarray:
     """Train a tiny encrypted logistic-regression model.
 
-    Data layout: one ciphertext per sample, features packed in slots
-    and replicated; the weight vector is a ciphertext updated in place.
+    Data layout: each plaintext is a feature vector zero-padded to a
+    power-of-two ``width`` and tiled across the slots, so the weights
+    stay periodic in ``width`` and ``rotate_sum`` leaves the full
+    margin ``<x_i, w>`` in every slot.
     Returns the decrypted weight vector after training.
 
     This is intentionally small-scale — it demonstrates the real
     encrypted pipeline; the simulator handles paper-scale sizing.
     """
+    from repro.ckks.packing import pad_vector, tile_vector
+
     samples, features = data.shape
     slots = encoder.slots
     if features > slots:
         raise ValueError(f"features {features} exceed slots {slots}")
+    width = 1 << max(1, int(math.ceil(math.log2(max(2, features)))))
 
     def pad(vec):
-        out = np.zeros(slots)
-        out[:features] = vec
-        return out
+        return tile_vector(pad_vector(vec, width), slots)
 
     params = evaluator.params
 
@@ -121,12 +119,11 @@ def helr_functional(
 
     weights_ct = encryptor.encrypt(encoder.encode(pad(np.zeros(features))))
 
-    width = 1 << max(1, int(math.ceil(math.log2(max(2, features)))))
     for _ in range(iterations):
         grad_ct = None
         for i in range(samples):
-            # margin_i = <x_i, w>, replicated into all slots via
-            # rotate-accumulate over the (padded) feature width.
+            # margin_i = <x_i, w> in every slot: rotate-accumulate over
+            # one period of the tiled layout.
             prod = evaluator.rescale(
                 evaluator.multiply_plain(weights_ct, factor(data[i], weights_ct))
             )

@@ -62,11 +62,6 @@ def lstm_trace(
 # ----------------------------------------------------------------------
 # Functional variant (toy scale)
 # ----------------------------------------------------------------------
-def cubic_activation(x: np.ndarray) -> np.ndarray:
-    """Plaintext reference of the cubic sigma approximation."""
-    return 0.5 + 0.25 * x - 0.02 * x**3
-
-
 def lstm_functional(
     evaluator,
     encoder,
@@ -87,6 +82,7 @@ def lstm_functional(
     Returns the decrypted final state.
     """
     from repro.ckks.linear import LinearTransform
+    from repro.ckks.polyeval import add_const, multiply_const
 
     steps = len(x_inputs) if steps is None else steps
     n = w0.shape[0]
@@ -101,21 +97,8 @@ def lstm_functional(
         wx = lt1.apply(evaluator.drop_to_level(wx_input, y_ct.level))
         pre = evaluator.add(wy, wx)
         # Linearized activation: 0.5 + 0.25 * pre.
-        scaled = evaluator.rescale(
-            evaluator.multiply_plain(
-                pre,
-                encoder.encode_scalar(
-                    0.25,
-                    context=evaluator.params.context_at_level(pre.level),
-                ),
-            )
-        )
-        half = encoder.encode_scalar(
-            0.5,
-            scale=scaled.scale,
-            context=evaluator.params.context_at_level(scaled.level),
-        )
-        y_ct = evaluator.add_plain(scaled, half)
+        scaled = multiply_const(evaluator, encoder, pre, 0.25)
+        y_ct = add_const(evaluator, encoder, scaled, 0.5)
     return encoder.decode(decryptor.decrypt(y_ct)).real[:n]
 
 

@@ -45,6 +45,10 @@ class TestConfig:
         assert cfg.depth == 12
         assert cfg.total_depth == 14
 
+    def test_zero_taylor_degree_rejected(self):
+        with pytest.raises(BootstrapError, match="taylor_degree"):
+            BootstrapConfig(taylor_degree=0)
+
     def test_insufficient_chain_rejected(self):
         cfg = BootstrapConfig()
         params = CkksParameters.default(degree=64, levels=3)

@@ -9,6 +9,7 @@ import pytest
 
 from repro.errors import EvaluationError
 from repro.ckks.evaluator import CkksEvaluator
+from repro.ckks.polyeval import multiply_const
 from tests.conftest import decrypt_real
 
 
@@ -61,7 +62,7 @@ class TestPMult:
 
     def test_scalar(self, evaluator, encoder, decryptor, cts, slot_vectors):
         x, _ = slot_vectors
-        ct = evaluator.rescale(evaluator.multiply_scalar(cts[0], 0.5))
+        ct = multiply_const(evaluator, encoder, cts[0], 0.5)
         out = decrypt_real(encoder, decryptor, ct)
         assert np.max(np.abs(out - 0.5 * x)) < 1e-2
 

@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import NTTError
-from repro.ntt.radix2 import (
-    intt_poly,
-    intt_radix2,
-    ntt_poly,
-    ntt_radix2,
-    ntt_radix2_cyclic,
-)
+from repro.ntt.radix2 import intt_radix2, ntt_radix2
 from repro.ntt.reference import intt_reference, ntt_reference
 from repro.ntt.tables import get_twiddle_table
 from repro.utils.primes import find_ntt_primes
@@ -122,19 +116,3 @@ class TestValidation:
     def test_wrong_length_rejected(self):
         with pytest.raises(NTTError):
             ntt_radix2(np.zeros(32, dtype=np.uint64), TABLE)
-
-    def test_cyclic_wrong_root_rejected(self):
-        with pytest.raises(NTTError):
-            ntt_radix2_cyclic(random_vec(11), Q, 2)
-
-
-class TestPolyHelpers:
-    def test_poly_roundtrip(self):
-        primes = find_ntt_primes(30, 3, N)
-        rng = np.random.default_rng(12)
-        data = np.stack(
-            [rng.integers(0, q, N, dtype=np.uint64) for q in primes]
-        )
-        f = ntt_poly(data, primes, N)
-        back = intt_poly(f, primes, N)
-        assert np.array_equal(back, data)

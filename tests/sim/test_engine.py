@@ -7,6 +7,7 @@ from repro.compiler.program import OperatorProgram, compile_trace
 from repro.errors import SchedulingError
 from repro.sim.config import HardwareConfig
 from repro.sim.engine import PoseidonSimulator, in_order_makespan
+from repro.sim.stats import benchmark_operator_shares
 from repro.sim.tasks import OperatorKind, OperatorTask
 
 N = 1 << 14
@@ -201,7 +202,9 @@ class TestStatistics:
         ops = [FheOp.make(FheOpName.CMULT, N, 8, aux_limbs=2)]
         result = sim.run(compile_trace(ops))
         assert sum(result.op_share().values()) == pytest.approx(1.0)
-        assert sum(result.core_share().values()) == pytest.approx(1.0)
+        assert sum(
+            benchmark_operator_shares(result).values()
+        ) == pytest.approx(1.0)
 
     def test_bandwidth_utilization_bounded(self):
         sim = PoseidonSimulator()

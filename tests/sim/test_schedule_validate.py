@@ -103,6 +103,29 @@ class TestOverlap:
             result, config=HardwareConfig().with_core_instances(MA=2)
         )
 
+    @pytest.mark.parametrize("first, second, makespan", [
+        ((0.0, 1.5), (1.0, 2.0), 2.0),
+        ((0.0, 1e-3), (0.5e-3, 2e-3), 2e-3),
+    ], ids=["seconds", "milliseconds"])
+    def test_overlap_rejected_at_any_scale(self, first, second, makespan):
+        result = fabricated([
+            record(start=first[0], end=first[1]),
+            record(start=second[0], end=second[1]),
+        ], makespan=makespan)
+        with pytest.raises(SimulationError, match="double-booked"):
+            validate_schedule(result)
+
+    def test_relative_epsilon_tolerates_float_noise(self):
+        """Spans are ~1e-3 s: an overlap far below 1e-9 x makespan is
+        rounding noise, not a double-booking (a fixed 1e-15 would
+        reject it)."""
+        noise = 1e-12 * 2e-3
+        result = fabricated([
+            record(start=0.0, end=1e-3),
+            record(start=1e-3 - noise, end=2e-3),
+        ], makespan=2e-3)
+        validate_schedule(result)
+
 
 class TestHbmBudget:
     def test_oversubscription_rejected(self):

@@ -1,12 +1,14 @@
-"""Unit tests for the simulation timeline / scheduler invariants."""
+"""Unit tests for the simulation timeline (Gantt view and utilization)."""
 
 import pytest
 
 from repro.compiler.ops import FheOp, FheOpName
 from repro.compiler.program import compile_trace
 from repro.errors import SimulationError
-from repro.sim.engine import PoseidonSimulator, SimulationResult
+from repro.sim.config import HardwareConfig
+from repro.sim.engine import PoseidonSimulator, SimulationResult, TaskRecord
 from repro.sim.timeline import Timeline
+from repro.sim.validate import validate_schedule
 
 N = 1 << 14
 
@@ -26,88 +28,36 @@ def mixed_timeline():
 class TestInvariants:
     def test_no_core_overlap(self, mixed_timeline):
         """The central scheduler invariant: one task per core at a time."""
-        mixed_timeline.verify_no_overlap()
+        validate_schedule(mixed_timeline.result)
 
-    def test_overlap_detection_works(self):
-        """A fabricated overlapping timeline must be rejected."""
-        from repro.sim.engine import TaskRecord
 
+class TestOverlapTolerance:
+    def test_distinct_instances_may_overlap(self):
+        """Concurrent tasks on two instances of one array are no
+        double-booking, and occupancy is normalized by instance count."""
         result = SimulationResult(
-            total_seconds=2.0,
-            core_busy_seconds={},
+            total_seconds=1e-3,
+            core_busy_seconds={"MM": 1.5e-3},
             op_seconds={},
             operator_seconds={},
             hbm_busy_seconds=0,
             hbm_bytes=0,
             task_records=[
-                TaskRecord(start=0.0, end=1.5, core="MM",
-                           compute_seconds=1.5, hbm_seconds=0,
-                           hbm_bytes=0, op_label="a"),
-                TaskRecord(start=1.0, end=2.0, core="MM",
-                           compute_seconds=1.0, hbm_seconds=0,
-                           hbm_bytes=0, op_label="b"),
+                TaskRecord(start=0.0, end=1e-3, core="MM",
+                           compute_seconds=1e-3, hbm_seconds=0,
+                           hbm_bytes=0, op_label="a", instance=0),
+                TaskRecord(start=0.0, end=0.5e-3, core="MM",
+                           compute_seconds=0.5e-3, hbm_seconds=0,
+                           hbm_bytes=0, op_label="b", instance=1),
             ],
         )
-        with pytest.raises(SimulationError):
-            Timeline(result).verify_no_overlap()
-
-
-class TestOverlapTolerance:
-    def _result_with(self, records, total):
-        return SimulationResult(
-            total_seconds=total,
-            core_busy_seconds={},
-            op_seconds={},
-            operator_seconds={},
-            hbm_busy_seconds=0,
-            hbm_bytes=0,
-            task_records=records,
+        validate_schedule(
+            result, config=HardwareConfig().with_core_instances(MM=2)
         )
-
-    def test_relative_epsilon_tolerates_float_noise(self):
-        """Spans are ~1e-3 s: sub-ulp-scale overlap is rounding noise,
-        not a double-booking (the old absolute 1e-15 rejected it)."""
-        from repro.sim.engine import TaskRecord
-
-        total = 2e-3
-        noise = 1e-12 * total  # far below 1e-9 * makespan
-        result = self._result_with([
-            TaskRecord(start=0.0, end=1e-3, core="MM",
-                       compute_seconds=1e-3, hbm_seconds=0,
-                       hbm_bytes=0, op_label="a"),
-            TaskRecord(start=1e-3 - noise, end=2e-3, core="MM",
-                       compute_seconds=1e-3, hbm_seconds=0,
-                       hbm_bytes=0, op_label="b"),
-        ], total)
-        Timeline(result).verify_no_overlap()
-
-    def test_real_overlap_still_rejected(self):
-        from repro.sim.engine import TaskRecord
-
-        total = 2e-3
-        result = self._result_with([
-            TaskRecord(start=0.0, end=1e-3, core="MM",
-                       compute_seconds=1e-3, hbm_seconds=0,
-                       hbm_bytes=0, op_label="a"),
-            TaskRecord(start=0.5e-3, end=2e-3, core="MM",
-                       compute_seconds=1e-3, hbm_seconds=0,
-                       hbm_bytes=0, op_label="b"),
-        ], total)
-        with pytest.raises(SimulationError):
-            Timeline(result).verify_no_overlap()
-
-    def test_distinct_instances_may_overlap(self):
-        from repro.sim.engine import TaskRecord
-
-        result = self._result_with([
-            TaskRecord(start=0.0, end=1e-3, core="MM",
-                       compute_seconds=1e-3, hbm_seconds=0,
-                       hbm_bytes=0, op_label="a", instance=0),
-            TaskRecord(start=0.0, end=1e-3, core="MM",
-                       compute_seconds=1e-3, hbm_seconds=0,
-                       hbm_bytes=0, op_label="b", instance=1),
-        ], 1e-3)
-        Timeline(result).verify_no_overlap()
+        timeline = Timeline(result)
+        assert timeline.instance_counts["MM"] == 2
+        assert timeline.utilization("MM") == pytest.approx(0.75)
+        assert timeline.idle_gaps("MM") == []
 
 
 class TestStatistics:

@@ -5,13 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import PrimeGenerationError
 from repro.utils.primes import (
-    default_modulus_chain,
     find_ntt_primes,
     find_primitive_root,
     is_prime,
     minimal_primitive_root,
-    nth_root_of_unity,
-    special_primes,
 )
 
 
@@ -62,7 +59,7 @@ class TestPrimitiveRoots:
 
     def test_nth_root_of_unity(self):
         q = find_ntt_primes(20, 1, 32)[0]
-        w = nth_root_of_unity(q, 32)
+        w = find_primitive_root(q, 32)
         assert pow(w, 32, q) == 1
         assert pow(w, 16, q) != 1
 
@@ -96,6 +93,6 @@ class TestFindNttPrimes:
             find_ntt_primes(20, 0, 64)
 
     def test_chain_and_special_disjoint(self):
-        chain = default_modulus_chain(128, 4)
-        special = special_primes(128, 2)
+        chain = find_ntt_primes(30, 4, 128)
+        special = find_ntt_primes(31, 2, 128)
         assert not (set(chain) & set(special))

@@ -1,11 +1,10 @@
 """The encrypted HELR trainer computes what its plaintext arithmetic says.
 
 ``helr_functional`` at the example's parameters (N=512, six levels, two
-iterations) must decrypt to the same weights as the identical slot
-arithmetic run in the clear.
+iterations) must decrypt to the weights of the same logistic-regression
+update run in the clear, where every feature sees the full margin
+``<x_i, w>``.
 """
-
-import math
 
 import numpy as np
 
@@ -20,31 +19,17 @@ from repro.ckks import (
 from repro.workloads.helr import helr_functional
 
 
-def plaintext_helr(data, labels, slots, *, iterations, learning_rate):
-    """``helr_functional``'s slot arithmetic without encryption.
-
-    The margin keeps ``rotate_sum``'s cyclic partial sums: slot ``j``
-    holds ``prod[j] + ... + prod[j + width - 1]`` (indices mod
-    ``slots``), which is the full inner product only in slot 0.
-    """
-    samples, features = data.shape
-    width = 1 << max(1, int(math.ceil(math.log2(max(2, features)))))
-
-    def pad(vec):
-        out = np.zeros(slots)
-        out[:features] = vec
-        return out
-
-    weights = np.zeros(slots)
+def plaintext_helr(data, labels, *, iterations, learning_rate):
+    """``helr_functional``'s update in the clear: ``margin = w @ x_i``."""
+    weights = np.zeros(data.shape[1])
     for _ in range(iterations):
-        grad = np.zeros(slots)
-        for i in range(samples):
-            prod = weights * pad(data[i])
-            margin = sum(np.roll(prod, -k) for k in range(width))
-            grad += margin * pad(-learning_rate * 0.15 * data[i])
-            grad += pad(learning_rate * 0.5 * labels[i] * data[i])
+        grad = np.zeros_like(weights)
+        for x, y in zip(data, labels):
+            margin = weights @ x
+            grad += -learning_rate * 0.15 * margin * x
+            grad += learning_rate * 0.5 * y * x
         weights = weights + grad
-    return weights[:features]
+    return weights
 
 
 def test_decrypted_weights_match_plaintext():
@@ -61,7 +46,5 @@ def test_decrypted_weights_match_plaintext():
         CkksDecryptor(params, keys),
         data, labels, iterations=2, learning_rate=0.5,
     )
-    want = plaintext_helr(
-        data, labels, params.slot_count, iterations=2, learning_rate=0.5
-    )
+    want = plaintext_helr(data, labels, iterations=2, learning_rate=0.5)
     assert np.max(np.abs(got - want)) < 1e-2
