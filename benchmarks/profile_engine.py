@@ -28,21 +28,26 @@ plan, see ``docs/SCHEDULER.md``), so ``CoreModel.task_cycles`` and
 the two request types), not once per admitted task. Admission copies
 no task and the batcher's backlog is a running fold. The serving loop
 wakes only where the fleet can act: ~6,000 ``advance_until`` calls,
-one per arrival and one per completion. What remains, hottest first:
+one per arrival and one per completion. The engine enters a dispatch
+pass only where a core can dispatch (113,946 of ~290k events) and a
+grant pass only while transfers wait and a slot is free (51,522).
+What remains, hottest first:
 
-- the engine's event loop (``advance_until``), about 65%: the
-  dispatch pass (about 32%, its per-core free-instance scan run on
-  every event), ``_step`` over ~290k ready and release events (about
-  12% self), the grant pass (about 14%) and ``_finalize`` (about 11%);
-- committing the run (``_archive``), about 25%:
+- the engine's event loop (``advance_until``), about 50%: the
+  dispatch pass (about 24%, with the ``_finalize`` calls it makes),
+  ``_step`` over ~290k ready and release events (about 12% self), the
+  grant pass (about 7%) and ``_finalize`` (about 15% in all, called
+  from both passes);
+- committing the run (``_archive``), about 38%:
   ``ScheduleEngine.as_program`` makes one dependency-shifted
-  ``OperatorTask`` copy per task for the merged program (about 14%),
+  ``OperatorTask`` copy per task for the merged program (about 19%),
   and ``ScheduleEngine.result`` one ``TaskRecord`` per task (about
-  11%);
-- ``DynamicBatcher.take_batch``, which sorts and refolds the queue
-  once per batch, about 5%;
+  18%);
+- ``DynamicBatcher.take_batch``, about 3%: the FIFO queue stays in
+  order, so a batch is its head and nothing is sorted; what remains
+  is the backlog refold over the rest of the queue;
 - admission (``ScheduleEngine.submit``) about 2%, and the serving
-  loop's own bookkeeping about 1%. Routing (``route``,
+  loop's own bookkeeping about 2%. Routing (``route``,
   ``KeyCache.admit``, ``ServiceEstimator.estimate``) is under 1%.
 """
 

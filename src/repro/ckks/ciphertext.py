@@ -21,11 +21,6 @@ class Plaintext:
     poly: RnsPolynomial
     scale: float
 
-    @property
-    def level(self) -> int:
-        """Level implied by the polynomial's limb count."""
-        return self.poly.level_count - 1
-
 
 @dataclass(frozen=True)
 class Ciphertext:

@@ -187,52 +187,12 @@ class KeyChain:
         e = ntt_negacyclic(sample_gaussian(ctx, params.degree, rng))
         b = (-(a.hadamard(s))) + e
         public = PublicKey(b=b, a=a)
-
-        chain = cls.__new__(cls)
-        chain.params = params
-        chain.secret = secret
-        chain.public = public
-        chain._rng = rng
-        chain._galois_keys = {}
         # Relinearization switches from s^2 back to s.
-        s_int = secret_coeffs
-        s_sq = _negacyclic_square_integers(s_int, params.degree)
-        chain.relin = chain._make_switch_key(s_sq, "relin")
-        return chain
+        s_sq = _negacyclic_square_integers(secret_coeffs, params.degree)
+        relin = _make_switch_key(params, secret, rng, s_sq, "relin")
+        return cls(params, secret, public, relin, rng)
 
     # ------------------------------------------------------------------
-    def _make_switch_key(self, source_integers: list[int], label: str) -> SwitchKey:
-        """Build the per-limb gadget key for ``source`` (see SwitchKey).
-
-        Pair ``j``: fresh RLWE sample ``(-a_j*s + e_j, a_j)`` over the
-        key basis PQ, plus ``(P mod q_j) * source`` injected into limb
-        ``j`` of the ``b`` part only.
-        """
-        params = self.params
-        key_ctx = params.key_context
-        rng = self._rng
-        s = self.secret.poly_ntt(key_ctx)
-        source_ntt = ntt_negacyclic(
-            RnsPolynomial.from_integers(source_integers, key_ctx)
-        )
-        p_product = params.aux_product
-        rank = len(params.chain_moduli)
-        rows = np.empty(
-            (rank, 2, key_ctx.level_count, params.degree), dtype=np.uint64
-        )
-        for j in range(rank):
-            a = ntt_negacyclic(sample_uniform(key_ctx, params.degree, rng))
-            e = ntt_negacyclic(sample_gaussian(key_ctx, params.degree, rng))
-            b = (-(a.hadamard(s))) + e
-            q_j = params.chain_moduli[j]
-            rows[j, 0] = b.data
-            injected = mod_mul(
-                np.uint64(p_product % q_j), source_ntt.data[j], q_j
-            )
-            rows[j, 0, j] = (injected + b.data[j]) % np.uint64(q_j)
-            rows[j, 1] = a.data
-        return SwitchKey(rows=rows, context=key_ctx, source_label=label)
-
     def rotation_key(self, steps: int) -> SwitchKey:
         """Galois key for a rotation by ``steps`` slots (cached)."""
         galois = galois_element_for_rotation(self.params.degree, steps)
@@ -246,7 +206,10 @@ class KeyChain:
             rotated = _apply_automorphism_integers(
                 list(self.secret.coefficients), self.params.degree, galois
             )
-            key = self._make_switch_key(rotated, f"galois:{galois}")
+            key = _make_switch_key(
+                self.params, self.secret, self._rng, rotated,
+                f"galois:{galois}",
+            )
             self._galois_keys[galois] = key
         return key
 
@@ -255,6 +218,43 @@ class KeyChain:
             f"KeyChain(N={self.params.degree}, galois_keys="
             f"{sorted(self._galois_keys)})"
         )
+
+
+def _make_switch_key(
+    params: CkksParameters,
+    secret: SecretKey,
+    rng,
+    source_integers: list[int],
+    label: str,
+) -> SwitchKey:
+    """Build the per-limb gadget key for ``source`` (see SwitchKey).
+
+    Pair ``j``: fresh RLWE sample ``(-a_j*s + e_j, a_j)`` over the
+    key basis PQ, plus ``(P mod q_j) * source`` injected into limb
+    ``j`` of the ``b`` part only.
+    """
+    key_ctx = params.key_context
+    s = secret.poly_ntt(key_ctx)
+    source_ntt = ntt_negacyclic(
+        RnsPolynomial.from_integers(source_integers, key_ctx)
+    )
+    p_product = params.aux_product
+    rank = len(params.chain_moduli)
+    rows = np.empty(
+        (rank, 2, key_ctx.level_count, params.degree), dtype=np.uint64
+    )
+    for j in range(rank):
+        a = ntt_negacyclic(sample_uniform(key_ctx, params.degree, rng))
+        e = ntt_negacyclic(sample_gaussian(key_ctx, params.degree, rng))
+        b = (-(a.hadamard(s))) + e
+        q_j = params.chain_moduli[j]
+        rows[j, 0] = b.data
+        injected = mod_mul(
+            np.uint64(p_product % q_j), source_ntt.data[j], q_j
+        )
+        rows[j, 0, j] = (injected + b.data[j]) % np.uint64(q_j)
+        rows[j, 1] = a.data
+    return SwitchKey(rows=rows, context=key_ctx, source_label=label)
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,6 @@ from functools import cached_property
 import numpy as np
 
 from repro.errors import RNSError
-from repro.rns.barrett import GLOBAL_SBT_BANK, BarrettReducer
 from repro.rns.modular import check_modulus, mod_inverse
 
 
@@ -65,11 +64,6 @@ class RnsContext:
             mod_inverse(q_hat % q, q)
             for q, q_hat in zip(self.moduli, self.punctured_products)
         )
-
-    @cached_property
-    def barrett(self) -> tuple[BarrettReducer, ...]:
-        """One shared Barrett reducer per limb (the SBT bank view)."""
-        return tuple(GLOBAL_SBT_BANK.get(q) for q in self.moduli)
 
     def pairwise_inverse(self, i: int, j: int) -> int:
         """``q_i^-1 mod q_j`` (used by rescale and ModDown)."""
@@ -155,9 +149,6 @@ class RnsContext:
 
     def __hash__(self) -> int:
         return hash(self.moduli)
-
-    def __len__(self) -> int:
-        return self.level_count
 
     def __repr__(self) -> str:
         bits = [q.bit_length() for q in self.moduli]

@@ -10,7 +10,6 @@ a contiguous vector that the 512-lane pipeline consumes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,14 +35,6 @@ class Domain(enum.Enum):
 
     COEFFICIENT = "coefficient"
     NTT = "ntt"
-
-
-@dataclass(frozen=True)
-class PolyShape:
-    """Degree and limb count of a polynomial, for quick validation."""
-
-    degree: int
-    level_count: int
 
 
 class RnsPolynomial:
@@ -113,10 +104,6 @@ class RnsPolynomial:
     def level_count(self) -> int:
         """Number of RNS limbs L."""
         return self.data.shape[0]
-
-    @property
-    def shape(self) -> PolyShape:
-        return PolyShape(self.degree, self.level_count)
 
     def to_integers(self, *, signed: bool = True) -> list[int]:
         """CRT-reconstruct the coefficients as Python ints.

@@ -95,14 +95,19 @@ class DynamicBatcher:
 
     def __init__(self, policy: BatchPolicy | None = None):
         self.policy = policy or BatchPolicy()
+        self._key = (
+            _SJF_ORDER if self.policy.order == "sjf" else _ARRIVAL_ORDER
+        )
         self._queue: list["Request"] = []
+        # Whether the queue is in the policy's order, so a batch is its
+        # head. Offers append in arrival order, which is FIFO order
+        # unless a retry lands behind a later arrival; removals keep an
+        # ordered queue ordered.
+        self._ordered = True
         # Left-fold of the queue's service estimates in queue order:
         # ``offer`` appends, so adding to the fold gives exactly the
         # floats a refold of the list would; removals refold.
         self._backlog = 0
-
-    def __len__(self) -> int:
-        return len(self._queue)
 
     @property
     def depth(self) -> int:
@@ -114,13 +119,20 @@ class DynamicBatcher:
         bound = self.policy.max_queue_depth
         if bound is not None and len(self._queue) >= bound:
             return False
+        if self._ordered and self._queue and (
+            self._key(request) < self._key(self._queue[-1])
+        ):
+            self._ordered = False
         self._queue.append(request)
         self._backlog += request.service_estimate
         return True
 
     def _set_queue(self, queue: list["Request"]) -> None:
-        """Replace the queue after removals and refold its backlog."""
+        """Replace the queue after removals (a subsequence of it, in
+        order) and refold its backlog."""
         self._queue = queue
+        if not queue:
+            self._ordered = True
         self._backlog = left_fold_sum(r.service_estimate for r in queue)
 
     def queued_estimate_seconds(self) -> float:
@@ -214,10 +226,17 @@ class DynamicBatcher:
         return min(deadlines) if deadlines else None
 
     def take_batch(self, now: float) -> list["Request"]:
-        """Remove and return the next batch, in admission order."""
-        key = _SJF_ORDER if self.policy.order == "sjf" else _ARRIVAL_ORDER
-        ordered = sorted(self._queue, key=key)
-        batch = ordered[: self.policy.max_batch_size]
+        """Remove and return the next batch, in admission order.
+
+        An ordered queue gives up its head; otherwise the queue is
+        sorted for the batch, and the rest stays in queue order.
+        """
+        size = self.policy.max_batch_size
+        if self._ordered:
+            batch = self._queue[:size]
+            self._set_queue(self._queue[size:])
+            return batch
+        batch = sorted(self._queue, key=self._key)[:size]
         taken = {r.request_id for r in batch}
         self._set_queue(
             [r for r in self._queue if r.request_id not in taken]

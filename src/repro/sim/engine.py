@@ -178,6 +178,8 @@ _EV_READY = 0
 _EV_RELEASE = 1
 _EV_COMPLETE = 2
 
+_INF = float("inf")
+
 
 @dataclass
 class Submission:
@@ -274,12 +276,12 @@ class CrashReport:
 class ScheduleEngine:
     """Incremental ("warm") event-driven scheduler.
 
-    Holds the live resource state — per-instance core free times, HBM
-    pseudo-channel slots, ready/grant queues and the event heap — so
-    task lists can be :meth:`submit`-ted at *any* simulated time, while
-    previously admitted work is still in flight. The open-system
-    serving layer (:mod:`repro.serve`) interleaves admissions with
-    :meth:`advance_until`; the closed-system
+    Holds the live resource state — per-instance core free times, the
+    free HBM pseudo-channel slot count, ready/grant queues and the
+    event heap — so task lists can be :meth:`submit`-ted at *any*
+    simulated time, while previously admitted work is still in flight.
+    The open-system serving layer (:mod:`repro.serve`) interleaves
+    admissions with :meth:`advance_until`; the closed-system
     :meth:`PoseidonSimulator.run` is the special case of one submission
     at t=0 followed by :meth:`drain`.
 
@@ -308,13 +310,22 @@ class ScheduleEngine:
         cfg = self.config
         # Resource state: per-instance core free times (None = occupied
         # by a task whose stream has not been granted yet, so its end is
-        # still unknown) and per-pseudo-channel HBM slot free times.
+        # still unknown), and each core's earliest free time among its
+        # instances that are not held (inf when every one is held).
         self._inst_free: dict[str, list[float | None]] = {
             name: [0.0] * cfg.instances_of(name) for name in CORE_NAMES
         }
-        self._chan_free: list[float] = [0.0] * cfg.hbm_channels
-        # Earliest slot-free time: the grant pass skips its slot scan
-        # while no slot can be free yet.
+        self._core_min: dict[str, float] = dict.fromkeys(CORE_NAMES, 0.0)
+        # Earliest instant a dispatch pass can act: the minimum of
+        # ``_core_min`` over cores with queued work (inf when none).
+        self._dispatch_at = _INF
+        # HBM pseudo-channel slots as a count: nothing observes which
+        # slots a transfer holds, only how many. ``_chan_busy`` heaps
+        # ``(free time, count)`` per granted transfer; ``_chan_min`` is
+        # the earliest instant a slot is free, before which the grant
+        # pass cannot act.
+        self._chan_avail = cfg.hbm_channels
+        self._chan_busy: list[tuple[float, int]] = []
         self._chan_min = 0.0
         self._events: list[tuple[float, int, int]] = []
         # Timestamps with a release event already queued. Releases are
@@ -595,9 +606,12 @@ class ScheduleEngine:
         task_end = max(self._start[i] + self._durations[i],
                        self._hbm_span[i][1])
         self._end[i] = task_end
-        self._inst_free[self._timings[i].core][self._instance_of[i]] = (
-            task_end
-        )
+        core = self._timings[i].core
+        self._inst_free[core][self._instance_of[i]] = task_end
+        if task_end < self._core_min[core]:
+            self._core_min[core] = task_end
+        if task_end < self._dispatch_at and self._core_queue[core]:
+            self._dispatch_at = task_end
         self._push_release(task_end)
         self._finished += 1
         owner = self._owner[i]
@@ -630,29 +644,26 @@ class ScheduleEngine:
         """Grant channel slots to ready transfers, in ready order.
 
         A transfer that does not fit is bypassed (no head-of-line
-        blocking) and retried at the next release event.
+        blocking) and retried at the next release event. Called only
+        while transfers wait and ``t`` has reached ``_chan_min``.
         """
+        busy = self._chan_busy
+        avail = self._chan_avail
+        while busy and busy[0][0] <= t:
+            avail += heapq.heappop(busy)[1]
         queue = self._hbm_queue
-        if not queue or t < self._chan_min:
-            return
-        # One free-slot scan per pass, consumed incrementally: a grant
-        # always takes the lowest-index free slots, so deleting the
-        # granted prefix leaves exactly the slots a rescan would find.
-        # ``_chan_min <= t`` guarantees at least one free slot.
-        chan_free = self._chan_free
-        free_slots = [s for s, free in enumerate(chan_free) if free <= t]
         deferred = []
-        while queue and free_slots:
+        while queue and avail:
             entry = heapq.heappop(queue)
             i = entry[1]
-            need = self._mems[i].channels_used
-            if need > len(free_slots):
+            mem = self._mems[i]
+            need = mem.channels_used
+            if need > avail:
                 deferred.append(entry)
                 continue
-            done = t + self._mems[i].hbm_seconds
-            for s in free_slots[:need]:
-                chan_free[s] = done
-            del free_slots[:need]
+            done = t + mem.hbm_seconds
+            avail -= need
+            heapq.heappush(busy, (done, need))
             self._hbm_span[i] = (t, done)
             self._hbm_intervals.append((t, done))
             self._push_release(done)
@@ -660,56 +671,79 @@ class ScheduleEngine:
                 self._finalize(i)
         for entry in deferred:
             heapq.heappush(queue, entry)
-        self._chan_min = min(chan_free)
+        self._chan_avail = avail
+        self._chan_min = t if avail else busy[0][0]
 
     def _dispatch_pass(self, t: float) -> None:
-        """Dispatch ready tasks onto free core instances."""
+        """Dispatch ready tasks onto free core instances.
+
+        Called only once ``t`` has reached ``_dispatch_at``. A core
+        with no queued work, or whose earliest free instance lies
+        ahead of ``t``, is skipped: it would dispatch nothing.
+        """
+        core_min = self._core_min
+        dispatch_at = _INF
         for core in CORE_NAMES:
             queue = self._core_queue[core]
             if not queue:
                 continue
-            # One free-instance scan per core per pass. A dispatched
-            # task can re-free its own instance at the same instant
-            # (zero-duration work), in which case the cursor stays put
-            # so the instance is reused — matching a fresh rescan.
+            if core_min[core] > t:
+                if core_min[core] < dispatch_at:
+                    dispatch_at = core_min[core]
+                continue
+            # One walk over the instances per core per pass, lowest
+            # index first. A dispatched task can re-free its own
+            # instance at the same instant (zero-duration work), in
+            # which case the walk stays put so the instance is reused;
+            # no other instance changes during the pass.
             frees = self._inst_free[core]
-            free_idx = [
-                j for j, f in enumerate(frees) if f is not None and f <= t
-            ]
-            cursor = 0
-            while queue and cursor < len(free_idx):
-                k = free_idx[cursor]
+            k = 0
+            n = len(frees)
+            while queue:
+                while k < n and (frees[k] is None or frees[k] > t):
+                    k += 1
+                if k == n:
+                    break
                 i = heapq.heappop(queue)[1]
                 self._start[i] = t
                 self._instance_of[i] = k
                 if self._hbm_span[i] is not None:
                     self._finalize(i)
-                    if self._inst_free[core][k] > t:
-                        cursor += 1
                 else:
                     # Core held; end unknown until the HBM grant.
                     frees[k] = None
-                    cursor += 1
+            earliest = _INF
+            for f in frees:
+                if f is not None and f < earliest:
+                    earliest = f
+            core_min[core] = earliest
+            if queue and earliest < dispatch_at:
+                dispatch_at = earliest
+        self._dispatch_at = dispatch_at
 
     def _step(self) -> None:
         """Process exactly one event from the heap."""
         t, kind, payload = heapq.heappop(self._events)
-        self._now = max(self._now, t)
+        if t > self._now:
+            self._now = t
         if kind == _EV_RELEASE:
             self._release_times.discard(t)
         elif kind == _EV_READY:
             i = payload
+            ready = self._ready[i]
             if self._mems[i].hbm_bytes > 0:
-                heapq.heappush(self._hbm_queue, (self._ready[i], i))
-            heapq.heappush(
-                self._core_queue[self._timings[i].core],
-                (self._ready[i], i),
-            )
-        elif kind == _EV_COMPLETE:
+                heapq.heappush(self._hbm_queue, (ready, i))
+            core = self._timings[i].core
+            heapq.heappush(self._core_queue[core], (ready, i))
+            if self._core_min[core] < self._dispatch_at:
+                self._dispatch_at = self._core_min[core]
+        else:
             self.completions.append(self.submissions[payload])
             return
-        self._grant_pass(t)
-        self._dispatch_pass(t)
+        if self._hbm_queue and t >= self._chan_min:
+            self._grant_pass(t)
+        if t >= self._dispatch_at:
+            self._dispatch_pass(t)
 
     def advance_until(self, t: float) -> float:
         """Run the engine on its own up to ``t``, pausing at the first

@@ -91,3 +91,55 @@ def test_refold_after_a_take_is_the_left_fold():
     assert _exact(batcher.queued_estimate_seconds()) == (
         "float:0.6000000000000001"
     )
+
+
+#: The policies' orders, restated: arrival order, and shortest estimate
+#: first with arrival order breaking ties.
+_ORDER_KEYS = {
+    "fifo": lambda r: (r.arrival_seconds, r.request_id),
+    "sjf": lambda r: (r.service_estimate, r.arrival_seconds, r.request_id),
+}
+
+#: Offers arrive in time order, except that a step back models a retry
+#: whose due time lies behind an arrival already queued.
+_TAKE_OPS = st.one_of(
+    st.tuples(
+        st.just("offer"),
+        st.sampled_from([0.0, 0.1, 0.2, 0.5, 1.0]),  # estimate
+        st.floats(min_value=-1.0, max_value=1.0),  # arrival step
+    ),
+    st.tuples(st.just("take")),
+    st.tuples(st.just("expire"), st.floats(min_value=0.0, max_value=4.0)),
+)
+
+
+@given(
+    order=st.sampled_from(["fifo", "sjf"]),
+    size=st.integers(min_value=1, max_value=4),
+    ops=st.lists(_TAKE_OPS, max_size=60),
+)
+def test_take_batch_is_the_sorted_head(order, size, ops):
+    key = _ORDER_KEYS[order]
+    batcher = DynamicBatcher(BatchPolicy(max_batch_size=size, order=order))
+    clock = 0.0
+    for rid, op in enumerate(ops):
+        if op[0] == "offer":
+            _, estimate, step = op
+            arrival = max(0.0, clock + step)
+            clock = max(clock, arrival)
+            batcher.offer(Request(
+                request_id=rid, job=None, arrival_seconds=arrival,
+                service_estimate=estimate, deadline_seconds=arrival + 2.0,
+            ))
+        elif op[0] == "expire":
+            batcher.expired(op[1])
+        else:
+            queue = [r.request_id for r in batcher._queue]
+            expected = [
+                r.request_id for r in sorted(batcher._queue, key=key)[:size]
+            ]
+            batch = batcher.take_batch(clock)
+            assert [r.request_id for r in batch] == expected
+            assert [r.request_id for r in batcher._queue] == [
+                rid for rid in queue if rid not in expected
+            ]
