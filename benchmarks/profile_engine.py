@@ -19,6 +19,11 @@ thousands of heap events) while a full profile still completes in tens
 of seconds. ``--raw`` additionally times an un-profiled run, since the
 profiler's per-call hook inflates cheap functions; use the raw number
 for before/after wall-clock comparisons and the profile for *where*.
+With ``--raw`` it also prints the host seconds that run spent in the
+cyclic garbage collector and the collections per generation, observed
+through ``gc.callbacks``. cProfile charges collector time to whichever
+function happens to allocate when a collection starts, so a share that
+jumps between runs may be the collector landing there.
 
 Where the time goes on this trace (3000 requests, ~140k
 admitted tasks, ~290k events; shares of one profiled run). Each
@@ -31,30 +36,36 @@ wakes only where the fleet can act: ~6,000 ``advance_until`` calls,
 one per arrival and one per completion. The engine enters a dispatch
 pass only where a core can dispatch (113,946 of ~290k events) and a
 grant pass only while transfers wait and a slot is free (51,522).
-What remains, hottest first:
+Nothing copies a task at the end of the run: validation reads each
+submission's own tasks from ``ScheduleEngine.spans()``, so
+``OperatorTask.shifted`` is not called at all. What remains, hottest
+first:
 
-- the engine's event loop (``advance_until``), about 50%: the
-  dispatch pass (about 24%, with the ``_finalize`` calls it makes),
-  ``_step`` over ~290k ready and release events (about 12% self), the
-  grant pass (about 7%) and ``_finalize`` (about 15% in all, called
+- the engine's event loop (``advance_until``), about 65%: the
+  dispatch pass (about 32%, with the ``_finalize`` calls it makes),
+  ``_step`` over ~290k ready and release events (about 15% self), the
+  grant pass (about 9%) and ``_finalize`` (about 20% in all, called
   from both passes);
-- committing the run (``_archive``), about 38%:
-  ``ScheduleEngine.as_program`` makes one dependency-shifted
-  ``OperatorTask`` copy per task for the merged program (about 19%),
-  and ``ScheduleEngine.result`` one ``TaskRecord`` per task (about
-  18%);
-- ``DynamicBatcher.take_batch``, about 3%: the FIFO queue stays in
+- committing the run (``_archive``), about 23%: almost all of it
+  ``ScheduleEngine.result``, one ``TaskRecord`` per task.
+  ``ScheduleEngine.spans`` takes one list slice per submission, well
+  under 1% of its own;
+- ``DynamicBatcher.take_batch``, about 4%: the FIFO queue stays in
   order, so a batch is its head and nothing is sorted; what remains
   is the backlog refold over the rest of the queue;
-- admission (``ScheduleEngine.submit``) about 2%, and the serving
+- admission (``ScheduleEngine.submit``) about 3%, and the serving
   loop's own bookkeeping about 2%. Routing (``route``,
   ``KeyCache.admit``, ``ServiceEstimator.estimate``) is under 1%.
+
+The raw run spends about 0.15-0.2 s in the cyclic collector, over
+about 350/32/3 collections of generations 0/1/2 (2-core host).
 """
 
 from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import pstats
 import sys
 import time
@@ -77,6 +88,24 @@ def _build_run(seed: int):
         return result
 
     return run
+
+
+class _CollectorClock:
+    """Host seconds the cyclic garbage collector spends, and its
+    collections per generation, seen through ``gc.callbacks`` (which
+    only observes: no ``gc`` setting changes)."""
+
+    def __init__(self):
+        self.seconds = 0.0
+        self.collections = [0, 0, 0]
+        self._started = 0.0
+
+    def __call__(self, phase, info):
+        if phase == "start":
+            self._started = time.perf_counter()
+        else:
+            self.seconds += time.perf_counter() - self._started
+            self.collections[info["generation"]] += 1
 
 
 def main(argv=None) -> int:
@@ -103,13 +132,21 @@ def main(argv=None) -> int:
     run = _build_run(args.seed)
 
     if args.raw:
+        collector = _CollectorClock()
+        gc.callbacks.append(collector)
         t0 = time.perf_counter()
         result = run()
         raw_seconds = time.perf_counter() - t0
+        gc.callbacks.remove(collector)
         print(
             f"raw run: {raw_seconds:.3f}s wall, "
             f"{result.completed} completed, "
             f"makespan {result.makespan_seconds:.6f}s simulated"
+        )
+        gen0, gen1, gen2 = collector.collections
+        print(
+            f"cyclic GC in the raw run: {collector.seconds:.3f}s host, "
+            f"collections per generation {gen0}/{gen1}/{gen2} (gen 0/1/2)"
         )
 
     profiler = cProfile.Profile()

@@ -41,9 +41,11 @@ completion is observed only once the fleet clock reaches its finish
 time. An engine may therefore stand ahead of the fleet clock, but
 never past an instant at which the fleet could act on its instance,
 so every schedule is the one a lockstep loop through every engine
-event would produce. Each instance's schedule is validated
-independently via ``engine.as_program()`` +
-:func:`repro.sim.validate.validate_schedule`.
+event would produce. Each instance epoch's schedule is validated
+independently by :func:`repro.sim.validate.validate_schedule`, from
+the submissions' spans the engine keeps
+(:meth:`~repro.sim.engine.ScheduleEngine.spans`): no merged program is
+built.
 
 ``benchmarks/bench_fleet_scaling.py`` sweeps instance count x routing
 policy and gates near-linear aggregate throughput scaling until the
@@ -252,7 +254,6 @@ class _Instance:
     up: bool = True
     down_since: float = 0.0
     ghost_view: InstanceView | None = None
-    source_ops: list = field(default_factory=list)
     by_submission: dict = field(default_factory=dict)
 
     def next_completion(self, until: float) -> float:
@@ -293,11 +294,18 @@ class InstanceReport:
     epoch, each carrying that lifetime's truncated-or-complete
     schedule. ``crashed_seconds`` is when the epoch died (``None`` if
     it survived to the end of the run).
+
+    ``spans`` holds the epoch's submissions in admission order as
+    ``(base, tasks)`` pairs
+    (:meth:`~repro.sim.engine.ScheduleEngine.spans`): ``tasks`` is the
+    submission's own task sequence, dependency indices local to it,
+    and record ``base + j`` of ``sim`` is its task ``j``. The report
+    references the admitted tasks, not the engine.
     """
 
     index: int
     sim: SimulationResult
-    program: object
+    spans: tuple
     activated_seconds: float
     batches: int
     admitted: int
@@ -575,13 +583,14 @@ class ClusterResult:
         """Check every instance epoch's schedule against every engine
         invariant (each is an independent accelerator lifetime — a
         crashed epoch contributes its truncated-at-crash schedule),
-        then the request-conservation invariant."""
+        then the request-conservation invariant. Dependencies are
+        checked per submission, from each report's ``spans``."""
         from repro.sim.validate import validate_schedule
 
         for report in self.instances:
             validate_schedule(
                 report.sim,
-                program=report.program,
+                spans=report.spans,
                 config=self.config,
             )
         self.check_conservation()
@@ -690,7 +699,6 @@ class ClusterSimulator:
                 rec.key_hit = hit
                 inst.inflight_estimate += req.service_estimate
                 inst.by_submission[sub.index] = (rec, batch, req)
-                inst.source_ops.extend(req.job.program.source_ops)
         return launched
 
     def _archive(
@@ -732,7 +740,7 @@ class ClusterSimulator:
         return InstanceReport(
             index=inst.index,
             sim=sim,
-            program=engine.as_program(inst.source_ops),
+            spans=engine.spans(),
             activated_seconds=inst.activated_seconds,
             batches=inst.batches,
             admitted=admitted,

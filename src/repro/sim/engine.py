@@ -349,7 +349,7 @@ class ScheduleEngine:
         # ``_dependents`` their local dependents (a plan's own tuples on
         # repeat admissions): both keep indices local to the task's
         # submission, and the owner's ``base`` globalizes them
-        # (:meth:`_finalize`, :meth:`as_program`).
+        # (:meth:`_finalize`, :meth:`spans`).
         self._tasks: list = []
         self._timings: list = []
         self._mems: list = []
@@ -795,9 +795,10 @@ class ScheduleEngine:
         the work must be redone elsewhere). Submissions whose
         completion had not been observed by ``at`` are reported lost
         with ``finish_seconds`` reset to ``None``; their kept prefix of
-        finished tasks remains in the truncated schedule, so
-        :meth:`result` and :meth:`as_program` stay mutually consistent
-        and the truncated schedule passes
+        finished tasks remains in the truncated schedule, its
+        dependency indices renumbered within the prefix, so
+        :meth:`result` and :meth:`spans` stay mutually consistent and
+        the truncated schedule passes
         :func:`repro.sim.validate.validate_schedule`.
 
         The engine is dead afterwards: :meth:`submit` raises. Recovery
@@ -897,25 +898,21 @@ class ScheduleEngine:
         return self._now
 
     # -- results -------------------------------------------------------
-    def as_program(self, source_ops=()) -> "OperatorProgram":
-        """The merged tasks of every submission, as one compiled program.
+    def spans(self) -> tuple[tuple[int, list], ...]:
+        """Every submission's ``(base, tasks)``, in admission order.
 
-        Record ``i`` of :meth:`result` corresponds to task ``i`` of
-        this program, so :func:`repro.sim.validate.validate_schedule`
-        can check dependency ordering across the whole served run.
+        ``tasks`` is a slice of the engine's own task list: the
+        submission's tasks, with dependency indices local to it, so
+        record ``base + j`` of :meth:`result` is its task ``j`` and a
+        local dependency ``d`` is record ``base + d``. The spans tile
+        the records in order, and
+        :func:`repro.sim.validate.validate_schedule` checks dependency
+        ordering across a served run from them; no task is copied.
         """
-        from repro.compiler.program import OperatorProgram
-
-        tasks = []
-        for s in self.submissions:
-            own = self._tasks[s.base:s.base + s.count]
-            tasks.extend([t.shifted(s.base) for t in own] if s.base else own)
-        return OperatorProgram(
-            tasks=tuple(tasks),
-            op_boundaries=tuple(
-                (s.base, s.base + s.count) for s in self.submissions
-            ),
-            source_ops=tuple(source_ops),
+        tasks = self._tasks
+        return tuple(
+            (s.base, tasks[s.base:s.base + s.count])
+            for s in self.submissions
         )
 
     def result(self) -> SimulationResult:

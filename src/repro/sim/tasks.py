@@ -38,11 +38,12 @@ class OperatorKind(enum.Enum):
 class OperatorTask:
     """One schedulable unit of operator work.
 
-    Slotted: compiled programs, the merged programs of served runs
-    (:meth:`repro.sim.engine.ScheduleEngine.as_program`) and key-upload
-    prefixes hold one instance per task, so a per-instance
-    ``__dict__`` would dominate their memory. Admission itself copies
-    no task: the engine keeps each submitted list's own tasks.
+    Slotted: compiled programs and key-upload prefixes hold one
+    instance per task, so a per-instance ``__dict__`` would dominate
+    their memory. A served run copies no task: the engine keeps each
+    submitted list's own tasks, with local dependency indices, and
+    validation reads them per submission
+    (:meth:`repro.sim.engine.ScheduleEngine.spans`).
 
     Attributes:
         kind: operator executed.
@@ -96,8 +97,8 @@ class OperatorTask:
         """Copy with dependency indices shifted by ``offset``.
 
         Used when concatenating per-operation task lists into one
-        program-level list, and when the engine merges its submissions
-        into one program. The fields are already validated, so the
+        program-level list, and when a key-set upload is prepended to
+        a request's task chain. The fields are already validated, so the
         copy is set slot by slot instead of re-running
         ``__init__``/``__post_init__``.
         """

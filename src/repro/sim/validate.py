@@ -4,17 +4,24 @@ Checks a committed :class:`~repro.sim.engine.SimulationResult` against
 the physical invariants the event-driven scheduler must uphold:
 
 1. **No overlap per core instance** — one task at a time on each
-   instance of each operator core array.
+   instance of each operator core array, and every task on an instance
+   the configuration has (``[0, config.instances_of(core))``).
 2. **No HBM over-subscription** — at every instant the pseudo-channel
    slots engaged by concurrent transfers sum to at most
    ``config.hbm_channels``; tasks with zero off-chip traffic never
    occupy a channel.
 3. **Dependencies respected** — a task neither starts on its core nor
-   begins its HBM stream before every dependency has finished
-   (requires the ``program``).
+   begins its HBM stream before every dependency has finished. This
+   needs the tasks behind the records: either the compiled ``program``
+   of a one-shot run, or a served engine's ``spans`` — each
+   submission's ``(base, tasks)`` from
+   :meth:`~repro.sim.engine.ScheduleEngine.spans`, with dependency
+   indices local to the submission. A program is the single span
+   ``(0, program.tasks)``; the spans must tile the records in order,
+   and a local dependency ``d`` of task ``j`` is record ``base + d``.
 4. **Conservation** — per task, ``end - start == busy + stall``; per
-   core array, held time + idle time == instances x makespan; the
-   per-core busy/stall aggregates match the record sums.
+   core array, held time + idle time == configured instances x
+   makespan; the per-core busy/stall aggregates match the record sums.
 
 All comparisons use a tolerance relative to the makespan, since the
 schedule's floats are sums of ~1e-3 s spans. Violations raise
@@ -22,19 +29,23 @@ schedule's floats are sums of ~1e-3 s spans. Violations raise
 
 Used by the scheduler tests, by the simulated measurements of
 ``benchmarks/baseline.py`` (so every exact baseline pin self-checks),
-and behind the CLI's ``--validate`` flag.
+by :meth:`repro.serve.ClusterResult.validate` (per instance epoch,
+from its spans) and behind the CLI's ``--validate`` flag.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.errors import SimulationError
+from repro.errors import ParameterError, SimulationError
 from repro.sim.config import HardwareConfig
 from repro.sim.engine import SimulationResult
 
 if TYPE_CHECKING:  # pragma: no cover - import for type checkers only
+    from collections.abc import Sequence
+
     from repro.compiler.program import OperatorProgram
+    from repro.sim.tasks import OperatorTask
 
 
 def validate_program(program: "OperatorProgram") -> None:
@@ -86,6 +97,7 @@ def validate_schedule(
     result: SimulationResult,
     *,
     program: "OperatorProgram | None" = None,
+    spans: "Sequence[tuple[int, Sequence[OperatorTask]]] | None" = None,
     config: HardwareConfig | None = None,
     rel_eps: float = 1e-9,
 ) -> None:
@@ -93,16 +105,29 @@ def validate_schedule(
 
     Args:
         result: the committed schedule to check.
-        program: the compiled program the run executed; enables the
-            dependency-ordering check (record ``i`` corresponds to
-            ``program.tasks[i]``).
-        config: hardware configuration of the run; enables the HBM
-            channel-budget check. Defaults to the paper configuration.
+        program: the compiled program a one-shot run executed; enables
+            the dependency-ordering check (record ``i`` corresponds to
+            ``program.tasks[i]``). The same as ``spans=((0,
+            program.tasks),)``.
+        spans: a served engine's submissions as ``(base, tasks)``
+            pairs (:meth:`~repro.sim.engine.ScheduleEngine.spans`);
+            enables the dependency-ordering check (record ``base + j``
+            corresponds to ``tasks[j]``, whose dependency indices are
+            local to ``tasks``). Give ``program`` or ``spans``, not
+            both.
+        config: hardware configuration of the run: its HBM channel
+            budget and core instance counts. Defaults to the paper
+            configuration.
         rel_eps: tolerance as a fraction of the makespan.
 
     Raises:
         SimulationError: on any violated invariant.
+        ParameterError: when both ``program`` and ``spans`` are given.
     """
+    if program is not None:
+        if spans is not None:
+            raise ParameterError("pass program= or spans=, not both")
+        spans = ((0, program.tasks),)
     config = config or HardwareConfig()
     records = result.task_records
     makespan = result.total_seconds
@@ -171,9 +196,16 @@ def validate_schedule(
         by_instance.setdefault((rec.core, rec.instance), []).append(
             (rec.start, rec.end, i)
         )
-    for (core, instance), spans in by_instance.items():
-        spans.sort()
-        for (s0, e0, i0), (s1, e1, i1) in zip(spans, spans[1:]):
+    instances = {core: config.instances_of(core) for core, _ in by_instance}
+    for (core, instance), intervals in by_instance.items():
+        if not 0 <= instance < instances[core]:
+            raise SimulationError(
+                f"task {min(i for _, _, i in intervals)} ran on {core}"
+                f"#{instance}, but the configuration has "
+                f"{instances[core]} {core} instance(s)"
+            )
+        intervals.sort()
+        for (s0, e0, i0), (s1, e1, i1) in zip(intervals, intervals[1:]):
             if s1 < e0 - eps:
                 raise SimulationError(
                     f"core {core}#{instance} double-booked: task {i0} "
@@ -202,26 +234,45 @@ def validate_schedule(
             )
 
     # --- dependency ordering ------------------------------------------
-    if program is not None:
-        tasks = program.tasks
-        if len(tasks) != len(records):
+    # The spans tile the records in order; task ``j`` of the span at
+    # ``base`` is record ``base + j``, and its local dependency ``d``
+    # (which must lie in ``[0, j)``) is record ``base + d``.
+    if spans is not None:
+        covered = 0
+        for base, tasks in spans:
+            if base != covered:
+                raise SimulationError(
+                    f"span at base {base} does not continue the tiling "
+                    f"of the records at {covered}"
+                )
+            covered += len(tasks)
+        if covered != len(records):
             raise SimulationError(
-                f"program has {len(tasks)} tasks but the result recorded "
+                f"spans cover {covered} tasks but the result recorded "
                 f"{len(records)}"
             )
-        for i, (task, rec) in enumerate(zip(tasks, records)):
-            for dep in task.depends_on:
-                dep_end = records[dep].end
-                if rec.start < dep_end - eps:
-                    raise SimulationError(
-                        f"task {i} started at {rec.start} before "
-                        f"dependency {dep} finished at {dep_end}"
-                    )
-                if rec.hbm_bytes and rec.hbm_start < dep_end - eps:
-                    raise SimulationError(
-                        f"task {i} streamed at {rec.hbm_start} before "
-                        f"dependency {dep} finished at {dep_end}"
-                    )
+        for base, tasks in spans:
+            own = records[base:base + len(tasks)]
+            for j, (task, rec) in enumerate(zip(tasks, own)):
+                for d in task.depends_on:
+                    if not 0 <= d < j:
+                        raise SimulationError(
+                            f"task {base + j} depends on local index {d}, "
+                            f"outside [0, {j}) of its span at base {base}"
+                        )
+                    dep_end = own[d].end
+                    if rec.start < dep_end - eps:
+                        raise SimulationError(
+                            f"task {base + j} started at {rec.start} "
+                            f"before dependency {base + d} finished at "
+                            f"{dep_end}"
+                        )
+                    if rec.hbm_bytes and rec.hbm_start < dep_end - eps:
+                        raise SimulationError(
+                            f"task {base + j} streamed at {rec.hbm_start} "
+                            f"before dependency {base + d} finished at "
+                            f"{dep_end}"
+                        )
 
     # --- aggregate consistency ----------------------------------------
     busy_sum: dict[str, float] = {}
@@ -245,12 +296,8 @@ def validate_schedule(
                 f"core {core}: core_stall_seconds {stall} != record sum "
                 f"{stall_sum.get(core, 0.0)}"
             )
-    # Per-core conservation: held + idle spans the instances' makespan.
-    instances: dict[str, int] = {}
-    for rec in records:
-        instances[rec.core] = max(
-            instances.get(rec.core, 1), rec.instance + 1
-        )
+    # Per-core conservation: held + idle spans the configured
+    # instances' makespan.
     for core, count in instances.items():
         held = busy_sum[core] + stall_sum[core]
         capacity = count * makespan

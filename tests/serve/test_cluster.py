@@ -129,7 +129,8 @@ class TestSchedulesValid:
         uploads = [
             task
             for report in result.instances
-            for task in report.program.tasks
+            for _, tasks in report.spans
+            for task in tasks
             if task.op_label.startswith(KEY_UPLOAD_LABEL)
         ]
         assert len(uploads) == result.key_misses

@@ -257,6 +257,8 @@ class TestHeavyRequestTypes:
         sim = single(BatchPolicy(max_batch_size=1))
         result = sim.run((job,), TraceArrivals([0.0]), seed=0)
         assert result.completed == 1
-        assert len(result.instances[0].program.tasks) == job.task_count
+        (base, tasks), = result.instances[0].spans
+        assert base == 0
+        assert len(tasks) == job.task_count
         assert result.records[0].latency_seconds > 0
         result.validate()

@@ -52,7 +52,7 @@ def assert_same_schedule(a, b):
     assert ra.core_busy_seconds == rb.core_busy_seconds
     assert ra.core_stall_seconds == rb.core_stall_seconds
     assert ra.hbm_busy_seconds == rb.hbm_busy_seconds
-    assert a.as_program().tasks == b.as_program().tasks
+    assert a.spans() == b.spans()
     assert [s.finish_seconds for s in a.submissions] == [
         s.finish_seconds for s in b.submissions
     ]
@@ -161,17 +161,19 @@ class TestPlanReuse:
             j for j, deps in enumerate(plan.deps) if not deps
         )
 
-    def test_merged_program_rebases_each_submission(self):
+    def test_spans_keep_each_submission_local(self):
         # The engine holds each submission's own tasks with local
-        # dependency indices; the merged program re-bases them.
+        # dependency indices; its spans pair them with their base.
         tasks = keyswitch_tasks()
         engine = ScheduleEngine()
         for _ in range(3):
             engine.submit(tasks)
-        merged = engine.as_program().tasks
-        for sub in engine.submissions:
-            for local, task in enumerate(tasks):
-                assert merged[sub.base + local] == task.shifted(sub.base)
+        spans = engine.spans()
+        assert [base for base, _ in spans] == [
+            sub.base for sub in engine.submissions
+        ] == [0, len(tasks), 2 * len(tasks)]
+        for _, own in spans:
+            assert all(a is b for a, b in zip(own, tasks, strict=True))
         engine.drain()
         assert len(engine.result().task_records) == 3 * len(tasks)
 

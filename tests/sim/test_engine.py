@@ -399,19 +399,25 @@ class TestWarmEngine:
         assert sub.done
         assert sub.finish_seconds == 0.25
 
-    def test_as_program_merges_submissions_for_validation(self):
+    def test_spans_rebase_submissions_for_validation(self):
         from repro.sim.validate import validate_schedule
 
         engine = self._engine()
-        engine.submit([simple_task(OperatorKind.MA)])
-        engine.submit([simple_task(OperatorKind.MM),
-                       simple_task(OperatorKind.NTT, deps=(0,))],
-                      release=0.001)
+        first = [simple_task(OperatorKind.MA)]
+        second = [simple_task(OperatorKind.MM),
+                  simple_task(OperatorKind.NTT, deps=(0,))]
+        engine.submit(first)
+        engine.submit(second, release=0.001)
         engine.drain()
-        merged = engine.as_program()
-        assert len(merged.tasks) == 3
-        assert len(merged.op_boundaries) == 2
-        # Global indices: the second submission's dep was re-based.
-        assert merged.tasks[2].depends_on == (1,)
-        validate_schedule(engine.result(), program=merged,
-                         config=engine.config)
+        spans = engine.spans()
+        assert [base for base, _ in spans] == [0, 1]
+        assert [list(tasks) for _, tasks in spans] == [first, second]
+        # Local indices: the second submission's dep stays 0; its base
+        # maps it onto record 1.
+        _, tasks = spans[1]
+        assert tasks[1].depends_on == (0,)
+        assert tasks[1] is second[1]
+        # A slice of the engine's own list, not the caller's list.
+        assert all(tasks is not second for _, tasks in spans)
+        validate_schedule(engine.result(), spans=spans,
+                          config=engine.config)

@@ -43,7 +43,7 @@ class TestCrashTruncation:
         eng.advance_until(2e-6)
         eng.crash(eng.now)
         validate_schedule(
-            eng.result(), program=eng.as_program(), config=eng.config
+            eng.result(), spans=eng.spans(), config=eng.config
         )
 
     def test_crash_before_anything_finished_drops_all(self):
@@ -88,7 +88,10 @@ class TestCrashTruncation:
         for sub in subs:
             assert sub.base == cursor
             cursor += sub.count
-        assert cursor == len(eng.as_program().tasks)
+        assert [(base, len(tasks)) for base, tasks in eng.spans()] == [
+            (sub.base, sub.count) for sub in subs
+        ]
+        assert cursor == len(eng.result().task_records)
 
 
 class TestDeadEngine:
@@ -166,6 +169,5 @@ class TestRestartEpoch:
         assert redo.finish_seconds is not None
         assert redo.finish_seconds >= 1e-3
         validate_schedule(
-            fresh.result(), program=fresh.as_program(),
-            config=fresh.config,
+            fresh.result(), spans=fresh.spans(), config=fresh.config,
         )

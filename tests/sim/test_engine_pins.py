@@ -25,7 +25,7 @@ from dataclasses import replace
 import pytest
 
 from repro.compiler.ops import FheOp, FheOpName
-from repro.compiler.program import compile_trace
+from repro.compiler.program import OperatorProgram, compile_trace
 from repro.sim.config import HardwareConfig
 from repro.sim.engine import PoseidonSimulator, ScheduleEngine
 from repro.sim.tasks import OperatorKind, OperatorTask
@@ -126,13 +126,14 @@ def _one_shot_digest(family: str, instances: str, channels: int) -> str:
         engine.submit(tasks)
         engine.drain()
         result = engine.result()
-        program = engine.as_program()
-        validate_schedule(result, program=program, config=config)
+        validate_schedule(result, spans=engine.spans(), config=config)
         keys = [_record_key(r) for r in result.task_records]
         # PoseidonSimulator.run drives the same engine; both agree.
-        assert [
-            _record_key(r) for r in simulator.run(program).task_records
-        ] == keys
+        program = OperatorProgram(tasks=tasks, op_boundaries=(),
+                                  source_ops=())
+        one_shot = simulator.run(program)
+        validate_schedule(one_shot, program=program, config=config)
+        assert [_record_key(r) for r in one_shot.task_records] == keys
         parts.append(keys)
     return _hash(parts)
 
@@ -171,10 +172,14 @@ def _served_digest(instances: str, channels: int) -> str:
                 [s.index for s in report.lost],
                 report.kept_tasks, report.dropped_tasks))
     result = engine.result()
-    program = engine.as_program()
-    validate_schedule(result, program=program, config=config)
+    spans = engine.spans()
+    validate_schedule(result, spans=spans, config=config)
     log.append([_record_key(r) for r in result.task_records])
-    log.append([t.depends_on for t in program.tasks])
+    # Global dependency indices, as the pinned merged program held them.
+    log.append([
+        tuple(base + d for d in t.depends_on)
+        for base, tasks in spans for t in tasks
+    ])
     log.append([(s.base, s.count, s.finish_seconds)
                 for s in engine.submissions])
     return _hash(log)

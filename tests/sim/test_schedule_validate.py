@@ -6,9 +6,14 @@ import pytest
 
 from repro.compiler.ops import FheOp, FheOpName
 from repro.compiler.program import compile_trace
-from repro.errors import SimulationError
+from repro.errors import ParameterError, SimulationError
 from repro.sim.config import HardwareConfig
-from repro.sim.engine import PoseidonSimulator, SimulationResult, TaskRecord
+from repro.sim.engine import (
+    PoseidonSimulator,
+    ScheduleEngine,
+    SimulationResult,
+    TaskRecord,
+)
 from repro.sim.validate import validate_schedule
 
 N = 1 << 14
@@ -177,13 +182,14 @@ class TestConservation:
             validate_schedule(result)
 
     def test_held_time_exceeding_capacity_rejected(self):
+        # Held 1.25 s on the one configured MA instance of a 0.25 s
+        # run; the record ends within the makespan, so only the
+        # capacity check can object.
         result = fabricated(
-            [record(start=0.0, end=1.0)],
+            [record(start=-1.0, end=0.25, ready_seconds=-1.0)],
             makespan=0.25,
-            core_busy={"MA": 1.0},
-            core_stall={"MA": 0.0},
         )
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="capacity"):
             validate_schedule(result)
 
 
@@ -208,3 +214,139 @@ class TestDependencies:
         result.task_records.pop()
         with pytest.raises(SimulationError, match="recorded"):
             validate_schedule(result, program=program, config=config)
+
+
+class TestInstanceRange:
+    def test_instance_beyond_configuration_rejected(self):
+        # The paper configuration has one MM instance: a second task
+        # running beside the first on "instance 5" is a double-booking
+        # in disguise, not extra capacity.
+        result = fabricated([
+            record(core="MM", start=0.0, end=1.0, instance=0),
+            record(core="MM", start=0.0, end=1.0, instance=5),
+        ])
+        with pytest.raises(SimulationError, match=r"task 1 ran on MM#5"):
+            validate_schedule(result)
+
+    def test_negative_instance_rejected(self):
+        result = fabricated([record(instance=-1)])
+        with pytest.raises(SimulationError, match=r"MA#-1"):
+            validate_schedule(result)
+
+    def test_capacity_follows_configuration(self):
+        # Three instances configured, two used: the concurrent pair
+        # fits, and the third instance's idle time counts as capacity.
+        result = fabricated([
+            record(core="MM", start=0.0, end=1.0, instance=0),
+            record(core="MM", start=0.0, end=1.0, instance=2),
+        ])
+        validate_schedule(
+            result, config=HardwareConfig().with_core_instances(MM=3)
+        )
+        with pytest.raises(SimulationError, match=r"MM#2"):
+            validate_schedule(
+                result, config=HardwareConfig().with_core_instances(MM=2)
+            )
+
+
+SPAN_OPS = [
+    FheOp.make(FheOpName.CMULT, N, 8, aux_limbs=2),
+    FheOp.make(FheOpName.ROTATION, N, 8, aux_limbs=2),
+    FheOp.make(FheOpName.HADD, N, 8),
+]
+
+
+def served(crash: bool):
+    """Three submissions of one task tuple on a warm engine, each
+    released once the previous one has finished (so bases are 0, n and
+    2n, and a dependency read from the wrong submission ended long
+    before). With ``crash`` the engine dies halfway through the third
+    submission and keeps a renumbered prefix of it."""
+    tasks = compile_trace(SPAN_OPS).tasks
+    makespan = PoseidonSimulator().run(compile_trace(SPAN_OPS)).total_seconds
+    engine = ScheduleEngine()
+    for k in range(3):
+        engine.submit(tasks, release=k * makespan, label=f"s{k}")
+    if crash:
+        engine.crash(2.5 * makespan)
+    else:
+        engine.drain()
+    return engine
+
+
+@pytest.fixture(params=["drained", "crashed"])
+def served_run(request):
+    engine = served(crash=request.param == "crashed")
+    spans = engine.spans()
+    assert [base > 0 for base, _ in spans] == [False, True, True]
+    return engine.result(), spans, engine.config
+
+
+class TestSpans:
+    def test_served_schedule_validates(self, served_run):
+        result, spans, config = served_run
+        validate_schedule(result, spans=spans, config=config)
+
+    def test_crash_renumbers_the_kept_prefix(self):
+        engine = served(crash=True)
+        (_, first), _, (base, kept) = engine.spans()
+        assert 0 < len(kept) < len(first)
+        assert base == 2 * len(first)
+        assert any(task.depends_on for task in kept)
+
+    def test_later_submission_started_before_dependency(self, served_run):
+        result, spans, config = served_run
+        records = result.task_records
+        base, tasks = spans[-1]
+        j = next(j for j, task in enumerate(tasks) if task.depends_on)
+        d = tasks[j].depends_on[0]
+        dep = records[base + d]
+        # Start the task halfway through its dependency, on a second
+        # instance of its core that nothing else uses, so only the
+        # dependency check can object.
+        early = (dep.start + dep.end) / 2
+        victim = records[base + j]
+        records[base + j] = dataclasses.replace(
+            victim, start=early, ready_seconds=early, instance=1
+        )
+        spare = config.with_core_instances(**{victim.core: 2})
+        with pytest.raises(
+            SimulationError,
+            match=rf"task {base + j} started at .* before dependency "
+                  rf"{base + d} finished",
+        ):
+            validate_schedule(result, spans=spans, config=spare)
+
+    @pytest.mark.parametrize("tamper", ["skip", "overlap", "over", "under"])
+    def test_spans_must_tile_the_records(self, served_run, tamper):
+        result, spans, config = served_run
+        (b0, t0), (b1, t1), (b2, t2) = spans
+        bad = {
+            "skip": ((b0, t0), (b2, t2)),
+            "overlap": ((b0, t0), (b1 - 1, t1), (b2, t2)),
+            "over": ((b0, t0), (b1, t1), (b2, list(t2) + [t2[0]])),
+            "under": ((b0, t0), (b1, t1)),
+        }[tamper]
+        with pytest.raises(SimulationError, match="tiling|cover"):
+            validate_schedule(result, spans=bad, config=config)
+
+    def test_dependency_outside_its_span_rejected(self, served_run):
+        result, spans, config = served_run
+        (b0, t0), (b1, t1), (b2, t2) = spans
+        # Dependency -1 of a span's first task lies outside the span;
+        # the check refuses it instead of reading another record.
+        rogue = dataclasses.replace(t1[0], depends_on=(-1,))
+        bad = ((b0, t0), (b1, [rogue, *t1[1:]]), (b2, t2))
+        with pytest.raises(SimulationError, match="outside"):
+            validate_schedule(result, spans=bad, config=config)
+
+    def test_program_is_the_single_span(self, real_run):
+        program, config, result = real_run
+        validate_schedule(
+            result, spans=((0, program.tasks),), config=config
+        )
+        with pytest.raises(ParameterError):
+            validate_schedule(
+                result, program=program, spans=((0, program.tasks),),
+                config=config,
+            )
