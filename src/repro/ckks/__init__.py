@@ -16,11 +16,7 @@ downstream application needs: :mod:`~repro.ckks.linear` (BSGS matrix
 products), :mod:`~repro.ckks.hoisting` (shared-decomposition
 rotations), :mod:`~repro.ckks.polyeval` (Horner / power-basis
 polynomial evaluation), :mod:`~repro.ckks.packing` (slot layouts and
-masks), :mod:`~repro.ckks.planner` (bootstrap placement),
-:mod:`~repro.ckks.noise` / :mod:`~repro.ckks.security` (budgeting),
-:mod:`~repro.ckks.keysize` (key material accounting),
-:mod:`~repro.ckks.serialization` (wire format) and
-:mod:`~repro.ckks.presets` (named parameter sets).
+masks) and :mod:`~repro.ckks.presets` (named parameter sets).
 """
 
 from repro.ckks.ciphertext import Ciphertext, Plaintext

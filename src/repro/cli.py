@@ -212,8 +212,11 @@ def cmd_design(args) -> None:
     print(f"best (time): {best.label}")
 
 
-def _simulate_benchmark(args):
+def _simulate_benchmark(args, *, validate: bool = False):
     """Shared setup for the observability commands.
+
+    Checks the schedule against the program once when ``validate`` or
+    ``--validate`` is set; only ``--validate`` reports the check.
 
     Returns ``(name, result, registry)`` — the canonical benchmark
     name, the simulation result, and the metrics registry that was
@@ -241,23 +244,25 @@ def _simulate_benchmark(args):
         except WorkloadError as exc:
             raise SystemExit(f"error: {exc}") from None
         result = simulator.run(program)
-    if getattr(args, "validate", False):
+    if validate or args.validate:
         from repro.sim.validate import validate_schedule
 
         validate_schedule(
             result, program=program, config=simulator.config
         )
+    if args.validate:
         print(f"schedule invariants OK ({name}, {len(program.tasks)} tasks)")
     return name, result, registry
 
 
 def cmd_trace(args) -> None:
-    """Export one benchmark run as Chrome-trace/Perfetto JSON."""
-    from repro.obs import write_chrome_trace
-    from repro.sim.validate import validate_schedule
+    """Export one benchmark run as Chrome-trace/Perfetto JSON.
 
-    name, result, _ = _simulate_benchmark(args)
-    validate_schedule(result, config=_config_from_args(args))
+    The exported schedule is always validated, ``--validate`` or not.
+    """
+    from repro.obs import write_chrome_trace
+
+    name, result, _ = _simulate_benchmark(args, validate=True)
     out = args.output or "trace.json"
     doc = write_chrome_trace(result, out, label=name)
     print(

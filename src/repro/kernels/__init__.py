@@ -5,8 +5,8 @@ NTT/INTT, element-wise modular ops, Barrett reduction, digit lifting
 and the RNSconv cascade — through a *kernel backend*:
 
 - ``numpy``     — fully vectorized uint64 butterflies (Shoup
-  multiplication + lazy reduction, 128-bit Barrett for wide moduli);
-  the default, with no Python-level per-element loops.
+  multiplication + lazy reduction); the default, with no Python-level
+  per-element loops.
 - ``reference`` — the original per-limb code paths (the oracle).
 
 Selection, in precedence order:

@@ -13,8 +13,7 @@ Two implementations ship:
 
 - ``numpy`` (:mod:`repro.kernels.numpy_backend`, the default) — fully
   vectorized uint64 butterflies (Shoup multiplication, lazy reduction,
-  branch-free conditional subtracts) with a 128-bit Barrett path for
-  wide moduli.
+  branch-free conditional subtracts).
 - ``reference`` (:mod:`repro.kernels.reference`) — the original
   scalar/per-limb code paths, one numpy call per limb row; the oracle
   the test suites compare ``numpy`` against.

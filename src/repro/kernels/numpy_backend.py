@@ -2,8 +2,9 @@
 
 Strategy
 --------
-Narrow moduli (<= 31 bits) run a Shoup-multiplication butterfly engine
-with lazy reduction:
+Moduli are at most 31 bits (the base class's ``max_modulus_bits``,
+which is also all :class:`~repro.rns.context.RnsContext` admits). The
+NTT is a Shoup-multiplication butterfly engine with lazy reduction:
 
 * Every twiddle ``w`` carries a precomputed companion
   ``w' = floor(w * 2^32 / q)`` so a modular product is three multiplies,
@@ -20,15 +21,14 @@ with lazy reduction:
   keeps unit-stride inner loops (lane-major layout), then transposed
   back before the output permutation.
 
-Wide moduli (32..62 bits) take an eagerly-reduced path built on a
-vectorized 64x64 -> 128-bit multiply (32-bit limb split) and a
-full-width Barrett reduction (``mu = floor(2^2k / q)`` with per-modulus
-shift columns) so intermediates never overflow ``uint64``.
+Element-wise products use a single-word Barrett reduction: residue
+products stay below ``q^2 < 2^62``, so every intermediate fits in
+``uint64``.
 
 A ``(B, L, N)`` stack runs the same plans with every twiddle and
-modulus column broadcast over the leading batch axis: the engines index
-the limb and coefficient axes from the right (``a[..., :t]``), so one
-call transforms all ``B * L`` rows.
+modulus column broadcast over the leading batch axis: the stage loops
+index the limb and coefficient axes from the right (``a[..., :t]``), so
+one call transforms all ``B * L`` rows.
 
 Fused radix-2^k requests (``radix_log2 >= 2``) execute on the same
 vectorized engine: stage fusion is an execution strategy, not a
@@ -48,17 +48,9 @@ from repro.ntt.tables import get_twiddle_table
 from repro.utils.bitops import ilog2, reverse_bits_array
 
 _U32 = np.uint64(32)
-_MASK32 = np.uint64(0xFFFFFFFF)
 
 #: Butterfly runs shorter than this switch to the transposed layout.
 _TAIL_T = 32
-
-#: Widest modulus the Shoup/lazy narrow engine stays exact for.
-_NARROW_BITS = 31
-
-
-def _is_narrow(moduli: tuple[int, ...]) -> bool:
-    return max(moduli).bit_length() <= _NARROW_BITS
 
 
 @lru_cache(maxsize=64)
@@ -325,127 +317,6 @@ def _run_inv(src: np.ndarray, plan: _NarrowPlan) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Wide path: 32..62-bit moduli via 128-bit products + full Barrett.
-
-def _mul128(a, b):
-    """Full 128-bit product of uint64 arrays as a ``(hi, lo)`` pair."""
-    ah = a >> _U32
-    al = a & _MASK32
-    bh = b >> _U32
-    bl = b & _MASK32
-    ll = al * bl
-    lh = al * bh
-    hl = ah * bl
-    mid = (ll >> _U32) + (lh & _MASK32) + (hl & _MASK32)  # < 3 * 2^32
-    lo = (mid << _U32) | (ll & _MASK32)
-    hi = ah * bh + (lh >> _U32) + (hl >> _U32) + (mid >> _U32)
-    return hi, lo
-
-
-@lru_cache(maxsize=256)
-def _wide_columns(moduli: tuple[int, ...]):
-    """Barrett constants as ``(L, 1)`` columns for 128-bit reduction.
-
-    ``mu = floor(2^2k / q) < 2^(k+1) <= 2^63`` for ``k <= 62``; the
-    shift pairs ``(k-1, 65-k)`` and ``(k+1, 63-k)`` stay in ``[1, 63]``
-    so no shift count ever reaches the undefined 64.
-    """
-    def col(values):
-        return np.array(values, dtype=np.uint64)[:, None]
-
-    bits = [int(q).bit_length() for q in moduli]
-    return (
-        col(moduli),
-        col([(1 << (2 * k)) // int(q) for k, q in zip(bits, moduli)]),
-        col([k - 1 for k in bits]),
-        col([65 - k for k in bits]),
-        col([k + 1 for k in bits]),
-        col([63 - k for k in bits]),
-    )
-
-
-def _barrett_wide(hi, lo, cols):
-    """Reduce ``hi * 2^64 + lo < q^2`` below ``q`` (q up to 2^62)."""
-    q, mu, sh1, sh1c, sh2, sh2c = cols
-    q1 = (hi << sh1c) | (lo >> sh1)  # floor(x / 2^(k-1)) < 2^(k+1)
-    h2, l2 = _mul128(q1, mu)
-    q3 = (h2 << sh2c) | (l2 >> sh2)  # floor(q1 * mu / 2^(k+1))
-    r = lo - q3 * q  # wrapping 64-bit; the true remainder is < 3q
-    r = np.minimum(r, r - q)
-    return np.minimum(r, r - q)
-
-
-def _mulmod_wide(a, b, cols):
-    hi, lo = _mul128(a, b)
-    return _barrett_wide(hi, lo, cols)
-
-
-class _WidePlan:
-    """Eager-reduction NTT tables for 32..62-bit moduli."""
-
-    def __init__(self, moduli: tuple[int, ...], n: int):
-        tbls = [get_twiddle_table(q, n) for q in moduli]
-        self.q_col = np.array(moduli, dtype=np.uint64)[:, None]
-        self.bitrev = _bitrev(n)
-        self.psi = np.stack([t.psi_powers_bitrev for t in tbls])
-        self.ipsi = np.stack([t.ipsi_powers_bitrev for t in tbls])
-        self.inv_n_col = np.array(
-            [t.inv_n for t in tbls], dtype=np.uint64
-        )[:, None]
-        self.cols = _wide_columns(moduli)
-        self.cols3 = tuple(c[:, :, None] for c in self.cols)
-
-
-@lru_cache(maxsize=32)
-def _wide_plan(moduli: tuple[int, ...], n: int) -> _WidePlan:
-    return _WidePlan(moduli, n)
-
-
-def _run_fwd_wide(a: np.ndarray, plan: _WidePlan) -> np.ndarray:
-    lead, n = a.shape[:-1], a.shape[-1]
-    q3 = plan.q_col[:, :, None]
-    t, m = n, 1
-    while m < n:
-        t >>= 1
-        a3 = a.reshape(*lead, m, 2 * t)
-        lo = a3[..., :t]
-        hi = a3[..., t:]
-        w = plan.psi[:, m:2 * m][:, :, None]
-        prod = _mulmod_wide(hi, w, plan.cols3)  # < q
-        s = lo + prod  # < 2q < 2^63
-        s = np.minimum(s, s - q3)
-        d = lo + (q3 - prod)
-        d = np.minimum(d, d - q3)
-        a3[..., :t] = s
-        a3[..., t:] = d
-        m <<= 1
-    return a[..., plan.bitrev]
-
-
-def _run_inv_wide(src: np.ndarray, plan: _WidePlan) -> np.ndarray:
-    a = src[..., plan.bitrev]
-    lead, n = a.shape[:-1], a.shape[-1]
-    q3 = plan.q_col[:, :, None]
-    t, m = 1, n
-    while m > 1:
-        h = m >> 1
-        a3 = a.reshape(*lead, h, 2 * t)
-        lo = a3[..., :t]
-        hi = a3[..., t:]
-        w = plan.ipsi[:, h:2 * h][:, :, None]
-        s = lo + hi
-        s = np.minimum(s, s - q3)
-        d = lo + (q3 - hi)
-        d = np.minimum(d, d - q3)
-        prod = _mulmod_wide(d, w, plan.cols3)
-        a3[..., :t] = s
-        a3[..., t:] = prod
-        t <<= 1
-        m = h
-    return _mulmod_wide(a, plan.inv_n_col, plan.cols)
-
-
-# ----------------------------------------------------------------------
 # Elementwise helpers shared by the public backend methods.
 
 @lru_cache(maxsize=256)
@@ -482,16 +353,13 @@ def _barrett_narrow(x, cols):
 
 def _mulmod_rows(a, b, moduli):
     """``a * b mod q`` row-wise; operands must already be below q."""
-    if _is_narrow(moduli):
-        return _barrett_narrow(a * b, _narrow_columns(moduli))
-    return _mulmod_wide(a, b, _wide_columns(moduli))
+    return _barrett_narrow(a * b, _narrow_columns(moduli))
 
 
 class NumpyBackend(KernelBackend):
-    """Vectorized uint64 kernels — Shoup/lazy narrow, Barrett wide."""
+    """Vectorized uint64 kernels — Shoup/lazy NTT, Barrett products."""
 
     name = "numpy"
-    max_modulus_bits = 62
 
     @staticmethod
     def _key(moduli) -> tuple[int, ...]:
@@ -502,28 +370,22 @@ class NumpyBackend(KernelBackend):
         del radix_log2  # fusion-agnostic engine; see module docstring
         data = self._check(data, moduli)
         self._count("ntt", data.size)
-        key = self._key(moduli)
-        n = data.shape[-1]
-        if _is_narrow(key):
-            return _run_fwd(data.copy(), _narrow_plan(key, n))
-        return _run_fwd_wide(data.copy(), _wide_plan(key, n))
+        plan = _narrow_plan(self._key(moduli), data.shape[-1])
+        return _run_fwd(data.copy(), plan)
 
     def intt(self, data, moduli, *, radix_log2: int = 1):
         del radix_log2  # fusion-agnostic engine; see module docstring
         data = self._check(data, moduli)
         self._count("intt", data.size)
-        key = self._key(moduli)
-        n = data.shape[-1]
-        if _is_narrow(key):
-            return _run_inv(data, _narrow_plan(key, n))
-        return _run_inv_wide(data, _wide_plan(key, n))
+        plan = _narrow_plan(self._key(moduli), data.shape[-1])
+        return _run_inv(data, plan)
 
     # ------------------------------------------------------------------
     def mod_add(self, a, b, moduli):
         a, b = self._check_pair(a, b, moduli)
         self._count("elementwise", a.size)
         q = self._q_col(moduli)
-        s = a + b  # both < q <= 2^62, so the sum fits
+        s = a + b  # both < q < 2^31, so the sum fits
         return np.minimum(s, s - q)
 
     def mod_sub(self, a, b, moduli):
@@ -558,11 +420,7 @@ class NumpyBackend(KernelBackend):
     def barrett_reduce(self, x, moduli):
         x = self._check(x, moduli)
         self._count("barrett", x.size)
-        key = self._key(moduli)
-        if _is_narrow(key):
-            return _barrett_narrow(x.copy(), _narrow_columns(key))
-        zero = np.zeros_like(x)
-        return _barrett_wide(zero, x, _wide_columns(key))
+        return _barrett_narrow(x.copy(), _narrow_columns(self._key(moduli)))
 
     def lift(self, row, moduli):
         row = check_rows(row)

@@ -612,14 +612,6 @@ class ClusterSimulator:
         self._estimator = ServiceEstimator()
 
     # ------------------------------------------------------------------
-    def _service_estimate(
-        self, engine: ScheduleEngine, job: RequestType
-    ) -> float:
-        """Serial-execution estimate, cached per resolved program
-        (identical across instances — they share one hardware
-        config)."""
-        return self._estimator.estimate(engine, job)
-
     def _fair_rejects(self, inst: _Instance, req: Request) -> bool:
         """Whether fair admission turns this arrival away.
 
@@ -844,7 +836,7 @@ class ClusterSimulator:
                     request_id=rid,
                     job=job,
                     arrival_seconds=t,
-                    service_estimate=self._service_estimate(
+                    service_estimate=self._estimator.estimate(
                         instances[0].engine, job
                     ),
                     tenant=tenant,

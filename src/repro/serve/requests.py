@@ -36,20 +36,20 @@ MIX_DEGREE = 1 << 16
 MIX_LEVEL = 30
 MIX_AUX = 4
 
-#: Bytes of one tenant's switch-key set at the mix shape: ``chain``
-#: gadget pairs, each two polynomials over the extended (chain + aux)
-#: basis — the same arithmetic as
-#: :func:`repro.ckks.keysize.switch_key_bytes`, inlined so importing
-#: the serve layer never builds a parameter set. This is what a
-#: key-cache miss charges as an HBM upload (~569 MB at the mix shape:
+
+def switch_key_bytes(degree: int, chain_limbs: int, aux_limbs: int) -> int:
+    """Bytes of one gadget switch key in the 32-bit limb format.
+
+    :class:`repro.ckks.keys.SwitchKey` stores one pair of polynomials
+    per chain limb, each over the extended (chain + aux) basis.
+    """
+    return chain_limbs * 2 * degree * (chain_limbs + aux_limbs) * LIMB_BYTES
+
+
+#: Bytes of one tenant's switch-key set at the mix shape. This is what
+#: a key-cache miss charges as an HBM upload (~569 MB at the mix shape:
 #: key movement is the fleet-scaling hazard).
-KEY_SET_BYTES = (
-    (MIX_LEVEL + 1)
-    * 2
-    * MIX_DEGREE
-    * (MIX_LEVEL + 1 + MIX_AUX)
-    * LIMB_BYTES
-)
+KEY_SET_BYTES = switch_key_bytes(MIX_DEGREE, MIX_LEVEL + 1, MIX_AUX)
 
 
 def _keyswitch_ops() -> list[FheOp]:

@@ -42,7 +42,6 @@ class HardwareConfig:
             default ``"poseidon"`` is the paper's fused radix-2^k
             design and reproduces every baseline number byte-for-byte.
         use_hfauto: HFAuto (True) vs naive one-element Auto (False).
-        pcie_bandwidth: host link bandwidth (staging only).
         core_instances: per-core-array instance counts as sorted
             ``(core, count)`` pairs; arrays not listed have one
             instance (the paper's prototype). Stored as a tuple so the
@@ -58,7 +57,6 @@ class HardwareConfig:
     ntt_radix_log2: int = 3
     ntt_cores: int = 64
     use_hfauto: bool = True
-    pcie_bandwidth: float = 16e9
     core_instances: tuple[tuple[str, int], ...] = ()
     ntt_core: str = DEFAULT_NTT_CORE
 

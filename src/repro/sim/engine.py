@@ -45,9 +45,6 @@ from repro.utils.fold import left_fold_sum
 if TYPE_CHECKING:  # avoid a circular import; engine only needs the type
     from repro.compiler.program import OperatorProgram
 
-#: Kept as the canonical core list (re-exported for compatibility).
-CORE_NAMES = CORE_ARRAYS
-
 
 @dataclass(slots=True)
 class TaskRecord:
@@ -313,9 +310,9 @@ class ScheduleEngine:
         # still unknown), and each core's earliest free time among its
         # instances that are not held (inf when every one is held).
         self._inst_free: dict[str, list[float | None]] = {
-            name: [0.0] * cfg.instances_of(name) for name in CORE_NAMES
+            name: [0.0] * cfg.instances_of(name) for name in CORE_ARRAYS
         }
-        self._core_min: dict[str, float] = dict.fromkeys(CORE_NAMES, 0.0)
+        self._core_min: dict[str, float] = dict.fromkeys(CORE_ARRAYS, 0.0)
         # Earliest instant a dispatch pass can act: the minimum of
         # ``_core_min`` over cores with queued work (inf when none).
         self._dispatch_at = _INF
@@ -334,7 +331,7 @@ class ScheduleEngine:
         # through this set, and _step clears an entry when it fires.
         self._release_times: set[float] = set()
         self._core_queue: dict[str, list[tuple[float, int]]] = {
-            name: [] for name in CORE_NAMES
+            name: [] for name in CORE_ARRAYS
         }
         self._hbm_queue: list[tuple[float, int]] = []
         self._hbm_intervals: list[tuple[float, float]] = []
@@ -471,7 +468,7 @@ class ScheduleEngine:
         cycle_seconds = self.config.cycle_seconds
         for local, task in enumerate(tasks):
             timing = self.cores.task_cycles(task)
-            if timing.core not in CORE_NAMES:
+            if timing.core not in CORE_ARRAYS:
                 raise SchedulingError(
                     f"task {base + local} targets unknown core "
                     f"{timing.core!r}"
@@ -683,7 +680,7 @@ class ScheduleEngine:
         """
         core_min = self._core_min
         dispatch_at = _INF
-        for core in CORE_NAMES:
+        for core in CORE_ARRAYS:
             queue = self._core_queue[core]
             if not queue:
                 continue
@@ -1101,7 +1098,7 @@ def in_order_makespan(
     memory = MemoryModel(config)
     tasks = program.tasks
     finish = [0.0] * len(tasks)
-    core_free: dict[str, float] = {name: 0.0 for name in CORE_NAMES}
+    core_free: dict[str, float] = {name: 0.0 for name in CORE_ARRAYS}
     hbm_free = 0.0
     makespan = 0.0
     for i, task in enumerate(tasks):

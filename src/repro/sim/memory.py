@@ -1,4 +1,4 @@
-"""Memory-system model: HBM, scratchpad, and PCIe staging.
+"""Memory-system model: HBM and scratchpad.
 
 The HBM is modelled as a shared bandwidth resource with channel
 granularity: Alveo U280 HBM2 exposes 32 pseudo-channels of ~14.4 GB/s
@@ -109,7 +109,3 @@ class MemoryModel:
         if reg is not None:
             record_memory_metrics(reg, timing)
         return timing
-
-    def pcie_seconds(self, payload_bytes: int) -> float:
-        """Host staging time over PCIe (used once per workload)."""
-        return payload_bytes / self.config.pcie_bandwidth

@@ -16,12 +16,7 @@ from dataclasses import dataclass
 
 from repro.automorphism.hfauto import hfauto_cycles_per_limb
 from repro.sim.config import HardwareConfig
-from repro.sim.ntt_cores import (
-    BRAM_PER_KB,  # noqa: F401  (canonical home moved; re-exported)
-    NTT_BASE,
-    NTT_SHAPE,
-    get_ntt_core,
-)
+from repro.sim.ntt_cores import BRAM_PER_KB, get_ntt_core
 
 #: Unit costs of one 32-bit datapath element on UltraScale+ fabric.
 LUT_PER_ADDER = 32          # 32-bit add/sub + compare
@@ -105,21 +100,15 @@ class ResourceModel:
             bram=0,
         )
 
-    #: Fused-core (``poseidon``) shape/base tables — canonical values
-    #: live in :mod:`repro.sim.ntt_cores`; kept here as class attrs for
-    #: backwards compatibility.
-    NTT_SHAPE = NTT_SHAPE
-    NTT_BASE = NTT_BASE
-
     def ntt_core(self) -> ResourceVector:
         """NTT array resources of the configured core variant.
 
         The default ``poseidon`` variant models the 2^k-input fused
         butterflies + twiddle BRAM: logic scales with lanes and with
         the Fig.-10-calibrated shape factor over the fusion radix (see
-        :attr:`NTT_SHAPE`), and BRAM also carries the fused twiddle
-        factors of Table II. The competing variants carry their own
-        structural formulas in :mod:`repro.sim.ntt_cores` (e.g.
+        :data:`repro.sim.ntt_cores.NTT_SHAPE`), and BRAM also carries
+        the fused twiddle factors of Table II. The competing variants
+        carry their own structural formulas in that module (e.g.
         ``hf-ntt`` is a fixed-size array independent of lanes,
         ``digit-serial`` trades nearly all DSPs for LUT digit
         arithmetic).

@@ -12,16 +12,15 @@ parameters — a functional variant that really encrypts/evaluates via
 - :mod:`repro.workloads.resnet20` — ResNet-20 image inference.
 - :mod:`repro.workloads.bootstrap_wl` — fully packed bootstrapping,
   refreshing L = 3 to L = 57.
-- :mod:`repro.workloads.generator` — synthetic op-mix generator for
-  stress tests and ablations.
+
+:mod:`repro.workloads.statistics` holds the functional encrypted
+mean/variance behind the private-statistics example; it has no trace.
 """
 
 from repro.workloads.bootstrap_wl import packed_bootstrapping_trace
-from repro.workloads.generator import synthetic_trace
 from repro.workloads.helr import helr_trace
 from repro.workloads.lstm import lstm_trace
 from repro.workloads.resnet20 import resnet20_trace
-from repro.workloads.statistics import statistics_trace
 
 #: Name -> trace builder for all four paper benchmarks (Table V/VI).
 PAPER_BENCHMARKS = {
@@ -72,6 +71,4 @@ __all__ = [
     "lstm_trace",
     "packed_bootstrapping_trace",
     "resnet20_trace",
-    "statistics_trace",
-    "synthetic_trace",
 ]

@@ -147,10 +147,6 @@ class WorkloadBuilder:
         else:
             self._emit(FheOpName.ROTATION, count)
 
-    def keyswitch(self, count: int = 1) -> None:
-        """Bare keyswitches (relinearization-style)."""
-        self._emit(FheOpName.KEYSWITCH, count)
-
     # ------------------------------------------------------------------
     # Macro-steps
     # ------------------------------------------------------------------

@@ -1,14 +1,10 @@
 """Private statistics over encrypted records.
 
 The paper's introduction motivates FHE with third-party processing of
-sensitive records (financial, medical). This workload is that scenario
-distilled: a server computes aggregate statistics — mean, variance,
-weighted scores — over ciphertext-packed records without decrypting.
-
-Operation mix: PMult (weights/masks), CMult (squares for variance),
-rotate-accumulate reductions — a HAdd/PMult/Rotation-heavy profile
-that complements the NN benchmarks' CMult-heavy ones, useful for
-exercising the bandwidth-bound end of Table VII.
+sensitive records (financial, medical). This module is that scenario
+distilled: a server computes the mean and variance of
+ciphertext-packed records without decrypting them. Sums come from
+rotate-accumulate reductions; one squaring gives the second moment.
 """
 
 from __future__ import annotations
@@ -17,36 +13,7 @@ import math
 
 import numpy as np
 
-from repro.compiler.trace import TraceRecorder
-from repro.workloads.common import PAPER_DEGREE, WorkloadBuilder
 
-
-def statistics_trace(
-    *,
-    degree: int = PAPER_DEGREE,
-    record_batches: int = 16,
-    start_level: int = 6,
-    top_level: int = 8,
-) -> TraceRecorder:
-    """Trace: per batch, masked mean + variance of packed records."""
-    builder = WorkloadBuilder(
-        degree=degree, start_level=start_level, top_level=top_level
-    )
-    width = degree // 2
-    for _ in range(record_batches):
-        if builder.levels.level < 3:
-            builder.levels.refresh()  # fresh batches arrive at top level
-        # Mask invalid slots, square for the second moment, reduce.
-        builder.pmult(1, rescale=True)        # mask
-        builder.cmult(1)                      # x^2 (for variance)
-        builder.rotate_accumulate(width)      # sum x and sum x^2
-        builder.hadd(2)                       # accumulate across batches
-    return builder.build()
-
-
-# ----------------------------------------------------------------------
-# Functional variant
-# ----------------------------------------------------------------------
 def encrypted_mean_variance(
     evaluator,
     encoder,

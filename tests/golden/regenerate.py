@@ -59,10 +59,7 @@ def make_ntt_vectors() -> dict:
     from repro.ntt.tables import get_twiddle_table
 
     cases = []
-    # The 62-bit case sits at the overflow edge: residue products span
-    # 124 bits, so only backends with a 128-bit split-reduction path
-    # can run it (narrow backends skip it by capability).
-    shapes = [(30, 16), (30, 64), (31, 32), (62, 32)]
+    shapes = [(30, 16), (30, 64), (31, 32)]
     for seed, (q_bits, n) in enumerate(shapes):
         from repro.utils.primes import find_ntt_primes
 
@@ -84,12 +81,10 @@ def make_barrett_vectors() -> dict:
     from repro.utils.primes import find_ntt_primes
 
     cases = []
-    for q_bits in (30, 31, 62):
+    for q_bits in (30, 31):
         q = find_ntt_primes(q_bits, 1, 64)[0]
-        # Narrow moduli cover the full post-multiply range [0, q^2); at
-        # 62 bits q^2 overflows the uint64 carrier, so the legal domain
-        # (and the one the wide reduction path must handle) is [0, 2^64).
-        domain = min(q * q, 2**64)
+        # The full post-multiply range [0, q^2).
+        domain = q * q
         edge = [0, 1, q - 1, q, q + 1, 2 * q - 1, domain - 1]
         rand = [v % domain for v in rand_residues(2000 + q_bits, 9, domain)]
         inputs = edge + rand
@@ -98,8 +93,7 @@ def make_barrett_vectors() -> dict:
             "input": inputs,
             "expected": [x % q for x in inputs],
         })
-    return {"description": "Barrett reduction: x in [0, min(q^2, 2^64))"
-                           " -> x mod q",
+    return {"description": "Barrett reduction: x in [0, q^2) -> x mod q",
             "cases": cases}
 
 

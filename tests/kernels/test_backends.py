@@ -29,16 +29,18 @@ def test_registry_contents():
 
 
 def test_backend_capability_attributes():
-    """Every backend declares the modulus width its arithmetic is exact for."""
+    """Every backend declares the modulus width its arithmetic is exact
+    for: 31 bits, the widest modulus an RnsContext admits."""
     assert kernels.resolve("reference").max_modulus_bits == 31
-    assert kernels.resolve("numpy").max_modulus_bits == 62
+    assert kernels.resolve("numpy").max_modulus_bits == 31
 
 
 def test_wide_moduli_rejected_by_narrow_backends():
     data = np.zeros((1, 8), dtype=np.uint64)
-    wide = ((1 << 61) + 1,)  # width 62: beyond the 31-bit reference
-    with pytest.raises(KernelError, match="moduli up to 31 bits"):
-        kernels.resolve("reference").ntt(data, wide)
+    wide = ((1 << 61) + 1,)  # width 62: beyond every backend's 31 bits
+    for name in ("reference", "numpy"):
+        with pytest.raises(KernelError, match="moduli up to 31 bits"):
+            kernels.resolve(name).ntt(data, wide)
 
 
 def test_resolve_unknown_name_raises_kernel_error():

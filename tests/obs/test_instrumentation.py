@@ -16,12 +16,14 @@ from repro.rns.context import RnsContext
 from repro.rns.poly import Domain, RnsPolynomial
 from repro.sim.engine import PoseidonSimulator
 from repro.utils.primes import find_ntt_primes
-from repro.workloads import synthetic_trace
+from repro.workloads import helr_trace
 
 
 @pytest.fixture(scope="module")
 def program():
-    return compile_trace(synthetic_trace(op_count=30, seed=3))
+    return compile_trace(
+        helr_trace(degree=1 << 12, iterations=2, bootstraps=1)
+    )
 
 
 class TestSimulatorMetrics:

@@ -15,12 +15,12 @@ from repro.obs.trace_export import (
 from repro.sim.engine import PoseidonSimulator
 from repro.sim.timeline import Timeline
 from repro.sim.validate import validate_schedule
-from repro.workloads import synthetic_trace
+from repro.workloads import helr_trace
 
 
 @pytest.fixture(scope="module")
 def result():
-    trace = synthetic_trace(op_count=40, seed=7)
+    trace = helr_trace(degree=1 << 12, iterations=2, bootstraps=1)
     return PoseidonSimulator().run(compile_trace(trace))
 
 

@@ -25,10 +25,9 @@ DEGREES = (16, 32, 64)
 PRIME_POOL_30 = tuple(find_ntt_primes(30, 4, MAX_DEGREE))
 PRIME_POOL_31 = tuple(find_ntt_primes(31, 2, MAX_DEGREE))
 
-#: Overflow-edge pool: primes just below 2^62, the widest moduli any
-#: backend supports. Naive uint64 Barrett (single-word mu, 2k-bit
-#: intermediates) breaks here — products reach 124 bits — so these
-#: exercise the 128-bit split-reduction path exclusively.
+#: Overflow-edge pool: primes just below 2^62. Single-word uint64
+#: Barrett breaks here — products reach 124 bits — so every backend
+#: (exact to 31-bit moduli) must refuse them.
 PRIME_POOL_62 = tuple(find_ntt_primes(62, 2, MAX_DEGREE))
 
 #: Every registered backend; property tests parametrize over this so a

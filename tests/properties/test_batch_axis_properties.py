@@ -2,8 +2,8 @@
 
 Every kernel op that takes a leading batch axis must return, bit for
 bit, what stacking its per-matrix results returns — on every
-registered backend, over narrow (<= 31-bit) and 62-bit moduli, and for
-``B == 1`` too (a one-matrix stack must not be read as limbs).
+registered backend, over 30- and 31-bit moduli, and for ``B == 1`` too
+(a one-matrix stack must not be read as limbs).
 """
 
 from __future__ import annotations
@@ -18,13 +18,9 @@ from repro import kernels
 from ._support import (
     BACKENDS,
     PRIME_POOL_30,
-    PRIME_POOL_62,
-    backends_supporting,
     random_matrix,
     rns_shapes,
 )
-
-WIDE_BACKENDS = backends_supporting(PRIME_POOL_62)
 
 
 @st.composite
@@ -34,16 +30,6 @@ def narrow_stacks(draw):
     batch = draw(st.integers(min_value=1, max_value=4))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     return moduli, degree, batch, seed
-
-
-@st.composite
-def wide_stacks(draw):
-    """``(moduli, degree, batch, seed)`` over the 62-bit pool."""
-    limbs = draw(st.integers(min_value=1, max_value=len(PRIME_POOL_62)))
-    degree = draw(st.sampled_from((16, 32, 64)))
-    batch = draw(st.integers(min_value=1, max_value=3))
-    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
-    return PRIME_POOL_62[:limbs], degree, batch, seed
 
 
 def _stack(moduli, degree, batch, seed):
@@ -82,7 +68,7 @@ def _check_every_op(backend, moduli, degree, batch, seed):
         backend.mod_scalar_mul(a, scalars, moduli),
         _per_matrix(lambda x: backend.mod_scalar_mul(x, scalars, moduli), a),
     )
-    # Below q^2 for narrow moduli; any uint64 is in the wide domain.
+    # Residue products: below q^2, the Barrett domain.
     products = a * b
     np.testing.assert_array_equal(
         backend.barrett_reduce(products, moduli),
@@ -99,12 +85,6 @@ def _check_every_op(backend, moduli, degree, batch, seed):
 @pytest.mark.parametrize("backend_name", BACKENDS)
 @given(drawn=narrow_stacks())
 def test_stack_equals_stacked_matrices_narrow(backend_name, drawn):
-    _check_every_op(kernels.resolve(backend_name), *drawn)
-
-
-@pytest.mark.parametrize("backend_name", WIDE_BACKENDS)
-@given(drawn=wide_stacks())
-def test_stack_equals_stacked_matrices_wide(backend_name, drawn):
     _check_every_op(kernels.resolve(backend_name), *drawn)
 
 

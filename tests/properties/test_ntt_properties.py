@@ -99,32 +99,6 @@ def test_backends_bit_identical_on_transforms(radix_log2, drawn):
         )
 
 
-@given(drawn=wide_residue_matrices(), seed=st.integers(0, 2**32 - 1))
-def test_overflow_edge_roundtrip_and_convolution(drawn, seed):
-    """Moduli near 2^62: products span 124 bits, where any single-word
-    uint64 Barrett shortcut silently corrupts. Capable backends must
-    still invert exactly and diagonalize the negacyclic ring."""
-    a, moduli = drawn
-    names = backends_supporting(moduli)
-    assert "numpy" in names  # the wide path must actually be exercised
-    rng = np.random.default_rng(seed)
-    b = np.stack(
-        [rng.integers(0, q, a.shape[1], dtype=np.uint64) for q in moduli]
-    )
-    for name in names:
-        backend = kernels.resolve(name)
-        fwd = backend.ntt(a, moduli)
-        np.testing.assert_array_equal(backend.intt(fwd, moduli), a)
-        got = backend.intt(
-            backend.mod_mul(fwd, backend.ntt(b, moduli), moduli), moduli
-        )
-        for i, q in enumerate(moduli):
-            expected = negacyclic_convolution(a[i], b[i], q)
-            np.testing.assert_array_equal(
-                got[i], np.array(expected, np.uint64)
-            )
-
-
 @given(drawn=wide_residue_matrices())
 def test_overflow_edge_rejected_by_narrow_backends(drawn):
     """Backends without a wide path must refuse, not corrupt."""

@@ -84,10 +84,3 @@ class TestSpill:
             MemoryModel(tiny).task_timing(t).hbm_seconds
             > MemoryModel(big).task_timing(t).hbm_seconds
         )
-
-
-class TestPcie:
-    def test_pcie_seconds(self, model):
-        assert model.pcie_seconds(16_000_000) == pytest.approx(
-            16_000_000 / 16e9
-        )

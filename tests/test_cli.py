@@ -180,6 +180,34 @@ class TestObservability:
         with pytest.raises(SystemExit, match="unknown benchmark"):
             main(["trace", "--benchmark", "nope"])
 
+    @pytest.mark.parametrize("command,flag,expected", [
+        ("trace", False, 1),
+        ("trace", True, 1),
+        ("metrics", False, 0),
+        ("metrics", True, 1),
+    ])
+    def test_schedule_validated_once_with_program(
+        self, command, flag, expected, tmp_path, monkeypatch, capsys
+    ):
+        """``trace`` always checks its schedule, dependencies included,
+        exactly once; ``metrics`` checks it only under ``--validate``."""
+        from repro.sim import validate
+
+        calls = []
+        real = validate.validate_schedule
+
+        def counting(result, **kwargs):
+            calls.append(kwargs)
+            return real(result, **kwargs)
+
+        monkeypatch.setattr(validate, "validate_schedule", counting)
+        argv = [command, "--benchmark", "bootstrapping",
+                "-o", str(tmp_path / "out.json")]
+        assert main(argv + ["--validate"] * flag) == 0
+        assert len(calls) == expected
+        assert all(kw.get("program") is not None for kw in calls)
+        assert ("schedule invariants OK" in capsys.readouterr().out) == flag
+
 
 class TestServe:
     def test_serve_reports_and_validates(self, capsys):

@@ -1,40 +1,9 @@
-"""Tests for the private-statistics workload (trace + functional)."""
+"""Tests for the private-statistics functional workload."""
 
 import numpy as np
 import pytest
 
-from repro.compiler.program import compile_trace
-from repro.sim.engine import PoseidonSimulator
-from repro.workloads.statistics import (
-    encrypted_mean_variance,
-    statistics_trace,
-)
-
-
-class TestTrace:
-    def test_structure(self):
-        trace = statistics_trace(degree=1 << 12, record_batches=4)
-        hist = trace.op_histogram()
-        assert hist["CMult"] == 4      # one square per batch
-        assert hist["PMult"] == 4      # one mask per batch
-        assert hist["Rotation"] > 8    # rotate-accumulate reductions
-
-    def test_simulates(self):
-        trace = statistics_trace(degree=1 << 12, record_batches=4)
-        result = PoseidonSimulator().run(compile_trace(trace))
-        assert result.total_seconds > 0
-
-    def test_rotation_heavy_profile(self):
-        """This workload is rotation/HAdd heavy — the bandwidth-bound
-        end of the spectrum relative to the CMult-heavy NN traces."""
-        trace = statistics_trace(degree=1 << 12, record_batches=8)
-        hist = trace.op_histogram()
-        assert hist["Rotation"] + hist["HAdd"] > 3 * hist["CMult"]
-
-    def test_batch_scaling(self):
-        small = statistics_trace(degree=1 << 12, record_batches=2)
-        large = statistics_trace(degree=1 << 12, record_batches=8)
-        assert len(large) > 3 * len(small)
+from repro.workloads.statistics import encrypted_mean_variance
 
 
 class TestFunctional:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.compiler.ops import FheOpName
 from repro.compiler.program import compile_trace
 from repro.sim.engine import PoseidonSimulator
 from repro.workloads import (
@@ -32,11 +33,35 @@ class TestHelrTrace:
         assert hist["Rotation"] > 0
         assert hist["PMult"] > 0
 
+    def test_level_discipline(self):
+        trace = helr_trace(degree=1 << 12, iterations=2, bootstraps=1)
+        assert {op.degree for op in trace.ops} == {1 << 12}
+        assert max(op.level for op in trace.ops) <= 44
+        assert all(
+            op.limbs >= 2
+            for op in trace.ops
+            if op.name is FheOpName.RESCALE
+        )
+
     def test_bootstrap_count_respected(self):
         trace = helr_trace(degree=1 << 12, iterations=10, bootstraps=2)
         # Two sparse bootstraps must appear (each has its EvalMod
         # conjugation rotations and C2S/S2C PMult batches).
         assert len(trace) > 100
+
+    def test_refresh_counting_on_real_trace(self):
+        trace = helr_trace(degree=1 << 12, iterations=10, bootstraps=2)
+        # Each refresh jumps back up to the chain top. The two EvalMod
+        # halves inside one bootstrap run level-parallel, a smaller
+        # upward jump that must not count as a second refresh.
+        levels = [op.level for op in trace.ops]
+        top = max(levels)
+        refreshes = sum(
+            1
+            for prev, cur in zip(levels, levels[1:])
+            if cur - prev >= 4 and cur == top
+        )
+        assert refreshes == 2
 
     def test_paper_scale_defaults(self):
         trace = helr_trace()
