@@ -1,20 +1,23 @@
 #!/usr/bin/env python
-"""Profile the serving loop and its engine under a large serve trace.
+"""Profile one e2e workload's timed section; by default the serve loop.
 
-Runs the e2e benchmark's ``serve-overload`` workload, built by its
-own set-up in ``benchmarks/e2e/workloads.py`` (one accelerator, a
-one-instance :class:`repro.serve.ClusterSimulator` with free key
-uploads, fed 3000 Poisson arrivals at 8000 req/s, each expanding to a
-multi-task operator program), under ``cProfile``, then prints the
-hottest functions by cumulative and total time. This is the harness
-the engine and serve-loop hot-path work is measured with — run it
-before and after a scheduler change:
+Builds a workload of the e2e benchmark with its own set-up in
+``benchmarks/e2e/workloads.py``, runs its timed section under
+``cProfile``, then prints the hottest functions by cumulative and
+total time. ``--workload`` picks any of the benchmark's workloads; the
+default, ``serve-overload``, is one accelerator, a one-instance
+:class:`repro.serve.ClusterSimulator` with free key uploads, fed 3000
+Poisson arrivals at 8000 req/s, each expanding to a multi-task
+operator program. This is the harness the engine and serve-loop
+hot-path work is measured with — run it before and after a scheduler
+change:
 
     make profile
     # or directly:
     python benchmarks/profile_engine.py --raw
+    python benchmarks/profile_engine.py --workload ckks-bootstrap --raw
 
-The trace is sized so the engine loop dominates (hundreds of
+The default trace is sized so the engine loop dominates (hundreds of
 thousands of heap events) while a full profile still completes in tens
 of seconds. ``--raw`` additionally times an un-profiled run, since the
 profiler's per-call hook inflates cheap functions; use the raw number
@@ -59,6 +62,19 @@ first:
 
 The raw run spends about 0.15-0.2 s in the cyclic collector, over
 about 350/32/3 collections of generations 0/1/2 (2-core host).
+
+``--workload ckks-bootstrap`` profiles ten packed bootstraps at N=64
+(the e2e set-up: keys, the six CoeffToSlot/SlotToCoeff transforms and
+a warm-up bootstrap stay outside the profile). The linear transforms
+multiply and accumulate in the NTT domain, so what remains is mostly
+keyswitching: ``apply_switch_key`` (830 calls, one per rotation,
+conjugation and relinearization) is about 70% of the profiled time,
+and the transforms' own share (about 70%, down from about 82% when
+every diagonal term ran its own NTT/INTT pair) is now almost all
+their baby and giant rotations. The top self time is the forward-NTT
+butterfly stage (about 24%), then the inverse stage and the Barrett
+products (about 10% each). The raw run takes ~1.9 s, against ~3.2 s
+with per-term transforms (2-core host).
 """
 
 from __future__ import annotations
@@ -78,16 +94,28 @@ for _path in (REPO_ROOT / "src", REPO_ROOT / "benchmarks" / "e2e"):
 
 from workloads import WORKLOADS  # noqa: E402  (path bootstrap must come first)
 
+from repro.serve.cluster import ClusterResult  # noqa: E402
 
-def _build_run(seed: int):
-    workload = WORKLOADS["serve-overload"]
+
+def _build_run(name: str, seed: int):
+    """Set up workload ``name`` once; return a thunk that runs its timed
+    section and a one-line description of that run's output."""
+    workload = WORKLOADS[name]
     state = workload.setup(seed, False)
 
     def run():
-        result, _ = workload.run(state, time.perf_counter)
-        return result
+        out, _ = workload.run(state, time.perf_counter)
+        return out
 
-    return run
+    def describe(out) -> str:
+        if isinstance(out, ClusterResult):
+            return (
+                f"{out.completed} completed, "
+                f"makespan {out.makespan_seconds:.6f}s simulated"
+            )
+        return f"digest {workload.check(state, out)['digest'][:16]}"
+
+    return run, describe
 
 
 class _CollectorClock:
@@ -110,6 +138,11 @@ class _CollectorClock:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--workload", choices=sorted(WORKLOADS), default="serve-overload",
+        help="e2e workload whose timed section to profile "
+             "(default: serve-overload)",
+    )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--sort", choices=("cumulative", "tottime"), default="tottime",
@@ -129,20 +162,16 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    run = _build_run(args.seed)
+    run, describe = _build_run(args.workload, args.seed)
 
     if args.raw:
         collector = _CollectorClock()
         gc.callbacks.append(collector)
         t0 = time.perf_counter()
-        result = run()
+        out = run()
         raw_seconds = time.perf_counter() - t0
         gc.callbacks.remove(collector)
-        print(
-            f"raw run: {raw_seconds:.3f}s wall, "
-            f"{result.completed} completed, "
-            f"makespan {result.makespan_seconds:.6f}s simulated"
-        )
+        print(f"raw run: {raw_seconds:.3f}s wall, {describe(out)}")
         gen0, gen1, gen2 = collector.collections
         print(
             f"cyclic GC in the raw run: {collector.seconds:.3f}s host, "
@@ -151,12 +180,9 @@ def main(argv=None) -> int:
 
     profiler = cProfile.Profile()
     profiler.enable()
-    result = run()
+    out = run()
     profiler.disable()
-    print(
-        f"profiled run: {result.completed} completed, "
-        f"makespan {result.makespan_seconds:.6f}s simulated"
-    )
+    print(f"profiled run: {describe(out)}")
 
     stats = pstats.Stats(profiler, stream=sys.stdout)
     if args.output is not None:

@@ -60,13 +60,15 @@ def ntt_digits(d: RnsPolynomial, ext_ctx: RnsContext) -> Iterator[np.ndarray]:
         yield ntt_stack(lifted, ext_ctx.moduli)
 
 
-def _sum_digits(backend, terms: np.ndarray, moduli) -> np.ndarray:
-    """Fold a ``(b, 2, L, N)`` stack over its digit axis -> ``(2, L, N)``.
+def sum_terms(backend, terms: np.ndarray, moduli) -> np.ndarray:
+    """Fold a ``(b, P, L, N)`` stack over its first axis -> ``(P, L, N)``.
 
-    Pairwise: each round adds the first half of the digits to the
-    second in one ``mod_add`` call, so ``b`` digits take
-    ``ceil(log2 b)`` calls.
+    Pairwise: each round adds the first half of the terms to the
+    second in one ``mod_add`` call, so ``b`` terms take
+    ``ceil(log2 b)`` calls. The keyswitch folds its digits (``P = 2``
+    accumulators), a linear transform its diagonal terms.
     """
+    item = terms.shape[1:]
     matrix = terms.shape[2:]
     while len(terms) > 1:
         half = len(terms) // 2
@@ -74,7 +76,7 @@ def _sum_digits(backend, terms: np.ndarray, moduli) -> np.ndarray:
             terms[:half].reshape(-1, *matrix),
             terms[half:2 * half].reshape(-1, *matrix),
             moduli,
-        ).reshape(half, 2, *matrix)
+        ).reshape(half, *item)
         if len(terms) % 2:
             summed = np.concatenate((summed, terms[-1:]))
         terms = summed
@@ -116,7 +118,7 @@ def switch_digits(
             key_rows.reshape(2 * count, limbs, degree),
             moduli,
         ).reshape(count, 2, limbs, degree)
-        block_sum = _sum_digits(backend, terms, moduli)
+        block_sum = sum_terms(backend, terms, moduli)
         acc = block_sum if acc is None else backend.mod_add(
             acc, block_sum, moduli
         )

@@ -10,18 +10,47 @@ left by ``d``. With baby-step/giant-step (BSGS) the rotation count
 drops from ``n`` to ``~2*sqrt(n)`` — the optimization every FHE NN
 workload (HELR, LSTM, ResNet-20) leans on, and the reason Rotation is
 so prominent in the paper's operator breakdowns.
+
+Products and sums run in the NTT domain, where Poseidon's MM/MA cores
+find their operands:
+
+- Each nonzero diagonal is encoded once, when the transform is built:
+  pre-rotated by its giant step, over the full modulus chain, and
+  forward-transformed into one ``(D, L, N)`` spectrum stack. A level-
+  ``l`` ciphertext uses the stack's first ``l + 1`` limb rows. Those
+  equal an encoding at level ``l`` bit for bit: the level-``l`` basis
+  is a prefix of the chain, and encoding and NTT both work limb by
+  limb. The stack holds ``D * L * N`` words; the bootstrap preset's
+  six transforms keep 6 x 32 diagonals x 16 limbs x 64 x 8 B ~ 1.6 MB.
+- :meth:`LinearTransform.apply` transforms each baby-step rotation
+  once, all of them in one ``ntt_stack`` call. Each giant-step group
+  then takes one ``mod_mul`` of its baby spectra against its diagonal
+  spectra per :func:`repro.kernels.batch_blocks` block, a pairwise
+  ``mod_add`` fold of its terms (:func:`repro.ckks.keyswitch.sum_terms`)
+  and one INTT, and only then its giant rotation.
+
+Every kernel returns canonical residues and the INTT is linear, so the
+result is bit-identical to a ``multiply_plain`` and an ``add`` per
+diagonal term, and the evaluator's recorder and ``ckks.op.*`` counters
+still see one PMult per term and one HAdd per sum.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
+from repro import kernels
 from repro.errors import EvaluationError
 from repro.ckks.ciphertext import Ciphertext
 from repro.ckks.encoder import CkksEncoder
 from repro.ckks.evaluator import CkksEvaluator
+from repro.ckks.hoisting import HoistedRotator
+from repro.ckks.keyswitch import sum_terms
+from repro.ntt.negacyclic import intt_stack, ntt_stack
+from repro.rns.poly import Domain, stack_residues, unstack_residues
 
 
 def matrix_diagonals(matrix: np.ndarray) -> dict[int, np.ndarray]:
@@ -53,11 +82,23 @@ class LinearTransform:
     ``d`` and ``d - n`` must agree — true when (N/2) % n == 0 and the
     packed vector repeats).
 
+    Diagonal ``d`` is baby step ``d % baby`` of giant step
+    ``d // baby``. Without BSGS (``use_bsgs=False``, or at most four
+    nonzero diagonals) the baby step is ``n``: every diagonal is its
+    own baby rotation and one giant group, which needs no giant
+    rotation, sums them all.
+
     Args:
         evaluator: the evaluator performing rotations/multiplications.
         encoder: used to encode the diagonals.
         matrix: the complex matrix.
         use_bsgs: enable baby-step/giant-step grouping.
+        use_hoisting: take the baby rotations from one shared digit
+            decomposition (:class:`~repro.ckks.hoisting.HoistedRotator`).
+
+    Raises:
+        EvaluationError: the matrix is not square, its dimension does
+            not divide the slot count, or it has no nonzero diagonal.
     """
 
     def __init__(
@@ -81,9 +122,37 @@ class LinearTransform:
                 f"matrix dim {self.n} must divide slot count {slots}"
             )
         self.diagonals = matrix_diagonals(matrix)
+        if not self.diagonals:
+            raise EvaluationError("matrix has no nonzero diagonals")
         self.use_bsgs = use_bsgs and len(self.diagonals) > 4
-        self.baby = (
-            max(1, int(round(math.sqrt(self.n)))) if self.use_bsgs else 1
+        baby = max(1, int(round(math.sqrt(self.n)))) if self.use_bsgs else self.n
+        self.baby = baby
+
+        order = sorted(self.diagonals)
+        self._babies = sorted({d % baby for d in order})
+        # Per giant step: its shift, its rows of the spectrum stack and
+        # the position of each row's baby step in self._babies.
+        groups: dict[int, list[int]] = {}
+        for row, d in enumerate(order):
+            groups.setdefault(d // baby, []).append(row)
+        self._groups = [
+            (
+                g * baby,
+                np.array(rows),
+                np.array([self._babies.index(order[r] % baby) for r in rows]),
+            )
+            for g, rows in sorted(groups.items())
+        ]
+        # Each diagonal pre-rotated right by its giant shift, encoded
+        # over the full chain and transformed: one (D, L, N) stack.
+        plaintexts = [
+            encoder.encode(self._tile(np.roll(self.diagonals[d], (d // baby) * baby)))
+            for d in order
+        ]
+        self._plain_scale = plaintexts[0].scale
+        self._spectra = ntt_stack(
+            stack_residues([pt.poly for pt in plaintexts], Domain.COEFFICIENT),
+            evaluator.params.context.moduli,
         )
 
     # ------------------------------------------------------------------
@@ -92,84 +161,83 @@ class LinearTransform:
         reps = self.encoder.slots // self.n
         return np.tile(vec, reps)
 
-    def _encode_diag(self, diag: np.ndarray, level: int):
-        ctx = self.evaluator.params.context_at_level(level)
-        return self.encoder.encode(self._tile(diag), context=ctx)
+    def _baby_rotations(self, ct: Ciphertext) -> list[Ciphertext]:
+        """``ct`` rotated by each baby step, in ``self._babies`` order.
+
+        Hoisted rotations share one digit decomposition (see
+        :mod:`repro.ckks.hoisting`); plain ones keyswitch each.
+        """
+        ev = self.evaluator
+        if self.use_hoisting and sum(1 for b in self._babies if b) > 1:
+            rotate = HoistedRotator(ev.params, ev.keys, ct, evaluator=ev).rotate
+        else:
+            rotate = partial(ev.rotate, ct)
+        return [rotate(b) if b else ct for b in self._babies]
 
     # ------------------------------------------------------------------
     def apply(self, ct: Ciphertext) -> Ciphertext:
         """Apply the matrix to a ciphertext; consumes one level.
 
-        The result scale is ``ct.scale * encoder scale`` before the
-        final rescale; callers receive a rescaled ciphertext.
+        BSGS with pre-rotated diagonals:
+
+            sum_d diag_d ⊙ rot_d(z)
+              = sum_g rot_{g*baby}( sum_b rot_{-g*baby}(diag_{g*baby+b}) ⊙ rot_b(z) )
+
+        Every baby rotation is transformed once (one stacked NTT); each
+        giant group multiplies and sums its terms against the
+        level-``ct.level`` rows of the diagonal spectra and takes one
+        INTT (module docstring). The result scale is ``ct.scale *
+        encoder scale`` before the final rescale; callers receive a
+        rescaled ciphertext.
         """
         ev = self.evaluator
-        if self.use_bsgs:
-            result = self._apply_bsgs(ct)
-        else:
-            result = self._apply_direct(ct)
-        return ev.rescale(result)
-
-    def _apply_direct(self, ct: Ciphertext) -> Ciphertext:
-        ev = self.evaluator
-        acc: Ciphertext | None = None
-        for d, diag in sorted(self.diagonals.items()):
-            rotated = ev.rotate(ct, d) if d else ct
-            term = ev.multiply_plain(
-                rotated, self._encode_diag(diag, rotated.level)
-            )
-            acc = term if acc is None else ev.add(acc, term)
-        if acc is None:
-            raise EvaluationError("matrix has no nonzero diagonals")
-        return acc
-
-    def _apply_bsgs(self, ct: Ciphertext) -> Ciphertext:
-        """BSGS: rot_d = rot_{g*baby} ∘ rot_b with pre-rotated diagonals.
-
-        sum_d diag_d ⊙ rot_d(z)
-          = sum_g rot_{g*baby}( sum_b rot_{-g*baby}(diag_{g*baby+b}) ⊙ rot_b(z) )
-        """
-        ev = self.evaluator
-        baby = self.baby
-        # Baby rotations of the input: hoisted (one shared digit
-        # decomposition, see repro.ckks.hoisting) or plain rotations.
-        baby_rots: dict[int, Ciphertext] = {}
-        needed_babies = {d % baby for d in self.diagonals}
-        if self.use_hoisting and len(needed_babies - {0}) > 1:
-            from repro.ckks.hoisting import HoistedRotator
-
-            rotator = HoistedRotator(
-                ev.params, ev.keys, ct, evaluator=ev
-            )
-            for b in sorted(needed_babies):
-                baby_rots[b] = rotator.rotate(b) if b else ct
-        else:
-            for b in sorted(needed_babies):
-                baby_rots[b] = ev.rotate(ct, b) if b else ct
-
-        # Group diagonals by giant step.
-        groups: dict[int, list[int]] = {}
-        for d in self.diagonals:
-            groups.setdefault(d // baby, []).append(d)
+        backend = kernels.get_backend()
+        context = ct.parts[0].context
+        moduli = context.moduli
+        parts = ct.size
+        matrix = (ct.level + 1, ct.degree)
+        babies = self._baby_rotations(ct)
+        # One forward NTT for every part of every baby rotation, viewed
+        # as (baby, part, L, N).
+        baby_spectra = ntt_stack(
+            stack_residues([p for b in babies for p in b.parts], Domain.COEFFICIENT),
+            moduli,
+        ).reshape(len(babies), parts, *matrix)
+        diag_spectra = self._spectra[:, :ct.level + 1]
 
         acc: Ciphertext | None = None
-        for g, ds in sorted(groups.items()):
-            inner: Ciphertext | None = None
-            shift = g * baby
-            for d in sorted(ds):
-                b = d % baby
-                # Pre-rotate the diagonal right by the giant shift.
-                diag = np.roll(self.diagonals[d], shift)
-                term = ev.multiply_plain(
-                    baby_rots[b], self._encode_diag(diag, baby_rots[b].level)
+        for shift, rows, baby_of_row in self._groups:
+            # A term is every part of its baby rotation times its
+            # diagonal's spectrum; one product call per block of terms.
+            sums = None
+            for block in kernels.batch_blocks(len(rows), parts * math.prod(matrix)):
+                products = backend.mod_mul(
+                    baby_spectra[baby_of_row[block]].reshape(-1, *matrix),
+                    diag_spectra[np.repeat(rows[block], parts)],
+                    moduli,
                 )
-                inner = term if inner is None else ev.add(inner, term)
-            assert inner is not None
+                block_sum = sum_terms(
+                    backend, products.reshape(-1, parts, *matrix), moduli
+                )
+                sums = block_sum if sums is None else backend.mod_add(
+                    sums, block_sum, moduli
+                )
+            inner = Ciphertext(
+                parts=unstack_residues(
+                    intt_stack(sums, moduli), context, Domain.COEFFICIENT
+                ),
+                scale=ct.scale * self._plain_scale,
+                level=ct.level,
+            )
+            # One PMult per term and one HAdd per sum, in the order a
+            # term-by-term multiply_plain/add loop records them.
+            for i in range(len(rows)):
+                ev._record("PMult", ct)
+                if i:
+                    ev._record("HAdd", ct, kind="ct-ct")
             outer = ev.rotate(inner, shift) if shift else inner
             acc = outer if acc is None else ev.add(acc, outer)
-        if acc is None:
-            raise EvaluationError("matrix has no nonzero diagonals")
-        return acc
+        return ev.rescale(acc)
 
     # ------------------------------------------------------------------
     def reference(self, vec: np.ndarray) -> np.ndarray:
@@ -178,8 +246,6 @@ class LinearTransform:
 
     def rotation_count(self) -> int:
         """Rotations :meth:`apply` will perform (cost-model input)."""
-        if not self.use_bsgs:
-            return sum(1 for d in self.diagonals if d)
         babies = {d % self.baby for d in self.diagonals} - {0}
         giants = {d // self.baby for d in self.diagonals} - {0}
         return len(babies) + len(giants)

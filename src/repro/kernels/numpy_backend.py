@@ -257,12 +257,14 @@ def _run_fwd(a: np.ndarray, plan: _NarrowPlan) -> np.ndarray:
         np.minimum(a, scratch, out=a)
     np.subtract(a, plan.q_col, out=scratch)
     np.minimum(a, scratch, out=a)
-    return a[..., plan.bitrev]
+    # np.take returns C order; a[..., idx] would return a transposed
+    # layout that every later elementwise op and reshape pays for.
+    return np.take(a, plan.bitrev, axis=-1)
 
 
 def _run_inv(src: np.ndarray, plan: _NarrowPlan) -> np.ndarray:
     """GS stages over a permuted copy of ``src``: (L, n) or (B, L, n)."""
-    a = src[..., plan.bitrev]
+    a = np.take(src, plan.bitrev, axis=-1)  # C order, as in _run_fwd
     lead, n = a.shape[:-1], a.shape[-1]
     levels = lead[-1]
     half = n >> 1

@@ -1,15 +1,18 @@
 """Operation-level batching is bit-identical to the loops it replaced.
 
 The keyswitch runs its digits, the products their ciphertext parts and
-HFAuto its limb rows through one kernel call per step. The loops they
-replaced live on here only, as oracles: a digit-by-digit keyswitch, a
-digit-by-digit hoisted rotation, part-by-part products and row-by-row
-HFAuto. Every kernel returns canonical residues, so the batched results
-must equal the oracles exactly, in every block layout the element
-budget can produce.
+HFAuto its limb rows through one kernel call per step; a linear
+transform multiplies and sums its diagonal terms in the NTT domain. The
+loops they replaced live on here only, as oracles: a digit-by-digit
+keyswitch, a digit-by-digit hoisted rotation, part-by-part products,
+row-by-row HFAuto and a term-by-term linear transform. Every kernel
+returns canonical residues, so the batched results must equal the
+oracles exactly, in every block layout the element budget can produce.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -30,8 +33,11 @@ from repro.ckks import (
 from repro.ckks.ciphertext import Ciphertext
 from repro.ckks.hoisting import HoistedRotator
 from repro.ckks.keyswitch import apply_switch_key
+from repro.ckks.linear import LinearTransform, matrix_diagonals
+from repro.errors import EvaluationError
 from repro.kernels import base as kernel_base
 from repro.ntt.negacyclic import intt_negacyclic, ntt_negacyclic
+from repro.obs import collecting
 from repro.rns.basis_convert import mod_down
 from repro.rns.context import RnsContext
 from repro.rns.poly import Domain, RnsPolynomial
@@ -131,6 +137,35 @@ def per_part_multiply_plain(ct, poly):
     return tuple(
         intt_negacyclic(ntt_negacyclic(p).hadamard(pt_ntt)) for p in ct.parts
     )
+
+
+def per_term_linear_transform(evaluator, encoder, matrix, baby, ct, *,
+                              hoisted=False):
+    """Term by term: each diagonal encoded at ``ct``'s level, one
+    ``multiply_plain`` and one ``add`` per term, then each giant
+    rotation. ``baby = n`` is the direct (non-BSGS) loop."""
+    diagonals = matrix_diagonals(matrix)
+    ctx = evaluator.params.context_at_level(ct.level)
+    reps = encoder.slots // len(matrix)
+    if hoisted:
+        rotate = HoistedRotator(
+            evaluator.params, evaluator.keys, ct, evaluator=evaluator
+        ).rotate
+    else:
+        rotate = partial(evaluator.rotate, ct)
+    babies = {b: rotate(b) if b else ct for b in {d % baby for d in diagonals}}
+    acc = None
+    for g in sorted({d // baby for d in diagonals}):
+        inner = None
+        for d in sorted(d for d in diagonals if d // baby == g):
+            pt = encoder.encode(
+                np.tile(np.roll(diagonals[d], g * baby), reps), context=ctx
+            )
+            term = evaluator.multiply_plain(babies[d % baby], pt)
+            inner = term if inner is None else evaluator.add(inner, term)
+        outer = evaluator.rotate(inner, g * baby) if g else inner
+        acc = outer if acc is None else evaluator.add(acc, outer)
+    return evaluator.rescale(acc)
 
 
 def assert_same_polys(got, want):
@@ -330,6 +365,119 @@ class TestPartStacks:
         got = ev.multiply_plain(ct, pt)
         poly = ev._plain_at_level(pt, ct.level)
         assert_same_polys(got.parts, per_part_multiply_plain(ct, poly))
+
+
+# ----------------------------------------------------------------------
+# Linear transforms: NTT-domain multiply-accumulate per giant group
+# ----------------------------------------------------------------------
+def _complex_matrix(n, seed, diagonals=None):
+    """A random complex ``n x n`` matrix, optionally with only the
+    given generalized diagonals nonzero."""
+    rng = np.random.default_rng(seed)
+    m = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+    if diagonals is not None:
+        rows = np.arange(n)
+        keep = np.zeros((n, n), dtype=bool)
+        for d in diagonals:
+            keep[rows, (rows + d) % n] = True
+        m = np.where(keep, m, 0)
+    return m
+
+
+#: name -> (matrix, use_bsgs, hoisted, the baby step apply must use).
+#: n=32 fills the 32 slots and splits into six giant groups like the
+#: bootstrap transforms (the last one ragged); at most four nonzero
+#: diagonals, or use_bsgs=False, make every diagonal its own baby step.
+LINEAR_CASES = {
+    "bsgs-dense-32": (_complex_matrix(32, 21), True, False, 6),
+    "bsgs-dense-8": (_complex_matrix(8, 22), True, False, 3),
+    "bsgs-dense-8-hoisted": (_complex_matrix(8, 23), True, True, 3),
+    "sparse-3-diagonals": (_complex_matrix(8, 24, (0, 3, 5)), True, False, 8),
+    "direct-dense-8": (_complex_matrix(8, 25), False, False, 8),
+}
+
+
+def _linear_pair(stack, case):
+    matrix, use_bsgs, hoisted, baby = LINEAR_CASES[case]
+    lt = LinearTransform(
+        stack.evaluator, stack.encoder, matrix,
+        use_bsgs=use_bsgs, use_hoisting=hoisted,
+    )
+    assert lt.baby == baby
+
+    def oracle(ct):
+        return per_term_linear_transform(
+            stack.evaluator, stack.encoder, matrix, baby, ct, hoisted=hoisted
+        )
+
+    return lt, oracle
+
+
+def assert_same_ct(got, want):
+    assert (got.level, got.scale) == (want.level, want.scale)
+    assert_same_polys(got.parts, want.parts)
+
+
+#: Diagonal terms per kernel call: None keeps the budget (a whole group
+#: per call at N=64); 1, 2 and 4 split the six-term groups of
+#: bsgs-dense-32 into single terms, pairs and a ragged 4 + 2.
+TERMS_PER_BLOCK = [None, 1, 2, 4]
+
+
+@pytest.fixture(params=TERMS_PER_BLOCK, ids=lambda t: f"terms{t or 'all'}")
+def term_budget(request, small, monkeypatch):
+    if request.param is not None:
+        term = 2 * (small.params.max_level + 1) * small.params.degree
+        monkeypatch.setattr(
+            kernel_base, "BATCH_ELEMENTS", request.param * term
+        )
+    return request.param
+
+
+class TestLinearTransformTerms:
+    @pytest.mark.parametrize("case", sorted(LINEAR_CASES))
+    def test_matches_per_term(self, small, case):
+        lt, oracle = _linear_pair(small, case)
+        ct = small.cts[0]
+        assert_same_ct(lt.apply(ct), oracle(ct))
+
+    def test_levels_slice_one_spectrum_stack(self, small):
+        """Top level, a lower one, then the top again: every apply uses
+        the right rows of the one stack built at construction."""
+        lt, oracle = _linear_pair(small, "bsgs-dense-32")
+        ev = small.evaluator
+        top = small.cts[1]
+        for level in (top.level, 2, top.level):
+            ct = ev.drop_to_level(top, level)
+            assert_same_ct(lt.apply(ct), oracle(ct))
+
+    def test_every_block_size_matches_per_term(self, small, term_budget):
+        lt, oracle = _linear_pair(small, "bsgs-dense-32")
+        ct = small.cts[0]
+        # A six-term group's first block holds the budgeted term count.
+        term = 2 * (ct.level + 1) * ct.degree
+        assert kernel_base.batch_blocks(6, term)[0].stop == (term_budget or 6)
+        assert_same_ct(lt.apply(ct), oracle(ct))
+
+    @pytest.mark.parametrize("case", ["bsgs-dense-32", "direct-dense-8"])
+    def test_records_one_event_per_term(self, small, case):
+        """ckks.op.* counts per apply equal the term-by-term loop's."""
+        lt, oracle = _linear_pair(small, case)
+        ct = small.cts[0]
+        counts = []
+        for run in (lt.apply, oracle):
+            with collecting() as registry:
+                run(ct)
+            counts.append({
+                name: value for name, value in registry.snapshot().items()
+                if name.startswith("ckks.op.")
+            })
+        assert counts[0] == counts[1]
+        assert counts[0]["ckks.op.PMult"] == len(lt.diagonals)
+
+    def test_zero_matrix_raises_evaluation_error(self, small):
+        with pytest.raises(EvaluationError, match="no nonzero diagonals"):
+            LinearTransform(small.evaluator, small.encoder, np.zeros((8, 8)))
 
 
 # ----------------------------------------------------------------------

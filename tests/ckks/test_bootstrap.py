@@ -107,6 +107,19 @@ class TestFullBootstrap:
         err = np.max(np.abs(decoded - m))
         assert err < 5e-3  # <10% of the message bound
 
+    def test_repeat_bootstrap_is_identical(self, bs_setup):
+        """One Bootstrapper bootstraps one ciphertext twice to the same
+        residues: nothing it keeps between calls changes the result."""
+        params, encoder, encryptor, decryptor, evaluator, bs = bs_setup
+        m = np.random.default_rng(6).uniform(-0.05, 0.05, params.slot_count)
+        ct0 = evaluator.drop_to_level(
+            encryptor.encrypt(encoder.encode(m)), 0
+        )
+        first, second = bs.bootstrap(ct0), bs.bootstrap(ct0)
+        assert (first.level, first.scale) == (second.level, second.scale)
+        for a, b in zip(first.parts, second.parts):
+            np.testing.assert_array_equal(a.data, b.data)
+
     def test_enables_further_multiplication(self, bs_setup):
         """The refreshed ciphertext supports another CMult."""
         params, encoder, encryptor, decryptor, evaluator, bs = bs_setup

@@ -220,3 +220,33 @@ def test_backend_counters_count_whole_stacks():
         assert snap[f"kernels.{name}.ntt.elements"] == 24
         assert snap[f"kernels.{name}.lift.calls"] == 1
         assert snap[f"kernels.{name}.lift.elements"] == 24
+
+
+@pytest.mark.parametrize("batch", [None, 3], ids=["matrix", "stack"])
+def test_numpy_results_are_c_contiguous(batch):
+    """Every numpy op returns C order, so a caller's ``reshape`` of a
+    result is a view: a product written through it lands in the result."""
+    from repro.utils.primes import find_ntt_primes
+
+    moduli = tuple(find_ntt_primes(30, 4, 64))
+    rng = np.random.default_rng(0)
+    shape = (len(moduli), 64) if batch is None else (batch, len(moduli), 64)
+    data = rng.integers(0, min(moduli), shape, dtype=np.uint64)
+    backend = kernels.resolve("numpy")
+    results = {
+        "ntt": backend.ntt(data, moduli),
+        "intt": backend.intt(data, moduli),
+        "mod_add": backend.mod_add(data, data, moduli),
+        "mod_sub": backend.mod_sub(data, data, moduli),
+        "mod_neg": backend.mod_neg(data, moduli),
+        "mod_mul": backend.mod_mul(data, data, moduli),
+        "mod_scalar_mul": backend.mod_scalar_mul(data, [3] * len(moduli), moduli),
+        "barrett_reduce": backend.barrett_reduce(data, moduli),
+        "lift": backend.lift(data[..., 0, :], moduli),
+    }
+    if batch is None:
+        results["basis_convert"] = backend.basis_convert(
+            data, np.ones((len(moduli), 2), dtype=np.uint64), moduli[:2]
+        )
+    for name, out in results.items():
+        assert out.flags.c_contiguous, name
