@@ -24,7 +24,6 @@ from repro.automorphism.galois import (
     conjugation_element,
     galois_element_for_rotation,
 )
-from repro.automorphism.mapping import apply_automorphism_poly
 from repro.ckks.ciphertext import Ciphertext, Plaintext
 from repro.ckks.keys import KeyChain
 from repro.ckks.keyswitch import apply_switch_key
@@ -66,9 +65,6 @@ class CkksEvaluator:
         params: CKKS parameters.
         keys: keychain providing relin and Galois keys.
         recorder: optional trace recorder (see ``repro.compiler.trace``).
-        use_hfauto: route automorphisms through the HFAuto sub-vector
-            pipeline (True, the Poseidon design) or the naive
-            element-wise mapping (False, the 'Auto' ablation).
 
     Kernels run on the process-wide backend (:mod:`repro.kernels`);
     scope a different one with ``kernels.use_backend``.
@@ -80,12 +76,10 @@ class CkksEvaluator:
         keys: KeyChain,
         *,
         recorder=None,
-        use_hfauto: bool = True,
     ):
         self.params = params
         self.keys = keys
         self.recorder = recorder
-        self.use_hfauto = use_hfauto
 
     # ------------------------------------------------------------------
     # Internals
@@ -117,9 +111,8 @@ class CkksEvaluator:
         return a, self.drop_to_level(b, a.level)
 
     def _automorphism(self, poly: RnsPolynomial, galois: int) -> RnsPolynomial:
-        if self.use_hfauto:
-            return hfauto_apply(poly, galois)
-        return apply_automorphism_poly(poly, galois)
+        """``sigma_galois(poly)`` through the HFAuto sub-vector pipeline."""
+        return hfauto_apply(poly, galois)
 
     # ------------------------------------------------------------------
     # Level management

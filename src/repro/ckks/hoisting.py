@@ -29,12 +29,12 @@ import numpy as np
 from repro import kernels
 from repro.errors import EvaluationError
 from repro.automorphism.galois import galois_element_for_rotation
+from repro.automorphism.hfauto import hfauto_apply
 from repro.automorphism.mapping import eval_permutation
 from repro.ckks.ciphertext import Ciphertext
 from repro.ckks.keys import KeyChain
 from repro.ckks.keyswitch import ntt_digits, switch_digits
 from repro.ckks.params import CkksParameters
-from repro.rns.poly import RnsPolynomial
 
 
 class HoistedRotator:
@@ -44,8 +44,6 @@ class HoistedRotator:
         params: parameter set.
         keys: keychain (Galois keys are pulled lazily per step).
         ciphertext: the 2-part ciphertext to rotate many times.
-        evaluator: optional — supplies the coefficient-domain
-            automorphism backend (HFAuto vs naive) for ``c_0``.
     """
 
     def __init__(
@@ -53,8 +51,6 @@ class HoistedRotator:
         params: CkksParameters,
         keys: KeyChain,
         ciphertext: Ciphertext,
-        *,
-        evaluator=None,
     ):
         if ciphertext.size != 2:
             raise EvaluationError(
@@ -63,7 +59,6 @@ class HoistedRotator:
         self.params = params
         self.keys = keys
         self.ciphertext = ciphertext
-        self.evaluator = evaluator
         level = ciphertext.level
         self._base_ctx = params.context_at_level(level)
         self._ext_ctx = params.key_context_at_level(level)
@@ -74,13 +69,6 @@ class HoistedRotator:
         )
 
     # ------------------------------------------------------------------
-    def _coeff_automorphism(self, poly: RnsPolynomial, galois: int):
-        if self.evaluator is not None:
-            return self.evaluator._automorphism(poly, galois)
-        from repro.automorphism.hfauto import hfauto_apply
-
-        return hfauto_apply(poly, galois)
-
     def rotate(self, steps: int) -> Ciphertext:
         """One rotation reusing the hoisted digits."""
         ct = self.ciphertext
@@ -105,7 +93,7 @@ class HoistedRotator:
             self._base_ctx,
             self._ext_ctx,
         )
-        rotated_c0 = self._coeff_automorphism(ct.parts[0], galois)
+        rotated_c0 = hfauto_apply(ct.parts[0], galois)
         return Ciphertext(
             parts=(rotated_c0 + delta0, delta1),
             scale=ct.scale,

@@ -169,7 +169,7 @@ class LinearTransform:
         """
         ev = self.evaluator
         if self.use_hoisting and sum(1 for b in self._babies if b) > 1:
-            rotate = HoistedRotator(ev.params, ev.keys, ct, evaluator=ev).rotate
+            rotate = HoistedRotator(ev.params, ev.keys, ct).rotate
         else:
             rotate = partial(ev.rotate, ct)
         return [rotate(b) if b else ct for b in self._babies]

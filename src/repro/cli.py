@@ -355,7 +355,7 @@ def cmd_serve(args) -> None:
         if (
             args.deadline is not None
             or args.retry_max is not None
-            or args.detect_delay > 0
+            or args.detect_delay != 0
         ):
             retry = None
             if args.retry_max is not None:
@@ -392,21 +392,21 @@ def cmd_serve(args) -> None:
             key_sets=args.key_sets,
             skew=args.key_skew,
         )
+        if args.arrival_trace is not None:
+            with open(args.arrival_trace, encoding="utf-8") as fh:
+                stamps = json.load(fh)
+            arrivals = TraceArrivals(stamps)
+            arrival_desc = f"trace({len(stamps)} arrivals)"
+        else:
+            arrivals = PoissonArrivals(
+                rate=args.arrival_rate, count=args.requests, seed=args.seed
+            )
+            arrival_desc = (
+                f"Poisson rate={args.arrival_rate}/s n={args.requests} "
+                f"seed={args.seed}"
+            )
     except ParameterError as exc:
         raise SystemExit(f"error: {exc}") from None
-    if args.arrival_trace is not None:
-        with open(args.arrival_trace, encoding="utf-8") as fh:
-            stamps = json.load(fh)
-        arrivals = TraceArrivals(stamps)
-        arrival_desc = f"trace({len(stamps)} arrivals)"
-    else:
-        arrivals = PoissonArrivals(
-            rate=args.arrival_rate, count=args.requests, seed=args.seed
-        )
-        arrival_desc = (
-            f"Poisson rate={args.arrival_rate}/s n={args.requests} "
-            f"seed={args.seed}"
-        )
     config = _config_from_args(args)
     with collecting() as registry:
         try:

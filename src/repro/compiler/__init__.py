@@ -25,7 +25,6 @@ from repro.compiler.passes import (
     PASS_REGISTRY,
     ProgramDraft,
     apply_pipeline,
-    build_pipeline,
     resolve_passes,
 )
 from repro.compiler.program import OperatorProgram, compile_trace
@@ -40,7 +39,6 @@ __all__ = [
     "ProgramDraft",
     "TraceRecorder",
     "apply_pipeline",
-    "build_pipeline",
     "clear_lowering_cache",
     "compile_trace",
     "decompose_operation",

@@ -377,13 +377,13 @@ def clear_lowering_cache() -> None:
     _cache_misses = 0
 
 
-def decompose_operation(op: FheOp, *, use_cache: bool = True) -> list[OperatorTask]:
+def decompose_operation(op: FheOp) -> list[OperatorTask]:
     """Lower one FHE basic operation to its operator task list.
 
     Lowerings are memoized on ``(name, degree, limbs, aux_limbs,
     metadata)`` with dataflow annotations stripped — tasks are frozen,
     so cached entries are shared safely and each call returns a fresh
-    list. ``use_cache=False`` bypasses the cache (used by its tests).
+    list.
 
     Raises:
         WorkloadError: for operations without a direct lowering
@@ -397,8 +397,6 @@ def decompose_operation(op: FheOp, *, use_cache: bool = True) -> list[OperatorTa
             f"no direct lowering for {op.name.value}; expand it into "
             "basic operations first"
         )
-    if not use_cache:
-        return lowerer(op)
     try:
         key = _cache_key(op)
         cached = _lowering_cache.get(key)

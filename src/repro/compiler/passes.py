@@ -26,8 +26,8 @@ Shipped passes (default order):
 Passes report per-pass task/byte deltas through the active
 :mod:`repro.obs` metrics registry under ``compiler.pass.<name>.*``.
 
-The shape follows the classic pass-list idiom: ``build_pipeline(...)``
-composes a named pass tuple, ``apply_pipeline`` folds it over a draft,
+The shape follows the classic pass-list idiom: a pipeline is a tuple
+of registered pass names, ``apply_pipeline`` folds it over a draft,
 and callers select pipelines by spec string (``"none"``, ``"default"``,
 or a comma-separated pass list).
 """
@@ -395,48 +395,28 @@ PASS_REGISTRY = {
 }
 
 
-def build_pipeline(
-    *,
-    hoist_rotations: bool = True,
-    relax_barriers: bool = True,
-    fuse_elementwise: bool = True,
-    dce: bool = True,
-) -> tuple[str, ...]:
-    """Compose a pass-name pipeline in canonical order."""
-    selected = {
-        "hoist-rotations": hoist_rotations,
-        "relax-barriers": relax_barriers,
-        "fuse-elementwise": fuse_elementwise,
-        "dce": dce,
-    }
-    return tuple(name for name in PASS_REGISTRY if selected[name])
-
-
 #: The full pipeline, in order.
-DEFAULT_PIPELINE = build_pipeline()
+DEFAULT_PIPELINE = tuple(PASS_REGISTRY)
 
 
 def resolve_passes(spec) -> tuple[str, ...]:
     """Resolve a pass spec to an ordered pass-name tuple.
 
-    Accepts ``None``/``"none"`` (no passes), ``"default"``/``"all"``/
-    ``"full"`` (the whole pipeline), a comma-separated name string, or
-    an iterable of names. Unknown names raise
-    :class:`~repro.errors.WorkloadError`.
+    Accepts ``None``/``"none"``/``""`` (no passes), ``"default"`` (the
+    whole pipeline), a comma-separated name string, or an iterable of
+    names. Unknown names raise :class:`~repro.errors.WorkloadError`.
     """
     if spec is None:
         return ()
     if isinstance(spec, str):
         key = spec.strip().lower()
-        if key in ("", "none", "off"):
+        if key in ("", "none"):
             return ()
-        if key in ("default", "all", "full"):
+        if key == "default":
             return DEFAULT_PIPELINE
         names = [p for p in (part.strip() for part in key.split(",")) if p]
     else:
         names = [str(p).strip() for p in spec]
-        if names == ["none"]:
-            return ()
     for name in names:
         if name not in PASS_REGISTRY:
             raise WorkloadError(

@@ -132,19 +132,22 @@ def per_matrix(kernel, data: np.ndarray, *operands) -> np.ndarray:
 
 
 @lru_cache(maxsize=4096)
-def _validate_moduli(name: str, max_bits: int, moduli: tuple[int, ...]) -> None:
-    """Reject moduli wider than a backend's exact-arithmetic range.
+def _basis(name: str, max_bits: int, moduli: tuple) -> tuple[int, ...]:
+    """``moduli`` as a tuple of Python ints, checked against a width cap.
 
-    Successful validations are cached per (backend, basis); failures
-    re-raise on every call (``lru_cache`` does not cache exceptions).
+    Keyed by the tuple the caller passed, so a repeated basis costs one
+    lookup. A too-wide modulus raises :class:`KernelError` on every
+    call (``lru_cache`` does not cache exceptions).
     """
-    for q in moduli:
-        bits = int(q).bit_length()
+    basis = tuple(int(q) for q in moduli)
+    for q in basis:
+        bits = q.bit_length()
         if bits > max_bits:
             raise KernelError(
                 f"{name} kernel backend supports moduli up to {max_bits} "
                 f"bits; got {q} ({bits} bits)"
             )
+    return basis
 
 
 class KernelBackend(abc.ABC):
@@ -167,32 +170,35 @@ class KernelBackend(abc.ABC):
     # ------------------------------------------------------------------
     # Capability / input validation
     # ------------------------------------------------------------------
-    def check_moduli(self, moduli) -> None:
-        """Raise :class:`KernelError` if a modulus exceeds the backend cap."""
-        _validate_moduli(
-            self.name,
-            self.max_modulus_bits,
-            tuple(int(q) for q in moduli),
-        )
+    def check_moduli(self, moduli) -> tuple[int, ...]:
+        """The basis as a tuple of Python ints.
 
-    def _check(self, data: np.ndarray, moduli) -> np.ndarray:
-        """Combined matrix-shape + modulus-width validation."""
-        self.check_moduli(moduli)
-        return check_matrix(data, moduli)
+        Raises :class:`KernelError` if a modulus exceeds the backend
+        cap. Every op resolves its basis here, once per call.
+        """
+        if not isinstance(moduli, tuple):
+            moduli = tuple(moduli)
+        return _basis(self.name, self.max_modulus_bits, moduli)
+
+    def _check(self, data: np.ndarray, moduli):
+        """Validate a matrix or stack: ``(data, basis)``."""
+        basis = self.check_moduli(moduli)
+        return check_matrix(data, basis), basis
 
     def _check_pair(self, a: np.ndarray, b: np.ndarray, moduli):
-        """Validate both operands of a binary element-wise op."""
-        a = self._check(a, moduli)
-        return a, check_operand(b, a)
+        """Validate both operands of a binary op: ``(a, b, basis)``."""
+        a, basis = self._check(a, moduli)
+        return a, check_operand(b, a), basis
 
-    def _check_scalars(self, a: np.ndarray, scalars, moduli) -> np.ndarray:
-        """Validate ``mod_scalar_mul``'s matrix and its one scalar per row."""
-        a = self._check(a, moduli)
-        if len(scalars) != len(moduli):
+    def _check_scalars(self, a: np.ndarray, scalars, moduli):
+        """Validate ``mod_scalar_mul``'s matrix and its one scalar per
+        row: ``(a, basis)``."""
+        a, basis = self._check(a, moduli)
+        if len(scalars) != len(basis):
             raise KernelError(
-                f"need {len(moduli)} scalars, got {len(scalars)}"
+                f"need {len(basis)} scalars, got {len(scalars)}"
             )
-        return a
+        return a, basis
 
     # ------------------------------------------------------------------
     # Observability
@@ -208,11 +214,11 @@ class KernelBackend(abc.ABC):
     # NTT / INTT over all limbs
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def ntt(self, data: np.ndarray, moduli, *, radix_log2: int = 1) -> np.ndarray:
+    def ntt(self, data: np.ndarray, moduli) -> np.ndarray:
         """Forward negacyclic NTT of every limb row (natural order)."""
 
     @abc.abstractmethod
-    def intt(self, data: np.ndarray, moduli, *, radix_log2: int = 1) -> np.ndarray:
+    def intt(self, data: np.ndarray, moduli) -> np.ndarray:
         """Inverse negacyclic NTT of every limb row (natural order)."""
 
     # ------------------------------------------------------------------

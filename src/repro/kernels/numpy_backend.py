@@ -29,12 +29,6 @@ A ``(B, L, N)`` stack runs the same plans with every twiddle and
 modulus column broadcast over the leading batch axis: the stage loops
 index the limb and coefficient axes from the right (``a[..., :t]``), so
 one call transforms all ``B * L`` rows.
-
-Fused radix-2^k requests (``radix_log2 >= 2``) execute on the same
-vectorized engine: stage fusion is an execution strategy, not a
-different transform, and this engine already performs one full-width
-pass per stage with no per-group temporaries, so outputs are
-bit-identical to the reference backend's fused path by construction.
 """
 
 from __future__ import annotations
@@ -358,94 +352,87 @@ def _mulmod_rows(a, b, moduli):
     return _barrett_narrow(a * b, _narrow_columns(moduli))
 
 
+def _q_col(basis: tuple[int, ...]) -> np.ndarray:
+    """The ``(L, 1)`` modulus column of ``basis`` (shared; read only)."""
+    return _narrow_columns(basis)[0]
+
+
 class NumpyBackend(KernelBackend):
     """Vectorized uint64 kernels — Shoup/lazy NTT, Barrett products."""
 
     name = "numpy"
 
-    @staticmethod
-    def _key(moduli) -> tuple[int, ...]:
-        return tuple(int(q) for q in moduli)
-
     # ------------------------------------------------------------------
-    def ntt(self, data, moduli, *, radix_log2: int = 1):
-        del radix_log2  # fusion-agnostic engine; see module docstring
-        data = self._check(data, moduli)
+    def ntt(self, data, moduli):
+        data, basis = self._check(data, moduli)
         self._count("ntt", data.size)
-        plan = _narrow_plan(self._key(moduli), data.shape[-1])
+        plan = _narrow_plan(basis, data.shape[-1])
         return _run_fwd(data.copy(), plan)
 
-    def intt(self, data, moduli, *, radix_log2: int = 1):
-        del radix_log2  # fusion-agnostic engine; see module docstring
-        data = self._check(data, moduli)
+    def intt(self, data, moduli):
+        data, basis = self._check(data, moduli)
         self._count("intt", data.size)
-        plan = _narrow_plan(self._key(moduli), data.shape[-1])
+        plan = _narrow_plan(basis, data.shape[-1])
         return _run_inv(data, plan)
 
     # ------------------------------------------------------------------
     def mod_add(self, a, b, moduli):
-        a, b = self._check_pair(a, b, moduli)
+        a, b, basis = self._check_pair(a, b, moduli)
         self._count("elementwise", a.size)
-        q = self._q_col(moduli)
+        q = _q_col(basis)
         s = a + b  # both < q < 2^31, so the sum fits
         return np.minimum(s, s - q)
 
     def mod_sub(self, a, b, moduli):
-        a, b = self._check_pair(a, b, moduli)
+        a, b, basis = self._check_pair(a, b, moduli)
         self._count("elementwise", a.size)
-        q = self._q_col(moduli)
+        q = _q_col(basis)
         d = a + (q - b)
         return np.minimum(d, d - q)
 
     def mod_neg(self, a, moduli):
-        a = self._check(a, moduli)
+        a, basis = self._check(a, moduli)
         self._count("elementwise", a.size)
-        q = self._q_col(moduli)
+        q = _q_col(basis)
         d = q - a  # equals q when a == 0; the csub folds it to 0
         return np.minimum(d, d - q)
 
     def mod_mul(self, a, b, moduli):
-        a, b = self._check_pair(a, b, moduli)
+        a, b, basis = self._check_pair(a, b, moduli)
         self._count("elementwise", a.size)
-        return _mulmod_rows(a, b, self._key(moduli))
+        return _mulmod_rows(a, b, basis)
 
     def mod_scalar_mul(self, a, scalars, moduli):
-        a = self._check_scalars(a, scalars, moduli)
+        a, basis = self._check_scalars(a, scalars, moduli)
         self._count("elementwise", a.size)
-        key = self._key(moduli)
         s_col = np.array(
-            [int(s) % q for s, q in zip(scalars, key)], dtype=np.uint64
+            [int(s) % q for s, q in zip(scalars, basis)], dtype=np.uint64
         )[:, None]
-        return _mulmod_rows(a, s_col, key)
+        return _mulmod_rows(a, s_col, basis)
 
     # ------------------------------------------------------------------
     def barrett_reduce(self, x, moduli):
-        x = self._check(x, moduli)
+        x, basis = self._check(x, moduli)
         self._count("barrett", x.size)
-        return _barrett_narrow(x.copy(), _narrow_columns(self._key(moduli)))
+        return _barrett_narrow(x.copy(), _narrow_columns(basis))
 
     def lift(self, row, moduli):
         row = check_rows(row)
-        self.check_moduli(moduli)
-        self._count("lift", row.size * len(moduli))
-        return row[..., None, :] % self._q_col(moduli)
+        basis = self.check_moduli(moduli)
+        self._count("lift", row.size * len(basis))
+        return row[..., None, :] % _q_col(basis)
 
     def basis_convert(self, y, table, target_moduli):
         y = np.asarray(y, dtype=np.uint64)
         table = np.asarray(table, dtype=np.uint64)
-        self.check_moduli(target_moduli)
+        basis = self.check_moduli(target_moduli)
         src_limbs, n = y.shape
-        self._count("basis_convert", n * len(target_moduli))
-        key = self._key(target_moduli)
-        p_col = self._q_col(target_moduli)
-        acc = np.zeros((len(key), n), dtype=np.uint64)
+        self._count("basis_convert", n * len(basis))
+        p_col = _q_col(basis)
+        acc = np.zeros((len(basis), n), dtype=np.uint64)
         for j in range(src_limbs):
             resid = y[j][None, :] % p_col
-            term = _mulmod_rows(resid, table[j][:, None], key)
+            term = _mulmod_rows(resid, table[j][:, None], basis)
             acc += term  # < 2p < 2^63
             np.minimum(acc, acc - p_col, out=acc)
         return acc
-
-    # ------------------------------------------------------------------
-    def _q_col(self, moduli) -> np.ndarray:
-        return np.array(self._key(moduli), dtype=np.uint64)[:, None]

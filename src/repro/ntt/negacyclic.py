@@ -47,9 +47,7 @@ def _per_block(transform, data: np.ndarray) -> np.ndarray:
     return out
 
 
-def ntt_stack(
-    data: np.ndarray, moduli, *, radix_log2: int = 1
-) -> np.ndarray:
+def ntt_stack(data: np.ndarray, moduli) -> np.ndarray:
     """Forward NTT of an (L, N) matrix or a (B, L, N) stack.
 
     ``data`` holds coefficient-domain residues over ``moduli``; the
@@ -59,25 +57,17 @@ def ntt_stack(
     """
     _count_poly_transforms("forward", data)
     kernel = kernels.get_backend()
-    return _per_block(
-        lambda block: kernel.ntt(block, moduli, radix_log2=radix_log2), data
-    )
+    return _per_block(lambda block: kernel.ntt(block, moduli), data)
 
 
-def intt_stack(
-    data: np.ndarray, moduli, *, radix_log2: int = 1
-) -> np.ndarray:
+def intt_stack(data: np.ndarray, moduli) -> np.ndarray:
     """Inverse NTT of an (L, N) matrix or a (B, L, N) stack (see above)."""
     _count_poly_transforms("inverse", data)
     kernel = kernels.get_backend()
-    return _per_block(
-        lambda block: kernel.intt(block, moduli, radix_log2=radix_log2), data
-    )
+    return _per_block(lambda block: kernel.intt(block, moduli), data)
 
 
-def ntt_negacyclic(
-    poly: RnsPolynomial, *, radix_log2: int = 1
-) -> RnsPolynomial:
+def ntt_negacyclic(poly: RnsPolynomial) -> RnsPolynomial:
     """Transform an RNS polynomial to the NTT domain (all limbs).
 
     Routed through the active kernel backend (``numpy`` by default,
@@ -85,17 +75,15 @@ def ntt_negacyclic(
     """
     if poly.domain is not Domain.COEFFICIENT:
         raise NTTError("polynomial is already in the NTT domain")
-    data = ntt_stack(poly.data, poly.context.moduli, radix_log2=radix_log2)
+    data = ntt_stack(poly.data, poly.context.moduli)
     return RnsPolynomial(data, poly.context, Domain.NTT)
 
 
-def intt_negacyclic(
-    poly: RnsPolynomial, *, radix_log2: int = 1
-) -> RnsPolynomial:
+def intt_negacyclic(poly: RnsPolynomial) -> RnsPolynomial:
     """Transform an RNS polynomial back to the coefficient domain."""
     if poly.domain is not Domain.NTT:
         raise NTTError("polynomial is already in the coefficient domain")
-    data = intt_stack(poly.data, poly.context.moduli, radix_log2=radix_log2)
+    data = intt_stack(poly.data, poly.context.moduli)
     return RnsPolynomial(data, poly.context, Domain.COEFFICIENT)
 
 

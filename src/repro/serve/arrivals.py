@@ -31,11 +31,11 @@ class PoissonArrivals:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rate <= 0:
+        if not self.rate > 0:
             raise ParameterError(
                 f"arrival rate must be positive, got {self.rate}"
             )
-        if self.count < 1:
+        if not self.count >= 1:
             raise ParameterError(
                 f"need at least one arrival, got {self.count}"
             )
@@ -56,23 +56,24 @@ class TraceArrivals:
     """Replay of an explicit arrival-timestamp trace.
 
     Timestamps are sorted on construction (an unordered trace is
-    accepted, as real request logs often are) and must be
+    accepted, as real request logs often are); each must be
     non-negative and finite.
     """
 
     timestamps: tuple[float, ...]
 
     def __init__(self, timestamps):
-        ordered = tuple(sorted(float(t) for t in timestamps))
-        if not ordered:
+        stamps = [float(t) for t in timestamps]
+        if not stamps:
             raise ParameterError("arrival trace is empty")
-        if ordered[0] < 0:
-            raise ParameterError(
-                f"arrival trace has a negative timestamp: {ordered[0]}"
-            )
-        if ordered[-1] == float("inf"):
-            raise ParameterError("arrival trace has an infinite timestamp")
-        object.__setattr__(self, "timestamps", ordered)
+        for t in stamps:
+            if not t >= 0:
+                raise ParameterError(
+                    f"arrival trace has a negative or NaN timestamp: {t}"
+                )
+            if t == float("inf"):
+                raise ParameterError("arrival trace has an infinite timestamp")
+        object.__setattr__(self, "timestamps", tuple(sorted(stamps)))
 
     def times(self) -> tuple[float, ...]:
         return self.timestamps

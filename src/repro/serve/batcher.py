@@ -67,11 +67,11 @@ class BatchPolicy:
     max_inflight_batches: int = 1
 
     def __post_init__(self):
-        if self.max_batch_size < 1:
+        if not self.max_batch_size >= 1:
             raise ParameterError(
                 f"max_batch_size must be >= 1, got {self.max_batch_size}"
             )
-        if self.max_queue_delay is not None and self.max_queue_delay < 0:
+        if self.max_queue_delay is not None and not self.max_queue_delay >= 0:
             raise ParameterError(
                 f"max_queue_delay must be >= 0, got {self.max_queue_delay}"
             )
@@ -79,11 +79,11 @@ class BatchPolicy:
             raise ParameterError(
                 f"order must be one of {ORDERS}, got {self.order!r}"
             )
-        if self.max_queue_depth is not None and self.max_queue_depth < 1:
+        if self.max_queue_depth is not None and not self.max_queue_depth >= 1:
             raise ParameterError(
                 f"max_queue_depth must be >= 1, got {self.max_queue_depth}"
             )
-        if self.max_inflight_batches < 1:
+        if not self.max_inflight_batches >= 1:
             raise ParameterError(
                 "max_inflight_batches must be >= 1, got "
                 f"{self.max_inflight_batches}"

@@ -109,15 +109,15 @@ class AutoscalerPolicy:
     cooldown_seconds: float = 0.002
 
     def __post_init__(self):
-        if self.max_instances < 1:
+        if not self.max_instances >= 1:
             raise ParameterError(
                 f"max_instances must be >= 1, got {self.max_instances}"
             )
-        if self.queue_high <= 0:
+        if not self.queue_high > 0:
             raise ParameterError(
                 f"queue_high must be positive, got {self.queue_high}"
             )
-        if self.cooldown_seconds < 0:
+        if not self.cooldown_seconds >= 0:
             raise ParameterError(
                 "cooldown_seconds must be >= 0, got "
                 f"{self.cooldown_seconds}"

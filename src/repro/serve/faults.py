@@ -62,15 +62,15 @@ class InstanceCrash:
     restart_after: float | None = None
 
     def __post_init__(self):
-        if self.instance < 0:
+        if not self.instance >= 0:
             raise ParameterError(
                 f"crash instance must be >= 0, got {self.instance}"
             )
-        if self.at_seconds < 0:
+        if not self.at_seconds >= 0:
             raise ParameterError(
                 f"crash at_seconds must be >= 0, got {self.at_seconds}"
             )
-        if self.restart_after is not None and self.restart_after <= 0:
+        if self.restart_after is not None and not self.restart_after > 0:
             raise ParameterError(
                 "restart_after must be positive or None, got "
                 f"{self.restart_after}"
@@ -94,17 +94,17 @@ class Straggler:
     slowdown: float
 
     def __post_init__(self):
-        if self.instance < 0:
+        if not self.instance >= 0:
             raise ParameterError(
                 f"straggler instance must be >= 0, got {self.instance}"
             )
-        if self.start_seconds < 0 or self.duration_seconds <= 0:
+        if not (self.start_seconds >= 0 and self.duration_seconds > 0):
             raise ParameterError(
                 "straggler window must have start >= 0 and positive "
                 f"duration, got [{self.start_seconds}, "
                 f"+{self.duration_seconds})"
             )
-        if self.slowdown < 1.0:
+        if not self.slowdown >= 1.0:
             raise ParameterError(
                 f"slowdown must be >= 1.0, got {self.slowdown}"
             )
@@ -133,11 +133,11 @@ class HBMDegradation:
     factor: float
 
     def __post_init__(self):
-        if self.instance < 0:
+        if not self.instance >= 0:
             raise ParameterError(
                 f"degradation instance must be >= 0, got {self.instance}"
             )
-        if self.start_seconds < 0 or self.duration_seconds <= 0:
+        if not (self.start_seconds >= 0 and self.duration_seconds > 0):
             raise ParameterError(
                 "degradation window must have start >= 0 and positive "
                 f"duration, got [{self.start_seconds}, "
@@ -258,7 +258,7 @@ class RetryPolicy:
 
     ``max_attempts`` counts the *initial* try: a request lost on its
     ``max_attempts``-th attempt ends ``exhausted``. Backoff after
-    losing attempt ``k`` is ``backoff_seconds * multiplier**(k - 1)``,
+    losing attempt ``k`` is ``backoff_seconds * 2**(k - 1)``,
     stretched by up to ``jitter`` (a fraction) using a private RNG
     seeded per ``(run seed, request, attempt)`` — so retry storms
     de-synchronize, deterministically.
@@ -266,21 +266,16 @@ class RetryPolicy:
 
     max_attempts: int = 3
     backoff_seconds: float = 0.0005
-    multiplier: float = 2.0
     jitter: float = 0.0
 
     def __post_init__(self):
-        if self.max_attempts < 1:
+        if not self.max_attempts >= 1:
             raise ParameterError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.backoff_seconds < 0:
+        if not self.backoff_seconds >= 0:
             raise ParameterError(
                 f"backoff_seconds must be >= 0, got {self.backoff_seconds}"
-            )
-        if self.multiplier < 1.0:
-            raise ParameterError(
-                f"multiplier must be >= 1.0, got {self.multiplier}"
             )
         if not 0.0 <= self.jitter <= 1.0:
             raise ParameterError(
@@ -291,7 +286,7 @@ class RetryPolicy:
         self, attempt: int, *, seed: int, request_id: int
     ) -> float:
         """Backoff before the retry that follows losing ``attempt``."""
-        delay = self.backoff_seconds * self.multiplier ** (attempt - 1)
+        delay = self.backoff_seconds * 2.0 ** (attempt - 1)
         if self.jitter:
             rng = random.Random(
                 f"repro.serve.retry:{seed}:{request_id}:{attempt}"
@@ -327,13 +322,13 @@ class ResiliencePolicy:
     def __post_init__(self):
         if (
             self.deadline_seconds is not None
-            and self.deadline_seconds <= 0
+            and not self.deadline_seconds > 0
         ):
             raise ParameterError(
                 "deadline_seconds must be positive or None, got "
                 f"{self.deadline_seconds}"
             )
-        if self.detection_seconds < 0:
+        if not self.detection_seconds >= 0:
             raise ParameterError(
                 "detection_seconds must be >= 0, got "
                 f"{self.detection_seconds}"

@@ -266,15 +266,15 @@ class TenantPopulation:
     skew: float = 0.0
 
     def __post_init__(self):
-        if self.tenants < 1:
+        if not self.tenants >= 1:
             raise ParameterError(
                 f"need at least one tenant, got {self.tenants}"
             )
-        if self.key_sets < 1:
+        if not self.key_sets >= 1:
             raise ParameterError(
                 f"need at least one key set, got {self.key_sets}"
             )
-        if self.skew < 0:
+        if not self.skew >= 0:
             raise ParameterError(
                 f"popularity skew must be >= 0, got {self.skew}"
             )

@@ -148,9 +148,7 @@ def per_term_linear_transform(evaluator, encoder, matrix, baby, ct, *,
     ctx = evaluator.params.context_at_level(ct.level)
     reps = encoder.slots // len(matrix)
     if hoisted:
-        rotate = HoistedRotator(
-            evaluator.params, evaluator.keys, ct, evaluator=evaluator
-        ).rotate
+        rotate = HoistedRotator(evaluator.params, evaluator.keys, ct).rotate
     else:
         rotate = partial(evaluator.rotate, ct)
     babies = {b: rotate(b) if b else ct for b in {d % baby for d in diagonals}}
@@ -299,9 +297,7 @@ class TestHoistedBlocks:
     @pytest.mark.parametrize("steps", [1, 3])
     def test_matches_per_digit_hoisting(self, small, steps):
         ct = small.cts[0]
-        rotator = HoistedRotator(
-            small.params, small.keys, ct, evaluator=small.evaluator
-        )
+        rotator = HoistedRotator(small.params, small.keys, ct)
         got = rotator.rotate(steps)
         want = per_digit_hoisted_rotate(
             small.params, small.keys, small.evaluator, ct, steps
@@ -311,9 +307,7 @@ class TestHoistedBlocks:
 
     def test_split_blocks_match_per_digit_hoisting(self, split):
         ct = split.cts[0]
-        rotator = HoistedRotator(
-            split.params, split.keys, ct, evaluator=split.evaluator
-        )
+        rotator = HoistedRotator(split.params, split.keys, ct)
         want = per_digit_hoisted_rotate(
             split.params, split.keys, split.evaluator, ct, 1
         )

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.errors import EvaluationError
-from repro.ckks.evaluator import CkksEvaluator
 from repro.ckks.polyeval import multiply_const
 from tests.conftest import decrypt_real
 
@@ -188,13 +187,3 @@ class TestRotation:
                            evaluator.rotate_sum(cts[0], width))
         expected = sum(np.roll(x, -s) for s in range(width))
         assert np.max(np.abs(out[:width] - expected[:width])) < 5e-2
-
-    def test_naive_auto_matches_hfauto(self, params, keys, encoder,
-                                       decryptor, cts, slot_vectors):
-        """The Table IX ablation: same results either way."""
-        x, _ = slot_vectors
-        naive_eval = CkksEvaluator(params, keys, use_hfauto=False)
-        hf_eval = CkksEvaluator(params, keys, use_hfauto=True)
-        a = decrypt_real(encoder, decryptor, naive_eval.rotate(cts[0], 5))
-        b = decrypt_real(encoder, decryptor, hf_eval.rotate(cts[0], 5))
-        assert np.max(np.abs(a - b)) < 1e-6

@@ -72,8 +72,7 @@ class TestHoistedRotator:
     def test_matches_plain_rotation(self, params, keys, evaluator, encoder,
                                     decryptor, ct):
         x, ciphertext = ct
-        rotator = HoistedRotator(params, keys, ciphertext,
-                                 evaluator=evaluator)
+        rotator = HoistedRotator(params, keys, ciphertext)
         for steps in (1, 5, 31):
             hoisted = decrypt_real(
                 encoder, decryptor, rotator.rotate(steps)
@@ -83,8 +82,7 @@ class TestHoistedRotator:
     def test_rotate_many(self, params, keys, evaluator, encoder, decryptor,
                          ct):
         x, ciphertext = ct
-        rotator = HoistedRotator(params, keys, ciphertext,
-                                 evaluator=evaluator)
+        rotator = HoistedRotator(params, keys, ciphertext)
         outs = rotator.rotate_many([1, 2, 3])
         for steps, out in zip([1, 2, 3], outs):
             decoded = decrypt_real(encoder, decryptor, out)
@@ -92,8 +90,7 @@ class TestHoistedRotator:
 
     def test_zero_rotation_identity(self, params, keys, evaluator, ct):
         _, ciphertext = ct
-        rotator = HoistedRotator(params, keys, ciphertext,
-                                 evaluator=evaluator)
+        rotator = HoistedRotator(params, keys, ciphertext)
         assert rotator.rotate(0) is ciphertext
 
     def test_rejects_three_part(self, params, keys, evaluator, ct):
@@ -107,7 +104,7 @@ class TestHoistedRotator:
                                   decryptor, ct):
         x, ciphertext = ct
         low = evaluator.drop_to_level(ciphertext, 1)
-        rotator = HoistedRotator(params, keys, low, evaluator=evaluator)
+        rotator = HoistedRotator(params, keys, low)
         decoded = decrypt_real(encoder, decryptor, rotator.rotate(4))
         assert np.max(np.abs(decoded - np.roll(x, -4))) < 1e-2
 

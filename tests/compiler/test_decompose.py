@@ -237,13 +237,3 @@ class TestLoweringCache:
         b = decompose_operation(op(FheOpName.HADD, kind="ct-pt"))
         assert a != b
         assert lowering_cache_info()["size"] == 2
-
-    def test_use_cache_false_bypasses(self):
-        from repro.compiler.decompose import (
-            clear_lowering_cache,
-            lowering_cache_info,
-        )
-
-        clear_lowering_cache()
-        decompose_operation(op(FheOpName.HADD), use_cache=False)
-        assert lowering_cache_info() == {"hits": 0, "misses": 0, "size": 0}

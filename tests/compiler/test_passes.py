@@ -12,7 +12,6 @@ from repro.compiler.passes import (
     PASS_REGISTRY,
     ProgramDraft,
     apply_pipeline,
-    build_pipeline,
     dead_task_elimination_pass,
     resolve_passes,
 )
@@ -25,13 +24,9 @@ from repro.workloads.common import WorkloadBuilder
 
 N, L, AUX = 1 << 14, 10, 2
 
-PASS_FLAGS = (
-    "hoist_rotations", "relax_barriers", "fuse_elementwise", "dce"
-)
-
 ALL_COMBOS = [
-    dict(zip(PASS_FLAGS, bits))
-    for bits in itertools.product((False, True), repeat=len(PASS_FLAGS))
+    dict(zip(PASS_REGISTRY, bits))
+    for bits in itertools.product((False, True), repeat=len(PASS_REGISTRY))
 ]
 
 
@@ -61,8 +56,9 @@ class TestResolution:
 
     def test_default_specs(self):
         assert resolve_passes("default") == DEFAULT_PIPELINE
-        assert resolve_passes("all") == DEFAULT_PIPELINE
-        assert set(DEFAULT_PIPELINE) == set(PASS_REGISTRY)
+        assert DEFAULT_PIPELINE == (
+            "hoist-rotations", "relax-barriers", "fuse-elementwise", "dce"
+        )
 
     def test_comma_list_and_iterable(self):
         assert resolve_passes("dce, relax-barriers") == (
@@ -71,16 +67,9 @@ class TestResolution:
         assert resolve_passes(["fuse-elementwise"]) == ("fuse-elementwise",)
 
     def test_unknown_pass_raises(self):
-        with pytest.raises(WorkloadError):
-            resolve_passes("loop-unrolling")
-
-    def test_build_pipeline_orders_canonically(self):
-        assert build_pipeline() == DEFAULT_PIPELINE
-        assert build_pipeline(dce=False) == DEFAULT_PIPELINE[:-1]
-        assert build_pipeline(
-            hoist_rotations=False, relax_barriers=False,
-            fuse_elementwise=False, dce=False,
-        ) == ()
+        for spec in ("loop-unrolling", "all", "full", "off", ["none"]):
+            with pytest.raises(WorkloadError):
+                resolve_passes(spec)
 
 
 # ----------------------------------------------------------------------
@@ -125,11 +114,13 @@ class TestPassCombinations:
     @pytest.mark.parametrize("trace_name", sorted(TRACES))
     @pytest.mark.parametrize(
         "combo", ALL_COMBOS,
-        ids=lambda c: "+".join(k for k, v in c.items() if v) or "none",
+        ids=lambda c: "+".join(
+            k.replace("-", "_") for k, v in c.items() if v
+        ) or "none",
     )
     def test_invariants_hold(self, trace_name, combo):
         ops = TRACES[trace_name]()
-        pipeline = build_pipeline(**combo)
+        pipeline = tuple(n for n in PASS_REGISTRY if combo[n])
         baseline = compile_trace(ops)
         program = compile_trace(ops, passes=pipeline)
         # Static DAG sanity: backward deps (acyclic), boundary
@@ -149,7 +140,7 @@ class TestPassCombinations:
         validate_schedule(result, program=program, config=sim.config)
         # Without the hoist rewrite, compute totals are preserved
         # (fusion/relax/dce only touch HBM traffic and edges).
-        if not combo["hoist_rotations"]:
+        if not combo["hoist-rotations"]:
             assert sum(t.elements for t in program.tasks) == sum(
                 t.elements for t in baseline.tasks
             )

@@ -18,6 +18,7 @@ from repro.ckks import (
     CkksParameters,
     KeyChain,
 )
+from repro.ntt.fusion import FusedNtt
 
 #: Default toy scale: big enough to exercise sub-vector HFAuto paths,
 #: small enough for sub-second operations.
@@ -72,3 +73,12 @@ def slot_vectors(params):
 def decrypt_real(encoder, decryptor, ct) -> np.ndarray:
     """Helper: decrypt and decode to real slot values."""
     return encoder.decode(decryptor.decrypt(ct)).real
+
+
+def fused_rows(data, moduli, radix_log2: int, *, inverse=False) -> np.ndarray:
+    """Helper: the fused radix-2^k kernel (``FusedNtt``), row by row."""
+    out = []
+    for q, row in zip(moduli, data):
+        fused = FusedNtt(q, data.shape[-1], radix_log2)
+        out.append(fused.inverse(row) if inverse else fused.forward(row))
+    return np.stack(out)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro import kernels
+from repro.ntt.fusion import FusedNtt
 from repro.ntt.tables import get_twiddle_table
 from repro.rns.basis_convert import mod_down, mod_up
 from repro.rns.context import RnsContext
@@ -69,12 +70,23 @@ def test_ntt_matches_golden(backend_name, case):
     backend = kernels.resolve(backend_name)
     data = np.array([case["input"]], dtype=np.uint64)
     expected = np.array([case["expected"]], dtype=np.uint64)
-    for radix_log2 in (1, 2, 3):
-        got = backend.ntt(data, (q,), radix_log2=radix_log2)
-        np.testing.assert_array_equal(got, expected)
-        np.testing.assert_array_equal(
-            backend.intt(got, (q,), radix_log2=radix_log2), data
-        )
+    got = backend.ntt(data, (q,))
+    np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(backend.intt(got, (q,)), data)
+
+
+@pytest.mark.parametrize("radix_log2", (2, 3))
+@pytest.mark.parametrize(
+    "case", NTT_DOC["cases"],
+    ids=[f"q{c['q']}-n{c['n']}" for c in NTT_DOC["cases"]],
+)
+def test_fused_ntt_matches_golden(radix_log2, case):
+    """The fused radix-2^k kernel reproduces the frozen transform."""
+    fused = FusedNtt(case["q"], case["n"], radix_log2)
+    data = np.array(case["input"], dtype=np.uint64)
+    expected = np.array(case["expected"], dtype=np.uint64)
+    np.testing.assert_array_equal(fused.forward(data), expected)
+    np.testing.assert_array_equal(fused.inverse(expected), data)
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)

@@ -39,8 +39,61 @@ def test_wide_moduli_rejected_by_narrow_backends():
     data = np.zeros((1, 8), dtype=np.uint64)
     wide = ((1 << 61) + 1,)  # width 62: beyond every backend's 31 bits
     for name in ("reference", "numpy"):
-        with pytest.raises(KernelError, match="moduli up to 31 bits"):
-            kernels.resolve(name).ntt(data, wide)
+        # Twice: the basis lookup is cached, its refusal must not be.
+        for _ in range(2):
+            with pytest.raises(KernelError, match="moduli up to 31 bits"):
+                kernels.resolve(name).ntt(data, wide)
+
+
+def _basis_spellings():
+    """One basis as a list, a tuple of ints and a tuple of np.uint64."""
+    from repro.utils.primes import find_ntt_primes
+
+    moduli = tuple(find_ntt_primes(30, 2, 16))
+    return moduli, (
+        list(moduli), moduli, tuple(np.uint64(q) for q in moduli)
+    )
+
+
+@pytest.mark.parametrize("name", kernels.available_backends())
+def test_check_moduli_returns_python_ints(name):
+    moduli, spellings = _basis_spellings()
+    for spelling in spellings:
+        basis = kernels.resolve(name).check_moduli(spelling)
+        assert type(basis) is tuple and basis == moduli
+        assert all(type(q) is int for q in basis)
+
+
+@pytest.mark.parametrize("name", kernels.available_backends())
+def test_basis_spelling_does_not_change_results(name):
+    """Every op gives the same output whichever way the basis is spelled."""
+    backend = kernels.resolve(name)
+    moduli, spellings = _basis_spellings()
+    rng = np.random.default_rng(7)
+    a, b = (
+        rng.integers(0, min(moduli), (2, len(moduli), 16), dtype=np.uint64)
+        for _ in range(2)
+    )
+    table = rng.integers(0, min(moduli), (2, len(moduli)), dtype=np.uint64)
+
+    def every_op(basis):
+        return [
+            backend.ntt(a, basis),
+            backend.intt(a, basis),
+            backend.mod_add(a, b, basis),
+            backend.mod_sub(a, b, basis),
+            backend.mod_neg(a, basis),
+            backend.mod_mul(a, b, basis),
+            backend.mod_scalar_mul(a[0], [3, 1 << 40], basis),
+            backend.barrett_reduce(a * b, basis),
+            backend.lift(a[:, 0, :], basis),
+            backend.basis_convert(a[0], table, basis),
+        ]
+
+    want = every_op(moduli)
+    for spelling in spellings:
+        for got, expected in zip(every_op(spelling), want):
+            np.testing.assert_array_equal(got, expected)
 
 
 def test_resolve_unknown_name_raises_kernel_error():

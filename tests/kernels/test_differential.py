@@ -27,6 +27,7 @@ from repro.ckks import presets
 from repro.errors import KernelError
 from repro.rns.context import RnsContext
 from repro.utils.primes import find_ntt_primes
+from tests.conftest import fused_rows
 
 REFERENCE = kernels.resolve("reference")
 
@@ -79,13 +80,18 @@ def other(request):
 @pytest.mark.parametrize("moduli,degree", CASES)
 @pytest.mark.parametrize("radix_log2", (1, 2, 3))
 def test_ntt_intt_differential(other, moduli, degree, radix_log2):
+    """Both backends and the fused radix-2^k kernel agree exactly."""
     data = _matrix(moduli, degree, seed=radix_log2)
-    ref_fwd = REFERENCE.ntt(data, moduli, radix_log2=radix_log2)
-    got_fwd = other.ntt(data, moduli, radix_log2=radix_log2)
+    ref_fwd = REFERENCE.ntt(data, moduli)
+    got_fwd = other.ntt(data, moduli)
     np.testing.assert_array_equal(ref_fwd, got_fwd)
     np.testing.assert_array_equal(
-        REFERENCE.intt(ref_fwd, moduli, radix_log2=radix_log2),
-        other.intt(got_fwd, moduli, radix_log2=radix_log2),
+        fused_rows(data, moduli, radix_log2), got_fwd
+    )
+    ref_inv = REFERENCE.intt(ref_fwd, moduli)
+    np.testing.assert_array_equal(ref_inv, other.intt(got_fwd, moduli))
+    np.testing.assert_array_equal(
+        fused_rows(got_fwd, moduli, radix_log2, inverse=True), ref_inv
     )
 
 
@@ -201,11 +207,9 @@ def test_mixed_context_spot_check(other):
     )
     RnsContext(moduli)  # validates the basis is legal
     data = _matrix(moduli, degree, seed=41)
-    for k in (1, 2, 3):
-        np.testing.assert_array_equal(
-            REFERENCE.ntt(data, moduli, radix_log2=k),
-            other.ntt(data, moduli, radix_log2=k),
-        )
+    np.testing.assert_array_equal(
+        REFERENCE.ntt(data, moduli), other.ntt(data, moduli)
+    )
 
 
 # ----------------------------------------------------------------------

@@ -66,3 +66,17 @@ class TestTraceArrivals:
     def test_rejects_infinite(self):
         with pytest.raises(ParameterError, match="infinite"):
             TraceArrivals([0.1, float("inf")])
+
+    @pytest.mark.parametrize("stamps", [
+        [0.1, float("nan"), 0.3],
+        [float("nan"), float("inf"), 0.1],
+    ])
+    def test_rejects_nan_anywhere(self, stamps):
+        """Every timestamp is checked, not the ends of a sorted trace
+        (with a NaN present, the sort order is undefined)."""
+        with pytest.raises(ParameterError, match="NaN"):
+            TraceArrivals(stamps)
+
+    def test_rejects_infinite_beside_nan(self):
+        with pytest.raises(ParameterError):
+            TraceArrivals([float("inf"), float("nan")])

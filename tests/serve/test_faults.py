@@ -14,6 +14,7 @@ from repro.errors import ParameterError, SimulationError
 from repro.obs import cluster_trace_events, collecting
 from repro.serve import (
     KEY_SET_BYTES,
+    AutoscalerPolicy,
     BatchPolicy,
     ClusterPolicy,
     ClusterSimulator,
@@ -29,6 +30,31 @@ from repro.serve import (
 )
 
 HEAVY_KEYS = 4 * KEY_SET_BYTES
+
+NAN = float("nan")
+_WINDOW = {"instance": 0, "start_seconds": 0.0, "duration_seconds": 1.0}
+#: One NaN per float field of the policy and fault classes.
+NAN_FIELDS = [
+    (PoissonArrivals, {"rate": NAN, "count": 1}),
+    (InstanceCrash, {"instance": 0, "at_seconds": NAN}),
+    (InstanceCrash, {"instance": 0, "at_seconds": 0.0, "restart_after": NAN}),
+    (Straggler, {**_WINDOW, "slowdown": 2.0, "start_seconds": NAN}),
+    (Straggler, {**_WINDOW, "slowdown": 2.0, "duration_seconds": NAN}),
+    (Straggler, {**_WINDOW, "slowdown": NAN}),
+    (HBMDegradation, {**_WINDOW, "factor": 0.5, "start_seconds": NAN}),
+    (HBMDegradation, {**_WINDOW, "factor": 0.5, "duration_seconds": NAN}),
+    (HBMDegradation, {**_WINDOW, "factor": NAN}),
+    (RetryPolicy, {"backoff_seconds": NAN}),
+    (RetryPolicy, {"jitter": NAN}),
+    (ResiliencePolicy, {"deadline_seconds": NAN}),
+    (ResiliencePolicy, {"detection_seconds": NAN}),
+    (BatchPolicy, {"max_queue_delay": NAN}),
+    (AutoscalerPolicy, {"max_instances": 2, "queue_high": NAN}),
+    (AutoscalerPolicy, {"max_instances": 2, "cooldown_seconds": NAN}),
+    (ClusterPolicy, {"max_tenant_share": NAN}),
+    (TenantPopulation, {"key_sets": 3, "skew": NAN}),
+]
+
 SKEWED = TenantPopulation(tenants=8, key_sets=16, skew=0.8)
 POLICY = BatchPolicy(
     max_batch_size=4, max_queue_delay=0.0005, max_inflight_batches=2
@@ -88,6 +114,15 @@ class TestPlanValidation:
         with pytest.raises(ParameterError):
             HBMDegradation(instance=0, start_seconds=0.0,
                            duration_seconds=1.0, factor=1.5)
+
+    @pytest.mark.parametrize("cls,kwargs", NAN_FIELDS, ids=[
+        f"{cls.__name__}.{next(k for k, v in kw.items() if v != v)}"
+        for cls, kw in NAN_FIELDS
+    ])
+    def test_nan_field_refused(self, cls, kwargs):
+        """NaN fails every range check; accepted, it stalls the loop."""
+        with pytest.raises(ParameterError):
+            cls(**kwargs)
 
     def test_plan_rejects_untyped_events(self):
         with pytest.raises(ParameterError):

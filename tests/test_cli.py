@@ -267,6 +267,33 @@ class TestServe:
         with pytest.raises(SystemExit, match="max_batch_size"):
             main(["serve", "--max-batch", "0"])
 
+    @pytest.mark.parametrize("flags", [
+        ["--crash", "0:nan", "--instances", "2"],
+        ["--crash", "0:0.01:nan", "--instances", "2"],
+        ["--arrival-rate", "nan"],
+        ["--deadline", "nan"],
+        ["--max-queue-delay", "nan"],
+        ["--straggler", "0:nan:1:2"],
+        ["--hbm-derate", "0:0:nan:0.5"],
+        ["--detect-delay", "nan"],
+        ["--detect-delay", "-1"],
+        ["--retry-max", "2", "--retry-backoff", "nan"],
+        ["--retry-max", "2", "--retry-jitter", "nan"],
+        ["--max-tenant-share", "nan"],
+        ["--key-skew", "nan", "--key-sets", "3"],
+    ], ids=" ".join)
+    def test_serve_nan_flag_errors(self, flags):
+        """Refused up front: a NaN instant is never reached, so a run
+        that accepted one would not end."""
+        with pytest.raises(SystemExit, match="^error: "):
+            main(["serve", *flags])
+
+    def test_serve_nan_arrival_trace_errors(self, tmp_path):
+        trace = tmp_path / "arrivals.json"
+        trace.write_text(json.dumps([0.0, float("nan"), 0.002]))
+        with pytest.raises(SystemExit, match="^error: .*NaN"):
+            main(["serve", "--arrival-trace", str(trace)])
+
     def test_serve_arrival_trace_replay(self, tmp_path, capsys):
         trace = tmp_path / "arrivals.json"
         trace.write_text(json.dumps([0.0, 0.001, 0.002, 0.05]))
