@@ -351,6 +351,17 @@ def cmd_serve(args) -> None:
                 factor=float(parts[3]),
             ))
         plan = FaultPlan(tuple(events)) if events else None
+        # Unset tuning keeps RetryPolicy's defaults; without
+        # --retry-max there are no retries for it to tune.
+        retry_tuning = {}
+        if args.retry_backoff is not None:
+            retry_tuning["backoff_seconds"] = args.retry_backoff
+        if args.retry_jitter is not None:
+            retry_tuning["jitter"] = args.retry_jitter
+        if retry_tuning and args.retry_max is None:
+            raise SystemExit(
+                "error: --retry-backoff and --retry-jitter need --retry-max"
+            )
         resilience = None
         if (
             args.deadline is not None
@@ -360,9 +371,7 @@ def cmd_serve(args) -> None:
             retry = None
             if args.retry_max is not None:
                 retry = RetryPolicy(
-                    max_attempts=args.retry_max,
-                    backoff_seconds=args.retry_backoff,
-                    jitter=args.retry_jitter,
+                    max_attempts=args.retry_max, **retry_tuning
                 )
             resilience = ResiliencePolicy(
                 deadline_seconds=args.deadline,
@@ -393,8 +402,27 @@ def cmd_serve(args) -> None:
             skew=args.key_skew,
         )
         if args.arrival_trace is not None:
-            with open(args.arrival_trace, encoding="utf-8") as fh:
-                stamps = json.load(fh)
+            path = args.arrival_trace
+            try:
+                with open(path, encoding="utf-8") as fh:
+                    stamps = json.load(fh)
+            except OSError as exc:
+                raise SystemExit(
+                    f"error: cannot read --arrival-trace {path}: "
+                    f"{exc.strerror or exc}"
+                ) from None
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise SystemExit(
+                    f"error: --arrival-trace {path} is not JSON: {exc}"
+                ) from None
+            if not isinstance(stamps, list) or not all(
+                isinstance(t, (int, float)) and not isinstance(t, bool)
+                for t in stamps
+            ):
+                raise SystemExit(
+                    f"error: --arrival-trace {path} must hold a JSON "
+                    "list of numbers"
+                )
             arrivals = TraceArrivals(stamps)
             arrival_desc = f"trace({len(stamps)} arrivals)"
         else:
@@ -733,14 +761,14 @@ def _add_serve_options(sub) -> None:
              "losses to crashes (default: no retries)",
     )
     sub.add_argument(
-        "--retry-backoff", type=float, default=0.0005,
+        "--retry-backoff", type=float, default=None,
         help="base retry backoff in simulated seconds, doubled per "
-             "attempt (default 0.0005)",
+             "attempt; needs --retry-max (default 0.0005)",
     )
     sub.add_argument(
-        "--retry-jitter", type=float, default=0.0,
+        "--retry-jitter", type=float, default=None,
         help="seeded-deterministic jitter fraction added to each retry "
-             "delay, in [0,1] (default 0)",
+             "delay, in [0,1]; needs --retry-max (default 0)",
     )
     sub.add_argument(
         "--detect-delay", type=float, default=0.0,

@@ -120,6 +120,10 @@ class ProgramDraft:
         sufficient for whole-op ordering. With the default serial
         chain this reproduces the legacy drain-barrier assembly
         byte for byte.
+
+        Each task is copied at most once, and only when its
+        dependencies change: an entry task with no barrier is frozen
+        and already right, so the program holds it as it is.
         """
         all_tasks: list[OperatorTask] = []
         boundaries: list[tuple[int, int]] = []
@@ -130,10 +134,9 @@ class ProgramDraft:
                 sorted(sink[p] for p in self.effective_deps(i) if p < i)
             )
             for task in tasks:
-                shifted = task.shifted(offset)
-                if not shifted.depends_on and barrier:
-                    shifted = replace(shifted, depends_on=barrier)
-                all_tasks.append(shifted)
+                if task.depends_on or barrier:
+                    task = task.shifted(offset, barrier)
+                all_tasks.append(task)
             boundaries.append((offset, len(all_tasks)))
             sink.append(len(all_tasks) - 1)
         return tuple(all_tasks), tuple(boundaries)

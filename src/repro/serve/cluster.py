@@ -210,13 +210,7 @@ def _with_key_upload(
         hbm_read_bytes=upload_bytes,
         op_label=f"{KEY_UPLOAD_LABEL}:k{key_set}",
     )
-    out = [upload]
-    for task in tasks:
-        shifted = task.shifted(1)
-        if not shifted.depends_on:
-            shifted = replace(shifted, depends_on=(0,))
-        out.append(shifted)
-    return tuple(out)
+    return (upload, *(task.shifted(1, (0,)) for task in tasks))
 
 
 @dataclass

@@ -365,6 +365,10 @@ class ScheduleEngine:
         # never holds a second copy of its cost-model outputs.
         self._plans: dict[int, AdmissionPlan] = {}
         self._first_fill: dict[int, tuple[tuple, int]] = {}
+        # Cost-model outputs ``(core timing, memory timing, undilated
+        # duration)`` by task shape: every field but ``depends_on`` and
+        # ``op_label``, which the models never read.
+        self._costs: dict[tuple, tuple[CoreTiming, MemoryTiming, float]] = {}
         self.submissions: list[Submission] = []
         #: Submissions in the order they completed (serving layer polls
         #: this after each :meth:`advance_until`).
@@ -397,9 +401,10 @@ class ScheduleEngine:
         untouched (no multiplication happens at all).
 
         A tuple admitted before reuses its :class:`AdmissionPlan`
-        instead of re-running the cost models; the derates apply on
-        top of the plan's unscaled values. A list is modelled afresh on
-        every admission, since it may change between them.
+        instead of walking its tasks again; the derates apply on top of
+        the plan's unscaled values. A list is walked afresh on every
+        admission, since it may change between them, but only a task
+        shape this engine has not seen before runs the cost models.
         """
         if self._dead:
             raise SchedulingError(
@@ -464,24 +469,49 @@ class ScheduleEngine:
     def _model(self, tasks, base: int):
         """Validate and cost each task of a list, yielding ``(core
         timing, memory timing, undilated duration, de-duplicated local
-        dependencies)``. ``base`` only numbers tasks in errors."""
+        dependencies)``. ``base`` only numbers tasks in errors.
+
+        The cost models read only a task's shape, so each distinct
+        shape is costed once per engine (``_costs``); a repeat replays
+        its memory-model metrics instead, so the counters stay per
+        task. Dependencies are checked on every task, after the core
+        check and before the memory model, so a bad list raises the
+        same error and counts the same metrics as per-task costing.
+        """
+        costs = self._costs
         cycle_seconds = self.config.cycle_seconds
+        reg = metrics.active()
         for local, task in enumerate(tasks):
-            timing = self.cores.task_cycles(task)
-            if timing.core not in CORE_ARRAYS:
-                raise SchedulingError(
-                    f"task {base + local} targets unknown core "
-                    f"{timing.core!r}"
-                )
-            for dep in task.depends_on:
+            key = (
+                task.kind, task.elements, task.degree, task.limbs,
+                task.hbm_read_bytes, task.hbm_write_bytes, task.spad_bytes,
+            )
+            cost = costs.get(key)
+            if cost is None:
+                timing = self.cores.task_cycles(task)
+                if timing.core not in CORE_ARRAYS:
+                    raise SchedulingError(
+                        f"task {base + local} targets unknown core "
+                        f"{timing.core!r}"
+                    )
+            deps = task.depends_on
+            for dep in deps:
                 if dep < 0 or dep >= local:
                     raise SchedulingError(
                         f"task {base + local} has forward/invalid "
                         f"dependency {dep}"
                     )
-            mem = self.memory.task_timing(task)
-            duration = max(timing.cycles * cycle_seconds, mem.spad_seconds)
-            yield timing, mem, duration, tuple(dict.fromkeys(task.depends_on))
+            if len(deps) > 1:
+                deps = tuple(dict.fromkeys(deps))
+            if cost is None:
+                mem = self.memory.task_timing(task)
+                cost = costs[key] = (
+                    timing, mem,
+                    max(timing.cycles * cycle_seconds, mem.spad_seconds),
+                )
+            elif reg is not None:
+                record_memory_metrics(reg, cost[1])
+            yield *cost, deps
 
     def _cached_plan(self, tasks) -> AdmissionPlan | None:
         """The plan of a tuple admitted before, else ``None``.
@@ -515,8 +545,8 @@ class ScheduleEngine:
     def _fill(
         self, tasks, base, release, submission, compute_scale, hbm_scale
     ) -> None:
-        """First admission of a list: run the cost models task by task
-        straight into the engine arrays."""
+        """First admission of a list: cost it task by task (see
+        :meth:`_model`) straight into the engine arrays."""
         dependents: list[list[int]] = []
         for local, (timing, mem, duration, deps) in enumerate(
             self._model(tasks, base)

@@ -93,15 +93,20 @@ class OperatorTask:
             op_label=op_label,
         )
 
-    def shifted(self, offset: int) -> "OperatorTask":
-        """Copy with dependency indices shifted by ``offset``.
+    def shifted(
+        self, offset: int, roots: tuple[int, ...] = ()
+    ) -> "OperatorTask":
+        """Copy with dependency indices shifted by ``offset``; a task
+        with no dependencies gets ``roots`` as its dependencies.
 
         Used when concatenating per-operation task lists into one
-        program-level list, and when a key-set upload is prepended to
-        a request's task chain. The fields are already validated, so the
-        copy is set slot by slot instead of re-running
+        program-level list (``roots`` is the op's barrier), and when a
+        key-set upload is prepended to a request's task chain
+        (``roots`` is the upload). The fields are already validated, so
+        the copy is set slot by slot instead of re-running
         ``__init__``/``__post_init__``.
         """
+        deps = self.depends_on
         new = _new(OperatorTask)
         _set(new, "kind", self.kind)
         _set(new, "elements", self.elements)
@@ -110,7 +115,8 @@ class OperatorTask:
         _set(new, "hbm_read_bytes", self.hbm_read_bytes)
         _set(new, "hbm_write_bytes", self.hbm_write_bytes)
         _set(new, "spad_bytes", self.spad_bytes)
-        _set(new, "depends_on", tuple([d + offset for d in self.depends_on]))
+        _set(new, "depends_on",
+             tuple([d + offset for d in deps]) if deps else roots)
         _set(new, "op_label", self.op_label)
         return new
 

@@ -1,6 +1,7 @@
 """Tests for the compiler pass pipeline (repro.compiler.passes)."""
 
 import itertools
+from dataclasses import fields, replace
 
 import pytest
 
@@ -167,6 +168,55 @@ class TestPassCombinations:
         start, _ = program.op_boundaries[1]
         cold_sink = program.op_boundaries[0][1] - 1
         assert cold_sink in program.tasks[start].depends_on
+
+
+def shift_then_replace_assembly(draft):
+    """``ProgramDraft.assemble`` as it was before each task was copied
+    at most once (the oracle): a shifted copy of every task, then a
+    second copy for each entry task behind a barrier."""
+    all_tasks, boundaries, sink = [], [], []
+    for i, tasks in enumerate(draft.task_lists):
+        offset = len(all_tasks)
+        barrier = tuple(
+            sorted(sink[p] for p in draft.effective_deps(i) if p < i)
+        )
+        for task in tasks:
+            shifted = task.shifted(offset)
+            if not shifted.depends_on and barrier:
+                shifted = replace(shifted, depends_on=barrier)
+            all_tasks.append(shifted)
+        boundaries.append((offset, len(all_tasks)))
+        sink.append(len(all_tasks) - 1)
+    return tuple(all_tasks), tuple(boundaries)
+
+
+def field_rows(tasks):
+    """Every field of every task, with the dependency tuple's type."""
+    return [
+        (type(t.depends_on), *(getattr(t, f.name) for f in fields(t)))
+        for t in tasks
+    ]
+
+
+class TestOneCopyAssembly:
+    @pytest.mark.parametrize("op_parallel", (False, True))
+    @pytest.mark.parametrize("trace_name", sorted(TRACES))
+    @pytest.mark.parametrize(
+        "combo", ALL_COMBOS,
+        ids=lambda c: "+".join(
+            k.replace("-", "_") for k, v in c.items() if v
+        ) or "none",
+    )
+    def test_matches_shift_then_replace(self, trace_name, combo,
+                                        op_parallel):
+        draft = ProgramDraft.from_ops(
+            TRACES[trace_name](), op_parallel=op_parallel
+        )
+        apply_pipeline(draft, tuple(n for n in PASS_REGISTRY if combo[n]))
+        tasks, bounds = draft.assemble()
+        want_tasks, want_bounds = shift_then_replace_assembly(draft)
+        assert bounds == want_bounds
+        assert field_rows(tasks) == field_rows(want_tasks)
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,8 @@ key movement is a first-order cost, as in
 ``benchmarks/bench_fleet_scaling.py``.
 """
 
+from dataclasses import fields, replace
+
 import pytest
 
 from repro.errors import ParameterError
@@ -20,8 +22,9 @@ from repro.serve import (
     ClusterSimulator,
     PoissonArrivals,
     TenantPopulation,
+    request_type,
 )
-from repro.serve.cluster import KEY_UPLOAD_LABEL
+from repro.serve.cluster import KEY_UPLOAD_LABEL, _with_key_upload
 
 HEAVY_KEYS = 4 * KEY_SET_BYTES
 
@@ -135,6 +138,26 @@ class TestSchedulesValid:
         ]
         assert len(uploads) == result.key_misses
         assert all(task.hbm_read_bytes == HEAVY_KEYS for task in uploads)
+
+    @pytest.mark.parametrize("job", ["keyswitch", "streaming", "lr"])
+    def test_upload_prefix_matches_shift_then_replace(self, job):
+        def rows(tasks):
+            return [
+                (type(t.depends_on), *(getattr(t, f.name) for f in fields(t)))
+                for t in tasks
+            ]
+
+        tasks = request_type(job).program.tasks
+        # The oracle: a shifted copy of every task, then a second copy
+        # for each root so it waits on the upload.
+        want = [
+            replace(t, depends_on=(0,)) if not t.depends_on else t
+            for t in (task.shifted(1) for task in tasks)
+        ]
+        got = _with_key_upload(tasks, HEAVY_KEYS, 3)
+        assert type(got) is tuple
+        assert got[0].op_label == f"{KEY_UPLOAD_LABEL}:k3"
+        assert rows(got[1:]) == rows(want)
 
     def test_upload_bytes_accounting(self):
         result = run_cluster(instances=2, count=24)

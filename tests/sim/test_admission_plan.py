@@ -241,3 +241,9 @@ class TestSlottedTask:
         assert hash(moved) == hash(replace(moved))
         assert self.TASK.shifted(0) == self.TASK
         assert not hasattr(moved, "__dict__")
+
+    def test_shifted_roots_replace_no_dependencies_only(self):
+        root = replace(self.TASK, depends_on=())
+        assert root.shifted(3, (0, 1)) == replace(root, depends_on=(0, 1))
+        assert root.shifted(3) == root
+        assert self.TASK.shifted(10, (0,)) == self.TASK.shifted(10)

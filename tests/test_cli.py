@@ -1,6 +1,7 @@
 """Unit tests for the CLI (light targets only; heavy ones are benches)."""
 
 import json
+import re
 
 import pytest
 
@@ -293,6 +294,52 @@ class TestServe:
         trace.write_text(json.dumps([0.0, float("nan"), 0.002]))
         with pytest.raises(SystemExit, match="^error: .*NaN"):
             main(["serve", "--arrival-trace", str(trace)])
+
+    @pytest.mark.parametrize("content, reason", [
+        (None, "cannot read --arrival-trace .*: No such file"),
+        ("[0.1, ", "is not JSON"),
+        (b"\xff\xfe[0.1]", "is not JSON"),
+        ('{"a": 1}', "must hold a JSON list of numbers"),
+        ('[0.1, "0.2"]', "must hold a JSON list of numbers"),
+        ("[0.1, true]", "must hold a JSON list of numbers"),
+    ], ids=["missing", "truncated", "not-utf8", "object", "string-stamp",
+            "bool-stamp"])
+    def test_serve_bad_arrival_trace_errors(self, tmp_path, content, reason):
+        trace = tmp_path / "arrivals.json"
+        if isinstance(content, bytes):
+            trace.write_bytes(content)
+        elif content is not None:
+            trace.write_text(content)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--arrival-trace", str(trace)])
+        message = str(excinfo.value.code)
+        assert message.startswith("error: ")
+        assert str(trace) in message
+        assert re.search(reason, message)
+
+    @pytest.mark.parametrize("flags", [
+        ["--retry-backoff", "nan"],
+        ["--retry-backoff", "0.001"],
+        ["--retry-jitter", "0.5"],
+        ["--deadline", "0.1", "--retry-jitter", "0"],
+    ], ids=" ".join)
+    def test_serve_retry_tuning_needs_retry_max(self, flags):
+        with pytest.raises(SystemExit, match="^error: .*need --retry-max"):
+            main(["serve", "--requests", "8", *flags])
+
+    def test_serve_retry_max_alone_keeps_the_defaults(self, capsys):
+        argv = [
+            "serve", "--requests", "24", "--arrival-rate", "400",
+            "--instances", "2", "--crash", "0:0.02:0.01", "--retry-max", "3",
+        ]
+        outputs = []
+        for extra in ([], ["--retry-backoff", "0.0005", "--retry-jitter", "0"],
+                      ["--retry-backoff", "0.004"]):
+            assert main(argv + extra) == 0
+            outputs.append(capsys.readouterr().out)
+        assert "2 retries" in outputs[0]
+        assert outputs[0] == outputs[1]
+        assert outputs[0] != outputs[2]  # the backoff is honoured
 
     def test_serve_arrival_trace_replay(self, tmp_path, capsys):
         trace = tmp_path / "arrivals.json"
