@@ -73,12 +73,28 @@ keyswitching: ``apply_switch_key`` (830 calls, one per rotation,
 conjugation and relinearization) is about 70% of the profiled time,
 and the transforms' own share (about 70%, down from about 82% when
 every diagonal term ran its own NTT/INTT pair) is now almost all
-their baby and giant rotations. The top self time is the forward-NTT
-butterfly stage (about 24%), then the inverse stage and the Barrett
-products (about 10% each). Each kernel call resolves its basis once,
-in ``check_moduli`` (19,090 calls, under 1%; with a second conversion
-per call in the numpy backend the two took about 7.5%). The raw run
-takes ~1.9 s, against ~3.2 s with per-term transforms (2-core host).
+their baby and giant rotations. Every N=64 NTT/INTT call folds its
+stacked rows innermost (2,560 ``_run_folded`` calls, about 34%
+cumulative), so the stages loop over up to 510 rows at once instead
+of butterfly runs of 1-32 elements. The top self times are the Shoup
+products (``_shoup``, about 14%) and the uint64 Barrett products
+(``_barrett_narrow``, about 12%), then the two butterfly stages (about
+4% and 3% self) and ``np.tile``'s per-call twiddle tiles (about 4%
+cumulative). Each kernel call resolves its basis once, in
+``check_moduli`` (19,090 calls, under 1%). The raw run takes ~1.55 s,
+against ~1.9 s with uint64 butterflies in rows-as-rows layout and
+~3.2 s with per-term transforms (2-core host).
+
+``--workload ckks-ops`` profiles fifty closed-loop requests at N=4096,
+L=8 (multiply, relinearize, rescale, rotate, add; keys and rotation
+keys are set-up). Its NTT/INTT calls hold 8 or 9 rows, so rows stay
+rows: ``_run_rows`` is about 56% of the profiled time. By self time
+the Shoup products lead (``_shoup``, about 28%), then the uint64
+Barrett products (``_barrett_narrow``, about 14%, from ``mod_mul``),
+the forward stage's own adds and subtracts (about 11%), the
+conditional subtracts (``_csub``, about 9%), ``mod_add`` (about 5%)
+and ``lift`` (about 3%). The raw run takes ~3.5 s, against ~4.8 s with
+uint64 butterflies (2-core host).
 
 ``--workload table6`` profiles building, compiling (default passes)
 and simulating the four Table VI programs, 148,304 tasks in all. Each

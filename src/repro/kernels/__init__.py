@@ -4,9 +4,10 @@ The functional plane routes every arithmetic hot path — whole-matrix
 NTT/INTT, element-wise modular ops, Barrett reduction, digit lifting
 and the RNSconv cascade — through a *kernel backend*:
 
-- ``numpy``     — fully vectorized uint64 butterflies (Shoup
-  multiplication + lazy reduction); the default, with no Python-level
-  per-element loops.
+- ``numpy``     — fully vectorized: NTT butterflies on uint32 lanes
+  (Shoup multiplication + Harvey's lazy reduction, layout chosen from
+  the call's shape) and uint64 Barrett products; the default, with no
+  Python-level per-element loops.
 - ``reference`` — the original per-limb code paths (the oracle).
 
 Selection, in precedence order:

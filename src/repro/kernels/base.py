@@ -12,8 +12,9 @@ one-env-var) decision.
 Two implementations ship:
 
 - ``numpy`` (:mod:`repro.kernels.numpy_backend`, the default) — fully
-  vectorized uint64 butterflies (Shoup multiplication, lazy reduction,
-  branch-free conditional subtracts).
+  vectorized: NTT butterflies on uint32 lanes (Shoup multiplication,
+  Harvey's lazy reduction, branch-free conditional subtracts) and
+  uint64 Barrett products.
 - ``reference`` (:mod:`repro.kernels.reference`) — the original
   scalar/per-limb code paths, one numpy call per limb row; the oracle
   the test suites compare ``numpy`` against.
@@ -33,8 +34,9 @@ axis is always second to last, so no backend can read a batch as
 limbs. A second operand must have exactly the first operand's shape
 (callers broadcast explicitly, e.g. with ``np.broadcast_to``). Results
 are the per-matrix results stacked, bit for bit: ``numpy`` broadcasts
-its per-limb plans over ``B``, while ``reference`` runs its per-matrix
-code on each ``(L, N)`` slice. A batch is one kernel call — the
+its per-limb plans over ``B`` (its NTT folds a tall stack's ``B * L``
+rows innermost), while ``reference`` runs its per-matrix code on each
+``(L, N)`` slice. A batch is one kernel call — the
 software counterpart of Poseidon streaming every keyswitch digit
 through the same cores. ``basis_convert`` keeps its ``(l, N)``
 contract.

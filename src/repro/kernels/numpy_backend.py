@@ -1,39 +1,48 @@
-"""The ``numpy`` kernel backend: fully vectorized uint64 hot paths.
+"""The ``numpy`` kernel backend: fully vectorized hot paths.
 
-Strategy
---------
+NTT and INTT
+------------
 Moduli are at most 31 bits (the base class's ``max_modulus_bits``,
-which is also all :class:`~repro.rns.context.RnsContext` admits). The
-NTT is a Shoup-multiplication butterfly engine with lazy reduction:
+which is also all :class:`~repro.rns.context.RnsContext` admits), so
+residues fit in uint32 lanes. The transforms take and return canonical
+uint64 rows like every other op, but run their butterflies on a uint32
+copy with Harvey's lazy reduction:
 
-* Every twiddle ``w`` carries a precomputed companion
-  ``w' = floor(w * 2^32 / q)`` so a modular product is three multiplies,
-  one shift and one subtract — ``prod = w*x - ((w'*x) >> 32) * q < 3q``
-  — with no ``%`` anywhere on the hot path.
-* Butterfly operands stay *lazily* reduced below ``C = 4q`` (all moduli
-  <= 30 bits) or ``C = 2q`` (a 31-bit modulus present). Conditional
-  subtraction is the branch-free pair ``minimum(x, x - C)``: uint64
-  wraparound makes ``x - C`` huge exactly when ``x < C``. One final
-  normalisation pass brings values below ``q``.
-* Early stages operate on ``(L, m, 2t)`` views with per-stage
-  pre-expanded contiguous twiddle rows; once butterfly runs drop below
-  ``_TAIL_T`` the matrix is transposed once so every remaining stage
-  keeps unit-stride inner loops (lane-major layout), then transposed
-  back before the output permutation.
+* Every twiddle ``w`` (stored as uint32) carries a precomputed uint64
+  companion ``w' = floor(w * 2^32 / q)``, and a product is Shoup's
+  ``w*x - ((w'*x) >> 32) * q``, which lies in ``[0, 2q)`` for any
+  ``x < 2^32``. Only the quotient ``(w'*x) >> 32`` is formed in uint64;
+  ``w*x`` and the correction wrap modulo ``2^32`` in uint32, which is
+  exact because the result fits.
+* Butterfly operands stay lazily reduced. When every modulus has at
+  most 30 bits, forward (Cooley-Tukey) operands stay below ``4q`` and
+  inverse (Gentleman-Sande) operands below ``2q``; a basis holding a
+  31-bit modulus (every keyswitch basis, through its aux prime) keeps
+  them below ``2q`` and ``q``. Every intermediate, a forward output or
+  an inverse sum, stays below ``4q < 2^32`` for a 30-bit ``q`` and
+  ``2q < 2^32`` for a 31-bit one, so nothing overflows 32 bits.
+  Conditional subtraction is the branch-free pair
+  ``minimum(x, x - C)``: uint32 wraparound makes ``x - C`` exceed ``x``
+  exactly when ``x < C``. One final pass brings values below ``q``.
+* The layout follows from the call's shape alone. A call with fewer
+  than ``n / _TAIL_T`` rows (``B * L`` of a ``(B, L, n)`` stack) keeps
+  rows as rows: stages whose butterfly runs are at least ``_TAIL_T``
+  long work on ``(..., m, 2t)`` views with per-limb twiddle columns,
+  and once runs drop below ``_TAIL_T`` the rows are transposed once
+  into a lane-major tail so the remaining stages keep unit-stride
+  inner loops. A call with at least that many rows (every call on the
+  N=64 rings of bootstrapping, where runs are 1-32 elements) folds its
+  rows innermost instead: the ``(n, B * L)`` transpose runs every
+  stage over all rows at once, with the twiddles tiled over the stack.
 
-Element-wise products use a single-word Barrett reduction: residue
-products stay below ``q^2 < 2^62``, so every intermediate fits in
-``uint64``.
-
-A ``(B, L, N)`` stack runs the same plans with every twiddle and
-modulus column broadcast over the leading batch axis: the stage loops
-index the limb and coefficient axes from the right (``a[..., :t]``), so
-one call transforms all ``B * L`` rows.
+Element-wise products use a single-word Barrett reduction in uint64:
+residue products stay below ``q^2 < 2^62``, so every intermediate fits.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,9 +50,10 @@ from repro.kernels.base import KernelBackend, check_rows
 from repro.ntt.tables import get_twiddle_table
 from repro.utils.bitops import ilog2, reverse_bits_array
 
-_U32 = np.uint64(32)
+_SHIFT = np.uint64(32)
 
-#: Butterfly runs shorter than this switch to the transposed layout.
+#: Butterfly runs shorter than this switch to the lane-major tail, and
+#: a call with at least ``n / _TAIL_T`` rows folds them innermost.
 _TAIL_T = 32
 
 
@@ -67,126 +77,174 @@ def _lane_view(src: np.ndarray, m: int, lanes: int) -> np.ndarray:
     ).reshape(levels, msub, 1, lanes)
 
 
-class _NarrowPlan:
-    """Per-(moduli, n) stage plan + twiddles for the narrow engine."""
+class _Columns(NamedTuple):
+    """Per-limb (or, tiled, per-row) uint32 constants of a basis.
 
-    def __init__(self, moduli: tuple[int, ...], n: int):
-        tbls = [get_twiddle_table(q, n) for q in moduli]
-        qc = np.array(moduli, dtype=np.uint64)[:, None]
-        self.q_col = qc
-        self.lazy4 = max(moduli).bit_length() <= 30
-        self.C_col = qc * np.uint64(4 if self.lazy4 else 2)
-        self.C2_col = qc * np.uint64(2)
-        self.bitrev = _bitrev(n)
-        psi = np.stack([t.psi_powers_bitrev for t in tbls])
-        ipsi = np.stack([t.ipsi_powers_bitrev for t in tbls])
-        psi_sh = (psi << _U32) // qc  # w < 2^31, so the shift fits
-        ipsi_sh = (ipsi << _U32) // qc
-        inv_n = np.array(
-            [t.inv_n for t in tbls], dtype=np.uint64
-        )[:, None]
-        self.inv_n_col = inv_n
-        self.inv_n_sh = (inv_n << _U32) // qc
+    ``h`` is half the forward bound and the whole inverse bound: ``2q``
+    when every modulus has at most 30 bits, ``q`` when the basis holds a
+    31-bit modulus (``wide``), so ``2h < 2^32`` either way.
+    """
+
+    wide: bool
+    q: np.ndarray
+    h: np.ndarray
+    inv_n: np.ndarray
+    inv_n_sh: np.ndarray  # uint64 Shoup companion of inv_n
+
+
+@lru_cache(maxsize=64)
+def _columns(moduli: tuple[int, ...], n: int) -> _Columns:
+    q = np.array(moduli, dtype=np.uint64)
+    inv_n = np.array(
+        [get_twiddle_table(m, n).inv_n for m in moduli], dtype=np.uint64
+    )
+    wide = max(moduli).bit_length() > 30
+    q32 = q.astype(np.uint32)
+    return _Columns(
+        wide, q32, q32 * np.uint32(1 if wide else 2),
+        inv_n.astype(np.uint32), (inv_n << _SHIFT) // q,
+    )
+
+
+def _twiddles(moduli: tuple[int, ...], n: int, inverse: bool):
+    """``(L, n)`` bit-reversed twiddles ``w`` (uint32) and their Shoup
+    companions ``w' = floor(w * 2^32 / q)`` (uint64)."""
+    tbls = [get_twiddle_table(q, n) for q in moduli]
+    w = np.stack([
+        t.ipsi_powers_bitrev if inverse else t.psi_powers_bitrev
+        for t in tbls
+    ])
+    w_sh = (w << _SHIFT) // np.array(moduli, dtype=np.uint64)[:, None]
+    return w.astype(np.uint32), w_sh
+
+
+class _RowPlan:
+    """Stages for rows laid out as rows, ``(..., L, n)``.
+
+    Stages whose butterfly runs are at least ``_TAIL_T`` long read
+    ``(L, m, 1)`` twiddle columns that broadcast over each run; the
+    rest run on the lane-major transpose and read ``(L, msub, 1,
+    lanes)`` twiddles, so each stage's twiddles are stored once.
+    """
+
+    def __init__(self, moduli: tuple[int, ...], n: int, inverse: bool):
+        self.cols = _columns(moduli, n)
+        w, w_sh = _twiddles(moduli, n, inverse)
 
         # Lane count for the transposed tail: the smallest block count
-        # whose stage has runs shorter than _TAIL_T. The forward and
-        # inverse stage sets mirror, so they share it.
+        # whose stage has runs shorter than _TAIL_T.
         lanes = 0
         m = 1
         while m < n:
-            t = n // (2 * m)
-            if t < _TAIL_T and m >= _TAIL_T:
+            if n // (2 * m) < _TAIL_T and m >= _TAIL_T:
                 lanes = m
                 break
             m <<= 1
         self.lanes = lanes
 
-        # Forward (CT) stages, m = 1 .. n/2: runs shrink.
-        self.fwd: list[tuple[str, int, int, np.ndarray, np.ndarray]] = []
-        m = 1
-        while m < n:
-            t = n // (2 * m)
+        # Forward (CT) stages run m = 1 .. n/2 (runs shrink), inverse
+        # (GS) stages m = n/2 .. 1 (runs grow).
+        ms = [1 << k for k in range(ilog2(n))]
+        self.stages = []
+        for m in reversed(ms) if inverse else ms:
             if lanes and m >= lanes:
-                self.fwd.append((
-                    "lane", m, t,
-                    _lane_view(psi, m, lanes),
-                    _lane_view(psi_sh, m, lanes),
-                ))
+                tw = (_lane_view(w, m, lanes), _lane_view(w_sh, m, lanes))
             else:
-                self.fwd.append((
-                    "full", m, t,
-                    np.repeat(psi[:, m:2 * m], t, axis=1),
-                    np.repeat(psi_sh[:, m:2 * m], t, axis=1),
-                ))
-            m <<= 1
-
-        # Inverse (GS) stages, h = n/2 .. 1: runs grow.
-        self.inv: list[tuple[str, int, int, np.ndarray, np.ndarray]] = []
-        h = n >> 1
-        while h >= 1:
-            t = n // (2 * h)
-            if lanes and h >= lanes:
-                self.inv.append((
-                    "lane", h, t,
-                    _lane_view(ipsi, h, lanes),
-                    _lane_view(ipsi_sh, h, lanes),
-                ))
-            else:
-                self.inv.append((
-                    "full", h, t,
-                    np.repeat(ipsi[:, h:2 * h], t, axis=1),
-                    np.repeat(ipsi_sh[:, h:2 * h], t, axis=1),
-                ))
-            h >>= 1
+                tw = (w[:, m:2 * m, None].copy(),
+                      w_sh[:, m:2 * m, None].copy())
+            self.stages.append((m, n // (2 * m), *tw))
 
 
-@lru_cache(maxsize=32)
-def _narrow_plan(moduli: tuple[int, ...], n: int) -> _NarrowPlan:
-    return _NarrowPlan(moduli, n)
+class _FoldPlan:
+    """Twiddles for rows folded innermost, ``(n, B * L)``.
 
-
-def _stage_fwd(lo, hi, w, ws, q, bound, u1, u2, u3, lazy4):
-    """One CT butterfly stage, operands kept below ``bound``.
-
-    ``(lo, hi) <- (lo + w*hi, lo - w*hi)`` with the Shoup product
-    (``prod < 3q``) folded into the lazy-reduction discipline.
+    Row ``j`` of ``w`` holds every limb's ``j``-th bit-reversed twiddle,
+    so stage ``m`` reads rows ``m .. 2m``; a stack of ``B`` matrices
+    tiles them ``B`` times along the row axis.
     """
-    np.multiply(hi, ws, out=u1)
-    np.right_shift(u1, _U32, out=u1)
-    np.multiply(u1, q, out=u1)
-    np.multiply(hi, w, out=u2)
-    np.subtract(u2, u1, out=u2)  # prod < 3q
-    if not lazy4:
-        np.subtract(u2, bound, out=u3)
-        np.minimum(u2, u3, out=u2)  # prod < 2q = bound
-    np.subtract(bound, u2, out=u1)
-    np.add(lo, u1, out=u1)  # lo + (bound - prod)
-    np.subtract(u1, bound, out=u3)
-    np.minimum(u1, u3, out=hi)
-    np.add(lo, u2, out=u2)  # lo + prod
-    np.subtract(u2, bound, out=u3)
-    np.minimum(u2, u3, out=lo)
+
+    def __init__(self, moduli: tuple[int, ...], n: int, inverse: bool):
+        w, w_sh = _twiddles(moduli, n, inverse)
+        self.w = np.ascontiguousarray(w.T)
+        self.w_sh = np.ascontiguousarray(w_sh.T)
 
 
-def _stage_inv(lo, hi, w, ws, q, bound, u1, u2, u3, lazy4):
-    """One GS butterfly stage: ``(lo, hi) <- (lo + hi, w*(lo - hi))``."""
-    np.add(lo, hi, out=u1)  # sum < 2*bound
-    np.add(lo, bound, out=u2)
-    np.subtract(u2, hi, out=u2)  # diff < 2*bound
-    np.subtract(u2, bound, out=u3)
-    np.minimum(u2, u3, out=u2)  # diff < bound <= 2^32
-    np.multiply(u2, ws, out=u3)
-    np.right_shift(u3, _U32, out=u3)
-    np.multiply(u3, q, out=u3)
-    np.multiply(u2, w, out=u2)
-    if lazy4:
-        np.subtract(u2, u3, out=hi)  # prod < 3q < bound
+@lru_cache(maxsize=64)
+def _row_plan(moduli: tuple[int, ...], n: int, inverse: bool) -> _RowPlan:
+    return _RowPlan(moduli, n, inverse)
+
+
+@lru_cache(maxsize=64)
+def _fold_plan(moduli: tuple[int, ...], n: int, inverse: bool) -> _FoldPlan:
+    return _FoldPlan(moduli, n, inverse)
+
+
+@lru_cache(maxsize=256)
+def _fold_columns(moduli: tuple[int, ...], n: int, batch: int) -> _Columns:
+    """:func:`_columns` with one entry per row of a ``batch`` stack."""
+    cols = _columns(moduli, n)
+    return _Columns(cols.wide, *(np.tile(c, batch) for c in cols[1:]))
+
+
+def _folds(rows: int, n: int) -> bool:
+    """Whether a call with ``rows`` rows of degree ``n`` folds them
+    innermost: once the rows outnumber a row's ``_TAIL_T``-long runs,
+    every stage's inner loop over them is long enough, and folding
+    skips the lane-major tail's transposes."""
+    return rows * _TAIL_T >= n
+
+
+def _shoup(x, w, ws, q, p, t, out):
+    """``out <- w * x mod q`` in ``[0, 2q)`` for any ``x < 2^32`` (Shoup).
+
+    Only the quotient ``(x * w') >> 32`` needs 64 bits; the product and
+    the correction are exact modulo ``2^32`` because the result is.
+    ``out`` may be ``x``.
+    """
+    np.multiply(x, ws, out=p)
+    np.right_shift(p, _SHIFT, out=t, casting="unsafe")
+    np.multiply(t, q, out=t)
+    np.multiply(x, w, out=out)
+    np.subtract(out, t, out=out)
+
+
+def _csub(x, c, t):
+    """``x <- x - c`` where ``x >= c``, in place, for ``x < 2c``.
+
+    Branch-free: ``x - c`` wraps past ``x`` exactly when ``x < c``.
+    """
+    np.subtract(x, c, out=t)
+    np.minimum(x, t, out=x)
+
+
+def _stage_fwd(lo, hi, block, w, ws, q, h, wide, p, t1, t2, f):
+    """One CT stage ``(lo, hi) <- (lo + w*hi, lo - w*hi)`` (Harvey's
+    lazy butterfly), operands below ``2h``.
+
+    ``block`` is ``lo`` and ``hi`` together; ``f`` is block-sized
+    scratch sharing ``p``'s memory.
+    """
+    _shoup(hi, w, ws, q, p, t1, hi)  # < 2q
+    if wide:
+        _csub(block, h, f)  # lo and w*hi < q = h
     else:
-        np.subtract(u2, u3, out=u2)
-        np.subtract(u2, bound, out=u3)
-        np.minimum(u2, u3, out=hi)  # prod < 2q = bound
-    np.subtract(u1, bound, out=u3)
-    np.minimum(u1, u3, out=lo)
+        _csub(lo, h, t1)  # < h = 2q
+    np.subtract(lo, hi, out=t2)
+    np.add(lo, hi, out=lo)  # < 2h
+    np.add(t2, h, out=hi)  # lo - w*hi + h, in (0, 2h)
+
+
+def _stage_inv(lo, hi, block, w, ws, q, h, wide, p, t1, t2, f):
+    """One GS stage ``(lo, hi) <- (lo + hi, w*(lo - hi))``, operands
+    below ``h`` (arguments as for :func:`_stage_fwd`)."""
+    np.subtract(lo, hi, out=t2)
+    np.add(t2, h, out=t2)  # lo - hi + h, in (0, 2h)
+    np.add(lo, hi, out=lo)  # < 2h
+    _shoup(t2, w, ws, q, p, t1, hi)  # < 2q
+    if wide:
+        _csub(block, h, f)  # both < q = h
+    else:
+        _csub(lo, h, t1)  # < h = 2q
 
 
 def _to_lanes(a: np.ndarray, lanes: int) -> np.ndarray:
@@ -206,110 +264,115 @@ def _from_lanes(a: np.ndarray, lanes: int) -> np.ndarray:
     ).reshape(*lead, n)
 
 
-def _run_fwd(a: np.ndarray, plan: _NarrowPlan) -> np.ndarray:
-    """In-place CT stages over ``a``: (L, n) or a (B, L, n) stack."""
+def _run_rows(a: np.ndarray, plan: _RowPlan, stage) -> np.ndarray:
+    """Every stage of ``plan`` over uint32 ``(L, n)`` or ``(B, L, n)``
+    rows, entering and leaving the lane-major tail as it requires."""
     lead, n = a.shape[:-1], a.shape[-1]
-    levels = lead[-1]
-    half = n >> 1
-    b1 = np.empty((*lead, half), dtype=np.uint64)
-    b2 = np.empty_like(b1)
-    b3 = np.empty_like(b1)
-    q3 = plan.q_col[:, :, None]
-    c3 = plan.C_col[:, :, None]
-    q4 = q3[:, :, :, None]
-    c4 = c3[:, :, :, None]
-    lanes = plan.lanes
+    cols, lanes = plan.cols, plan.lanes
+    p = np.empty((*lead, n >> 1), dtype=np.uint64)
+    t1 = np.empty(p.shape, dtype=np.uint32)
+    t2 = np.empty_like(t1)
+    q3, h3 = cols.q[:, None, None], cols.h[:, None, None]
+    q4, h4 = q3[..., None], h3[..., None]
     transposed = False
-    for kind, m, t, w, ws in plan.fwd:
-        if kind == "lane" and not transposed:
-            a = _to_lanes(a, lanes)
-            transposed = True
-        if kind == "full":
-            a3 = a.reshape(*lead, m, 2 * t)
-            shape = (*lead, m, t)
-            wshape = (levels, m, t)
-            _stage_fwd(
-                a3[..., :t], a3[..., t:],
-                w.reshape(wshape), ws.reshape(wshape), q3, c3,
-                b1.reshape(shape), b2.reshape(shape), b3.reshape(shape),
-                plan.lazy4,
-            )
+    for m, t, w, ws in plan.stages:
+        if (lanes and m >= lanes) != transposed:
+            a = _from_lanes(a, lanes) if transposed else _to_lanes(a, lanes)
+            transposed = not transposed
+        if transposed:
+            block = a.reshape(*lead, m // lanes, 2 * t, lanes)
+            half = (*lead, m // lanes, t, lanes)
+            lo, hi, q, h = block[..., :t, :], block[..., t:, :], q4, h4
         else:
-            msub = m // lanes
-            a4 = a.reshape(*lead, msub, 2 * t, lanes)
-            shape = (*lead, msub, t, lanes)
-            _stage_fwd(
-                a4[..., :t, :], a4[..., t:, :], w, ws, q4, c4,
-                b1.reshape(shape), b2.reshape(shape), b3.reshape(shape),
-                plan.lazy4,
-            )
-    if transposed:
-        a = _from_lanes(a, lanes)
-    scratch = np.empty_like(a)
-    if plan.lazy4:
-        np.subtract(a, plan.C2_col, out=scratch)
-        np.minimum(a, scratch, out=a)
-    np.subtract(a, plan.q_col, out=scratch)
-    np.minimum(a, scratch, out=a)
+            block = a.reshape(*lead, m, 2 * t)
+            half = (*lead, m, t)
+            lo, hi, q, h = block[..., :t], block[..., t:], q3, h3
+        stage(lo, hi, block, w, ws, q, h, cols.wide, p.reshape(half),
+              t1.reshape(half), t2.reshape(half),
+              p.view(np.uint32).reshape(block.shape))
+    return _from_lanes(a, lanes) if transposed else a
+
+
+def _run_folded(a: np.ndarray, plan: _FoldPlan, cols: _Columns,
+                stage, inverse: bool) -> np.ndarray:
+    """Every stage over ``(n, R)`` uint32 ``a`` with its ``R`` rows
+    innermost; ``cols`` holds one constant per row."""
+    n, rows = a.shape
+    batch = rows // plan.w.shape[1]
+    w, w_sh = plan.w, plan.w_sh
+    if batch > 1:
+        w, w_sh = np.tile(w, (1, batch)), np.tile(w_sh, (1, batch))
+    p = np.empty((n >> 1) * rows, dtype=np.uint64)
+    t1 = np.empty(p.shape, dtype=np.uint32)
+    t2 = np.empty_like(t1)
+    f = p.view(np.uint32).reshape(a.shape)
+    ms = [1 << k for k in range(ilog2(n))]
+    for m in reversed(ms) if inverse else ms:
+        t = n // (2 * m)
+        block = a.reshape(m, 2 * t, rows)
+        half = (m, t, rows)
+        stage(block[:, :t], block[:, t:], block,
+              w[m:2 * m, None], w_sh[m:2 * m, None], cols.q, cols.h,
+              cols.wide, p.reshape(half), t1.reshape(half),
+              t2.reshape(half), f.reshape(block.shape))
+    return a
+
+
+def _finish_fwd(a: np.ndarray, cols_q, cols_h, wide: bool) -> None:
+    """Bring forward outputs (``< 2h``) below ``q``, in place."""
+    t = np.empty_like(a)
+    if not wide:
+        _csub(a, cols_h, t)  # < h = 2q
+    _csub(a, cols_q, t)
+
+
+def _finish_inv(a: np.ndarray, q, inv_n, inv_n_sh) -> None:
+    """Scale inverse outputs by ``n^-1`` and reduce below ``q``, in place."""
+    p = np.empty(a.shape, dtype=np.uint64)
+    t = np.empty_like(a)
+    _shoup(a, inv_n, inv_n_sh, q, p, t, a)
+    _csub(a, q, t)
+
+
+def _ntt(data: np.ndarray, basis: tuple[int, ...]) -> np.ndarray:
+    """Forward NTT of canonical uint64 rows, canonical uint64 out."""
+    n = data.shape[-1]
+    rows = data.size // n
+    if _folds(rows, n):
+        plan = _fold_plan(basis, n, False)
+        cols = _fold_columns(basis, n, rows // len(basis))
+        a = np.ascontiguousarray(data.reshape(rows, n).T, dtype=np.uint32)
+        a = _run_folded(a, plan, cols, _stage_fwd, False)
+        _finish_fwd(a, cols.q, cols.h, cols.wide)
+        a = np.take(a, _bitrev(n), axis=0)
+        return np.ascontiguousarray(a.T, dtype=np.uint64).reshape(data.shape)
+    plan = _row_plan(basis, n, False)
+    cols = plan.cols
+    a = _run_rows(data.astype(np.uint32), plan, _stage_fwd)
+    _finish_fwd(a, cols.q[:, None], cols.h[:, None], cols.wide)
     # np.take returns C order; a[..., idx] would return a transposed
     # layout that every later elementwise op and reshape pays for.
-    return np.take(a, plan.bitrev, axis=-1)
+    return np.take(a, _bitrev(n), axis=-1).astype(np.uint64)
 
 
-def _run_inv(src: np.ndarray, plan: _NarrowPlan) -> np.ndarray:
-    """GS stages over a permuted copy of ``src``: (L, n) or (B, L, n)."""
-    a = np.take(src, plan.bitrev, axis=-1)  # C order, as in _run_fwd
-    lead, n = a.shape[:-1], a.shape[-1]
-    levels = lead[-1]
-    half = n >> 1
-    b1 = np.empty((*lead, half), dtype=np.uint64)
-    b2 = np.empty_like(b1)
-    b3 = np.empty_like(b1)
-    q3 = plan.q_col[:, :, None]
-    c3 = plan.C_col[:, :, None]
-    q4 = q3[:, :, :, None]
-    c4 = c3[:, :, :, None]
-    lanes = plan.lanes
-    transposed = False
-    if plan.inv and plan.inv[0][0] == "lane":
-        a = _to_lanes(a, lanes)
-        transposed = True
-    for kind, h, t, w, ws in plan.inv:
-        if transposed and kind == "full":
-            a = _from_lanes(a, lanes)
-            transposed = False
-        if kind == "full":
-            a3 = a.reshape(*lead, h, 2 * t)
-            shape = (*lead, h, t)
-            wshape = (levels, h, t)
-            _stage_inv(
-                a3[..., :t], a3[..., t:],
-                w.reshape(wshape), ws.reshape(wshape), q3, c3,
-                b1.reshape(shape), b2.reshape(shape), b3.reshape(shape),
-                plan.lazy4,
-            )
-        else:
-            msub = h // lanes
-            a4 = a.reshape(*lead, msub, 2 * t, lanes)
-            shape = (*lead, msub, t, lanes)
-            _stage_inv(
-                a4[..., :t, :], a4[..., t:, :], w, ws, q4, c4,
-                b1.reshape(shape), b2.reshape(shape), b3.reshape(shape),
-                plan.lazy4,
-            )
-    # Scale by n^-1 (Shoup), then normalize the lazy values below q.
-    u1 = np.empty_like(a)
-    u2 = np.empty_like(a)
-    np.multiply(a, plan.inv_n_sh, out=u1)
-    np.right_shift(u1, _U32, out=u1)
-    np.multiply(u1, plan.q_col, out=u1)
-    np.multiply(a, plan.inv_n_col, out=u2)
-    np.subtract(u2, u1, out=a)  # < 3q
-    np.subtract(a, plan.C2_col, out=u1)
-    np.minimum(a, u1, out=a)
-    np.subtract(a, plan.q_col, out=u1)
-    np.minimum(a, u1, out=a)
-    return a
+def _intt(data: np.ndarray, basis: tuple[int, ...]) -> np.ndarray:
+    """Inverse NTT of canonical uint64 rows, canonical uint64 out."""
+    n = data.shape[-1]
+    rows = data.size // n
+    if _folds(rows, n):
+        plan = _fold_plan(basis, n, True)
+        cols = _fold_columns(basis, n, rows // len(basis))
+        a = np.take(data.reshape(rows, n).T, _bitrev(n), axis=0)
+        a = _run_folded(a.astype(np.uint32), plan, cols, _stage_inv, True)
+        _finish_inv(a, cols.q, cols.inv_n, cols.inv_n_sh)
+        return np.ascontiguousarray(a.T, dtype=np.uint64).reshape(data.shape)
+    plan = _row_plan(basis, n, True)
+    cols = plan.cols
+    a = np.take(data, _bitrev(n), axis=-1).astype(np.uint32)
+    a = _run_rows(a, plan, _stage_inv)
+    _finish_inv(a, cols.q[:, None], cols.inv_n[:, None],
+                cols.inv_n_sh[:, None])
+    return a.astype(np.uint64)
 
 
 # ----------------------------------------------------------------------
@@ -358,7 +421,7 @@ def _q_col(basis: tuple[int, ...]) -> np.ndarray:
 
 
 class NumpyBackend(KernelBackend):
-    """Vectorized uint64 kernels — Shoup/lazy NTT, Barrett products."""
+    """Vectorized kernels: uint32 Shoup/lazy NTT, uint64 Barrett products."""
 
     name = "numpy"
 
@@ -366,14 +429,12 @@ class NumpyBackend(KernelBackend):
     def ntt(self, data, moduli):
         data, basis = self._check(data, moduli)
         self._count("ntt", data.size)
-        plan = _narrow_plan(basis, data.shape[-1])
-        return _run_fwd(data.copy(), plan)
+        return _ntt(data, basis)
 
     def intt(self, data, moduli):
         data, basis = self._check(data, moduli)
         self._count("intt", data.size)
-        plan = _narrow_plan(basis, data.shape[-1])
-        return _run_inv(data, plan)
+        return _intt(data, basis)
 
     # ------------------------------------------------------------------
     def mod_add(self, a, b, moduli):

@@ -439,9 +439,14 @@ class ScheduleEngine:
             return submission
         plan = self._cached_plan(tasks)
         if plan is None:
-            self._fill(
-                tasks, base, release, submission, compute_scale, hbm_scale
-            )
+            try:
+                self._fill(
+                    tasks, base, release, submission, compute_scale,
+                    hbm_scale,
+                )
+            except BaseException:
+                self._rollback(base)
+                raise
         else:
             self._admit(
                 plan, base, release, submission, compute_scale, hbm_scale
@@ -582,6 +587,23 @@ class ScheduleEngine:
             and type(tasks) is tuple
         ):
             self._first_fill[id(tasks)] = (tasks, base)
+
+    def _rollback(self, base: int) -> None:
+        """Undo a :meth:`_fill` that raised part-way: drop the tasks
+        from ``base`` on, their queued READY events and the last
+        submission, so the engine is as it was before the submit."""
+        for arr in (
+            self._tasks, self._timings, self._mems, self._durations,
+            self._remaining, self._dependents, self._ready, self._start,
+            self._hbm_span, self._end, self._instance_of, self._owner,
+        ):
+            del arr[base:]
+        events = self._events
+        events[:] = [
+            ev for ev in events if ev[1] != _EV_READY or ev[2] < base
+        ]
+        heapq.heapify(events)
+        self.submissions.pop()
 
     def _admit(
         self, plan, base, release, submission, compute_scale, hbm_scale

@@ -1,11 +1,16 @@
 """Shared strategies and oracles for the property suite.
 
 Inputs are kept intentionally small (degree <= 64, <= 4 limbs) so each
-hypothesis example runs in microseconds; the kernels are shape-generic,
-so any bug at paper scale that is not purely a size-threshold bug also
-exists at these sizes. The 31-bit pool matters: a 31-bit modulus
-forces the numpy backend's narrow engine from its ``C = 4q`` lazy
-bound down to ``C = 2q``.
+hypothesis example runs in microseconds. The arithmetic is the same at
+every size, but the ``numpy`` backend picks its NTT layout from a
+call's shape (rows folded innermost once a call has at least ``n/32``
+rows), so a bug in one layout shows only at shapes that take it: at
+degree <= 64 nearly every call folds. :func:`layout_stacks` therefore
+draws stacks at :data:`LAYOUT_DEGREE` on both sides of that rule, and
+``tests/kernels/test_transform_shapes.py`` pins the workloads' own
+shapes. The 31-bit pool matters: a 31-bit modulus takes the numpy
+NTT's lazy bounds from ``4q``/``2q`` (forward/inverse) down to
+``2q``/``q``.
 """
 
 from __future__ import annotations
@@ -24,6 +29,15 @@ DEGREES = (16, 32, 64)
 
 PRIME_POOL_30 = tuple(find_ntt_primes(30, 4, MAX_DEGREE))
 PRIME_POOL_31 = tuple(find_ntt_primes(31, 2, MAX_DEGREE))
+
+#: Degree of :func:`layout_stacks`. At n = 256 the numpy backend folds
+#: a call's rows innermost from ``LAYOUT_FOLD_ROWS = n/32`` rows on, and
+#: below that keeps rows as rows, where the stages with short runs take
+#: the lane-major tail.
+LAYOUT_DEGREE = 256
+LAYOUT_FOLD_ROWS = LAYOUT_DEGREE // 32
+LAYOUT_POOL_30 = tuple(find_ntt_primes(30, 4, LAYOUT_DEGREE))
+LAYOUT_POOL_31 = tuple(find_ntt_primes(31, 1, LAYOUT_DEGREE))
 
 #: Overflow-edge pool: primes just below 2^62. Single-word uint64
 #: Barrett breaks here — products reach 124 bits — so every backend
@@ -53,6 +67,26 @@ def rns_shapes(draw, max_limbs: int = 4):
     include_wide = draw(st.booleans())
     pool = (PRIME_POOL_31 + PRIME_POOL_30) if include_wide else PRIME_POOL_30
     return pool[:limbs], degree
+
+
+@st.composite
+def layout_stacks(draw):
+    """Draw ``(moduli, degree, batch, seed)`` at :data:`LAYOUT_DEGREE`,
+    with ``batch * len(moduli)`` rows below :data:`LAYOUT_FOLD_ROWS` or
+    at least that many, in equal measure."""
+    limbs = draw(st.integers(min_value=1, max_value=4))
+    include_wide = draw(st.booleans())
+    pool = (
+        (LAYOUT_POOL_31 + LAYOUT_POOL_30) if include_wide else LAYOUT_POOL_30
+    )
+    if draw(st.booleans()):
+        least = -(-LAYOUT_FOLD_ROWS // limbs)
+        batch = draw(st.integers(min_value=least, max_value=least + 2))
+    else:
+        most = (LAYOUT_FOLD_ROWS - 1) // limbs
+        batch = draw(st.integers(min_value=1, max_value=most))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return pool[:limbs], LAYOUT_DEGREE, batch, seed
 
 
 @st.composite

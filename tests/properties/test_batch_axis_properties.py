@@ -2,8 +2,9 @@
 
 Every kernel op that takes a leading batch axis must return, bit for
 bit, what stacking its per-matrix results returns — on every
-registered backend, over 30- and 31-bit moduli, and for ``B == 1`` too
-(a one-matrix stack must not be read as limbs).
+registered backend, over 30- and 31-bit moduli, on both of the numpy
+NTT's layouts, and for ``B == 1`` too (a one-matrix stack must not be
+read as limbs).
 """
 
 from __future__ import annotations
@@ -18,18 +19,24 @@ from repro import kernels
 from ._support import (
     BACKENDS,
     PRIME_POOL_30,
+    layout_stacks,
     random_matrix,
     rns_shapes,
 )
 
 
 @st.composite
-def narrow_stacks(draw):
+def small_stacks(draw):
     """``(moduli, degree, batch, seed)`` over the 30/31-bit pools."""
     moduli, degree = draw(rns_shapes())
     batch = draw(st.integers(min_value=1, max_value=4))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     return moduli, degree, batch, seed
+
+
+#: Small stacks, and degree-256 stacks on both sides of the numpy NTT's
+#: layout rule (see ``layout_stacks``).
+narrow_stacks = st.one_of(small_stacks(), layout_stacks())
 
 
 def _stack(moduli, degree, batch, seed):
@@ -81,7 +88,7 @@ def _check_every_op(backend, moduli, degree, batch, seed):
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
-@given(drawn=narrow_stacks())
+@given(drawn=narrow_stacks)
 def test_stack_equals_stacked_matrices_narrow(backend_name, drawn):
     _check_every_op(kernels.resolve(backend_name), *drawn)
 
