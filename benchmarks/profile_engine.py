@@ -24,46 +24,47 @@ profiler's per-call hook inflates cheap functions; use the raw number
 for before/after wall-clock comparisons and the profile for *where*.
 With ``--raw`` it also prints the host seconds that run spent in the
 cyclic garbage collector and the collections per generation, observed
-through ``gc.callbacks``. cProfile charges collector time to whichever
-function happens to allocate when a collection starts, so a share that
-jumps between runs may be the collector landing there.
+through ``gc.callbacks``, and how many GC-tracked objects are alive
+after it (``len(gc.get_objects())``, observation only). cProfile
+charges collector time to whichever function happens to allocate when
+a collection starts, so a share that jumps between runs may be the
+collector landing there.
 
 Where the time goes on this trace (3000 requests, ~140k
 admitted tasks, ~290k events; shares of one profiled run). Each
-request type's task tuple is walked once per engine (its admission
+request type's task table is planned once per engine (its admission
 plan) and each distinct task shape is costed once per engine (see
 ``docs/SCHEDULER.md``), so ``CoreModel.task_cycles`` and
 ``MemoryModel.task_timing`` run 17 times in total (once per shape
 among the two request types' 92 tasks), not once per admitted task.
-Admission copies
-no task and the batcher's backlog is a running fold. The serving loop
+Admission extends the engine's lists from the plan and copies no
+task, and the batcher's backlog is a running fold. The serving loop
 wakes only where the fleet can act: ~6,000 ``advance_until`` calls,
 one per arrival and one per completion. The engine enters a dispatch
 pass only where a core can dispatch (113,946 of ~290k events) and a
 grant pass only while transfers wait and a slot is free (51,522).
-Nothing copies a task at the end of the run: validation reads each
-submission's own tasks from ``ScheduleEngine.spans()``, so
-``OperatorTask.shifted`` is not called at all. What remains, hottest
-first:
+What remains, hottest first:
 
-- the engine's event loop (``advance_until``), about 65%: the
-  dispatch pass (about 32%, with the ``_finalize`` calls it makes),
-  ``_step`` over ~290k ready and release events (about 15% self), the
-  grant pass (about 9%) and ``_finalize`` (about 20% in all, called
+- the engine's event loop (``advance_until``), about 78%: the
+  dispatch pass (about 39%, with the ``_finalize`` calls it makes),
+  ``_step`` over ~290k ready and release events (about 18% self), the
+  grant pass (about 10%) and ``_finalize`` (about 25% in all, called
   from both passes);
-- committing the run (``_archive``), about 23%: almost all of it
-  ``ScheduleEngine.result``, one ``TaskRecord`` per task.
-  ``ScheduleEngine.spans`` takes one list slice per submission, well
-  under 1% of its own;
-- ``DynamicBatcher.take_batch``, about 4%: the FIFO queue stays in
+- ``DynamicBatcher.take_batch``, about 5%: the FIFO queue stays in
   order, so a batch is its head and nothing is sorted; what remains
   is the backlog refold over the rest of the queue;
-- admission (``ScheduleEngine.submit``) about 3%, and the serving
-  loop's own bookkeeping about 2%. Routing (``route``,
+- committing the run (``_archive``), about 4%: ``ScheduleEngine.result``
+  fills the record columns elementwise and builds no ``TaskRecord``
+  (about 14% when it built one per task), and the per-request start
+  times are one segmented minimum over the start column;
+- admission (``ScheduleEngine.submit``) about 4%, and the serving
+  loop's own bookkeeping about 3%. Routing (``route``,
   ``KeyCache.admit``, ``ServiceEstimator.estimate``) is under 1%.
 
-The raw run spends about 0.15-0.2 s in the cyclic collector, over
-about 350/32/3 collections of generations 0/1/2 (2-core host).
+The raw run spends about 0.01 s in the cyclic collector, over about
+28/3/0 collections of generations 0/1/2, and about 30,000 GC-tracked
+objects are alive after it (0.2 s, 348/32/3 and ~173,000 when the
+result held a ``TaskRecord`` per task; 2-core host).
 
 ``--workload ckks-bootstrap`` profiles ten packed bootstraps at N=64
 (the e2e set-up: keys, the six CoeffToSlot/SlotToCoeff transforms and
@@ -99,19 +100,22 @@ uint64 butterflies (2-core host).
 ``--workload table6`` profiles building, compiling (default passes)
 and simulating the four Table VI programs, 148,304 tasks in all. Each
 engine costs each distinct task shape once (1,661 cost-model calls in
-all, against one per task before), and assembly copies each task at
-most once (148,297 ``OperatorTask.shifted`` copies; the seven it
-keeps as they are need no new dependencies). What remains, by self
-time: each program's first fill of the engine arrays (``_fill``,
-about 15%, eleven per-task appends), the event loop (``_step``,
-``_dispatch_pass``, ``_finalize`` and ``_grant_pass``, about 24%
-self, 33% with ``drain``), ``result()``'s per-task ``TaskRecord``
-commit (about 8%), assembly (about 15% with its ``shifted`` copies)
-and ``relax-barriers`` (about 4%). The raw run takes ~2.6 s, against
-~3.7 s when every task was costed (2-core host); ~0.75 s of it is the
-cyclic collector, over ~1,316/120/10 collections of generations
-0/1/2 (~1.13 s over 1,694/154/12 before), most of it walking the
-~150k tasks and ~148k task records the run keeps alive.
+all). Assembly writes each program as a task table one op block at a
+time, converting each distinct block once, so no task is copied;
+admission plans the table from its columns, and ``result()`` commits
+columns. By cumulative share: the event loop (``drain``: ``_step``,
+``_dispatch_pass``, ``_finalize`` and ``_grant_pass``) about 56%;
+lowering (``ProgramDraft.from_ops``) about 14%; the passes about 15%
+(``relax-barriers`` about 7%); assembly about 8% (its per-op block
+keys and barrier CSR); admission (``submit``) about 4% and
+``result()`` about 2%. The raw run takes ~2.0-2.1 s, against
+~3.1-3.7 s with an ``OperatorTask`` copy per assembled task, eleven
+appends per admitted task and a ``TaskRecord`` per committed one
+(2-core host). ~0.16-0.19 s of it is the cyclic collector, over
+~410/37/3 collections of generations 0/1/2 (~0.78-0.93 s over
+1,316/120/10 before), and ~40,000 GC-tracked objects are alive after
+it (~333,000 before, almost all of them ``OperatorTask`` copies and
+``TaskRecord``s).
 """
 
 from __future__ import annotations
@@ -208,11 +212,13 @@ def main(argv=None) -> int:
         out = run()
         raw_seconds = time.perf_counter() - t0
         gc.callbacks.remove(collector)
+        tracked = len(gc.get_objects())
         print(f"raw run: {raw_seconds:.3f}s wall, {describe(out)}")
         gen0, gen1, gen2 = collector.collections
         print(
             f"cyclic GC in the raw run: {collector.seconds:.3f}s host, "
-            f"collections per generation {gen0}/{gen1}/{gen2} (gen 0/1/2)"
+            f"collections per generation {gen0}/{gen1}/{gen2} (gen 0/1/2); "
+            f"{tracked:,} GC-tracked objects alive after it"
         )
 
     profiler = cProfile.Profile()

@@ -11,6 +11,8 @@ pure MM, matching the paper's Fig. 7 operator analysis.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.compiler.ops import FheOp, FheOpName
 from repro.errors import WorkloadError
 from repro.obs import metrics
@@ -48,6 +50,21 @@ def _task(
         depends_on=deps,
         op_label=op.name.value,
     )
+
+
+def _after(
+    head: list[OperatorTask], tail: list[OperatorTask], op: FheOp
+) -> list[OperatorTask]:
+    """``tail``'s tasks placed after ``head``'s: dependency indices
+    shifted past ``head`` and relabelled as ``op``."""
+    offset = len(head)
+    return [
+        replace(
+            t, depends_on=tuple(d + offset for d in t.depends_on),
+            op_label=op.name.value,
+        )
+        for t in tail
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -232,11 +249,7 @@ def _lower_cmult(op: FheOp) -> list[OperatorTask]:
         _task(OperatorKind.MM, op, polys=4, read_polys=4)
     )
     tasks.append(_task(OperatorKind.MA, op, polys=1, deps=(0,)))
-    offset = len(tasks)
-    ks = _lower_keyswitch(op)
-    tasks.extend(
-        t.shifted(offset).relabel(op.name.value) for t in ks
-    )
+    tasks.extend(_after(tasks, _lower_keyswitch(op), op))
     last = len(tasks) - 1
     # Add (delta0, delta1) into (d0, d1) and write the result.
     tasks.append(
@@ -260,11 +273,7 @@ def _lower_rotation(op: FheOp) -> list[OperatorTask]:
     tasks.append(
         _task(OperatorKind.AUTO, op, polys=2, deps=(0,))
     )
-    offset = len(tasks)
-    ks = _lower_keyswitch(op)
-    tasks.extend(
-        t.shifted(offset).relabel(op.name.value) for t in ks
-    )
+    tasks.extend(_after(tasks, _lower_keyswitch(op), op))
     last = len(tasks) - 1
     tasks.append(
         _task(

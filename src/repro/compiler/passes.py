@@ -35,12 +35,15 @@ or a comma-separated pass list).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import chain
+
+import numpy as np
 
 from repro.compiler.decompose import decompose_operation
 from repro.compiler.ops import FheOp, FheOpName
 from repro.errors import WorkloadError
 from repro.obs import metrics
-from repro.sim.tasks import OperatorKind, OperatorTask
+from repro.sim.tasks import OperatorKind, OperatorTask, TaskTable, offsets
 
 #: Meta keys carrying dataflow annotations (ciphertext value tokens).
 #: They drive ``relax-barriers``/``hoist-rotations`` and are ignored by
@@ -112,8 +115,8 @@ class ProgramDraft:
 
     def assemble(
         self,
-    ) -> tuple[tuple[OperatorTask, ...], tuple[tuple[int, int], ...]]:
-        """Flatten to one topologically ordered task list + boundaries.
+    ) -> tuple[TaskTable, tuple[tuple[int, int], ...]]:
+        """Flatten to one topologically ordered task table + boundaries.
 
         Entry tasks of op ``i`` depend on the sink (last) task of every
         producer in ``effective_deps(i)``; sink-transitivity makes that
@@ -121,25 +124,46 @@ class ProgramDraft:
         chain this reproduces the legacy drain-barrier assembly
         byte for byte.
 
-        Each task is copied at most once, and only when its
-        dependencies change: an entry task with no barrier is frozen
-        and already right, so the program holds it as it is.
+        The table is written one op block at a time
+        (:meth:`TaskTable.stack`): placing a block adds its offset to
+        its dependency column and gives its entry rows the barrier, so
+        no task is copied. Ops whose lists hold the same task objects
+        (every unrewritten op of one lowering-cache entry) share one
+        converted block.
         """
-        all_tasks: list[OperatorTask] = []
-        boundaries: list[tuple[int, int]] = []
-        sink: list[int] = []
-        for i, tasks in enumerate(self.task_lists):
-            offset = len(all_tasks)
-            barrier = tuple(
-                sorted(sink[p] for p in self.effective_deps(i) if p < i)
-            )
-            for task in tasks:
-                if task.depends_on or barrier:
-                    task = task.shifted(offset, barrier)
-                all_tasks.append(task)
-            boundaries.append((offset, len(all_tasks)))
-            sink.append(len(all_tasks) - 1)
-        return tuple(all_tasks), tuple(boundaries)
+        slot_of: dict[tuple[int, ...], int] = {}
+        distinct: list[list[OperatorTask]] = []
+        slots = []
+        for tasks in self.task_lists:
+            key = tuple(map(id, tasks))
+            slot = slot_of.get(key)
+            if slot is None:
+                slot = slot_of[key] = len(distinct)
+                distinct.append(tasks)
+            slots.append(slot)
+        n = len(self.task_lists)
+        ends = offsets(list(map(len, self.task_lists)))[1:]
+        # Op i's barrier: the sinks of its producers p < i (op edges and
+        # pinned edges, each producer once), ascending. Sinks ascend
+        # with the producer, so (op, producer) order is barrier order.
+        edges = [self.op_deps, self.pinned_deps]
+        op = np.concatenate([
+            np.repeat(np.arange(n), list(map(len, deps))) for deps in edges
+        ])
+        edge = np.sort(op * n + np.fromiter(
+            chain.from_iterable(chain.from_iterable(edges)), np.int64
+        ))
+        op, producer = np.divmod(edge, n) if n else (edge, edge)
+        keep = producer < op
+        keep[1:] &= edge[1:] != edge[:-1]
+        library = TaskTable.from_tasks(chain.from_iterable(distinct))
+        table = library.stack(
+            offsets(list(map(len, distinct))), slots,
+            offsets(np.bincount(op[keep], minlength=n)),
+            ends[producer[keep]] - 1,
+        )
+        ends = ends.tolist()
+        return table, tuple(zip([0, *ends[:-1]], ends))
 
 
 def _tokens(op: FheOp, key: str) -> tuple[str, ...] | None:

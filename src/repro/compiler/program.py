@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from repro.compiler.ops import FheOp
 from repro.compiler.trace import TraceRecorder
-from repro.sim.tasks import OperatorTask
+from repro.sim.tasks import TaskTable
 
 
 @dataclass(frozen=True)
@@ -24,20 +24,25 @@ class OperatorProgram:
     """A compiled task program plus per-op segmentation.
 
     Attributes:
-        tasks: all operator tasks, topologically ordered.
+        tasks: all operator tasks, topologically ordered, as a
+            :class:`~repro.sim.tasks.TaskTable` (a list or tuple of
+            tasks given here is converted once).
         op_boundaries: (start, end) task-index span per source op.
         source_ops: the originating FHE operations.
     """
 
-    tasks: tuple[OperatorTask, ...]
+    tasks: TaskTable
     op_boundaries: tuple[tuple[int, int], ...]
     source_ops: tuple[FheOp, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "tasks", TaskTable.from_tasks(self.tasks))
 
     @property
     def task_count(self) -> int:
         return len(self.tasks)
 
-    def tasks_for_op(self, index: int) -> tuple[OperatorTask, ...]:
+    def tasks_for_op(self, index: int) -> TaskTable:
         """The task slice lowered from source op ``index``."""
         start, end = self.op_boundaries[index]
         return self.tasks[start:end]

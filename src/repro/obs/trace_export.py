@@ -70,9 +70,19 @@ def chrome_trace_events(
             "args": {"name": process_name},
         }
     ]
+    records = result.task_records
+    rows = list(zip(
+        records.names("core").tolist(), records.instance.tolist(),
+        records.start.tolist(), records.end.tolist(),
+        records.names("op_label").tolist(),
+        records.compute_seconds.tolist(), records.hbm_seconds.tolist(),
+        records.hbm_bytes.tolist(), records.queue_wait_seconds.tolist(),
+        records.core_wait_seconds.tolist(), records.hbm_wait_seconds.tolist(),
+        records.stall_seconds.tolist(), records.hbm_channels_used.tolist(),
+        records.hbm_start.tolist(), records.hbm_end.tolist(),
+    ))
     tracks = sorted(
-        {(r.core, r.instance) for r in result.task_records}
-        | {("HBM", 0)},
+        {(row[0], row[1]) for row in rows} | {("HBM", 0)},
         key=lambda pair: _track_id(*pair),
     )
     for core, instance in tracks:
@@ -83,60 +93,59 @@ def chrome_trace_events(
         })
 
     hbm_cumulative = 0
-    for record in result.task_records:
-        tid = _track_id(record.core, record.instance)
+    for (core, instance, start, end, label, compute, hbm_seconds, hbm_bytes,
+         queue_wait, core_wait, hbm_wait, stall, channels, hbm_start,
+         hbm_end) in rows:
+        tid = _track_id(core, instance)
         events.append({
             "ph": "X",
             "pid": pid,
             "tid": tid,
-            "ts": record.start * _SECONDS_TO_US,
-            "dur": (record.end - record.start) * _SECONDS_TO_US,
-            "name": record.op_label,
-            "cat": record.core,
+            "ts": start * _SECONDS_TO_US,
+            "dur": (end - start) * _SECONDS_TO_US,
+            "name": label,
+            "cat": core,
             "args": {
-                "compute_seconds": record.compute_seconds,
-                "hbm_seconds": record.hbm_seconds,
-                "hbm_bytes": record.hbm_bytes,
-                "queue_wait_seconds": record.queue_wait_seconds,
-                "core_wait_seconds": record.core_wait_seconds,
-                "hbm_wait_seconds": record.hbm_wait_seconds,
-                "stall_seconds": record.stall_seconds,
-                "instance": record.instance,
-                "hbm_channels_used": record.hbm_channels_used,
+                "compute_seconds": compute,
+                "hbm_seconds": hbm_seconds,
+                "hbm_bytes": hbm_bytes,
+                "queue_wait_seconds": queue_wait,
+                "core_wait_seconds": core_wait,
+                "hbm_wait_seconds": hbm_wait,
+                "stall_seconds": stall,
+                "instance": instance,
+                "hbm_channels_used": channels,
             },
         })
-        if record.stall_seconds > 0:
+        if stall > 0:
             # Nested sub-slice marking the held-but-stalled tail.
             events.append({
                 "ph": "X",
                 "pid": pid,
                 "tid": tid,
-                "ts": (record.end - record.stall_seconds) * _SECONDS_TO_US,
-                "dur": record.stall_seconds * _SECONDS_TO_US,
-                "name": f"{record.op_label} stall",
+                "ts": (end - stall) * _SECONDS_TO_US,
+                "dur": stall * _SECONDS_TO_US,
+                "name": f"{label} stall",
                 "cat": "stall",
-                "args": {"stall_seconds": record.stall_seconds},
+                "args": {"stall_seconds": stall},
             })
-        if record.hbm_seconds > 0:
+        if hbm_seconds > 0:
             events.append({
                 "ph": "X",
                 "pid": pid,
                 "tid": TRACK_IDS["HBM"],
-                "ts": record.hbm_start * _SECONDS_TO_US,
-                "dur": (record.hbm_end - record.hbm_start) * _SECONDS_TO_US,
-                "name": f"{record.op_label} stream",
+                "ts": hbm_start * _SECONDS_TO_US,
+                "dur": (hbm_end - hbm_start) * _SECONDS_TO_US,
+                "name": f"{label} stream",
                 "cat": "HBM",
-                "args": {
-                    "bytes": record.hbm_bytes,
-                    "channels": record.hbm_channels_used,
-                },
+                "args": {"bytes": hbm_bytes, "channels": channels},
             })
-        if record.hbm_bytes:
-            hbm_cumulative += record.hbm_bytes
+        if hbm_bytes:
+            hbm_cumulative += hbm_bytes
             events.append({
                 "ph": "C",
                 "pid": pid,
-                "ts": record.hbm_end * _SECONDS_TO_US,
+                "ts": hbm_end * _SECONDS_TO_US,
                 "name": "hbm_bytes",
                 "args": {"cumulative": hbm_cumulative},
             })

@@ -59,6 +59,8 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from repro.errors import ParameterError, SimulationError
 from repro.obs import metrics
 from repro.serve.batcher import BatchPolicy, DynamicBatcher
@@ -83,7 +85,7 @@ from repro.sim.engine import (
     ScheduleEngine,
     SimulationResult,
 )
-from repro.sim.tasks import OperatorKind, OperatorTask
+from repro.sim.tasks import OperatorKind, OperatorTask, TaskTable
 from repro.utils.fold import left_fold_sum
 
 
@@ -192,9 +194,9 @@ KEY_UPLOAD_LABEL = "KeyUpload"
 
 
 def _with_key_upload(
-    tasks, upload_bytes: int, key_set: int
-) -> tuple[OperatorTask, ...]:
-    """Prepend a key-set upload to a request's task chain.
+    tasks: TaskTable, upload_bytes: int, key_set: int
+) -> TaskTable:
+    """Prepend a key-set upload to a request's task table.
 
     The upload is a pure off-chip stream (negligible compute on the MA
     array) whose HBM traffic is the key-set size; every root task of
@@ -210,7 +212,8 @@ def _with_key_upload(
         hbm_read_bytes=upload_bytes,
         op_label=f"{KEY_UPLOAD_LABEL}:k{key_set}",
     )
-    return (upload, *(task.shifted(1, (0,)) for task in tasks))
+    blocks = TaskTable.from_tasks((upload, *tasks))
+    return blocks.stack((0, 1, len(blocks)), (0, 1), (0, 0, 1), (0,))
 
 
 @dataclass
@@ -292,7 +295,7 @@ class InstanceReport:
     ``spans`` holds the epoch's submissions in admission order as
     ``(base, tasks)`` pairs
     (:meth:`~repro.sim.engine.ScheduleEngine.spans`): ``tasks`` is the
-    submission's own task sequence, dependency indices local to it,
+    submission's own task table, dependency indices local to it,
     and record ``base + j`` of ``sim`` is its task ``j``. The report
     references the admitted tasks, not the engine.
     """
@@ -632,9 +635,9 @@ class ClusterSimulator:
         """Launch every batch the instance's policy allows at ``now``;
         returns how many batches launched.
 
-        ``uploads`` memoizes the upload-prefixed task tuple per
+        ``uploads`` memoizes the upload-prefixed task table per
         (program tasks, upload size, key set) for the run, so every
-        key-cache miss on the same pair admits the same tuple and
+        key-cache miss on the same pair admits the same table and
         reuses the engines' admission plans.
 
         With a fault plan, straggler / HBM-degradation windows open at
@@ -706,6 +709,14 @@ class ClusterSimulator:
         if crashed_at is None:
             engine.drain()
         sim = engine.result()
+        # Earliest start of every non-empty submission: submissions
+        # tile the records in order, so one segmented minimum.
+        bases = [sub.base for sub in engine.submissions if sub.count]
+        starts = (
+            np.minimum.reduceat(sim.task_records.start, bases).tolist()
+            if bases else []
+        )
+        first_start = dict(zip(bases, starts))
         admitted = 0
         completed = 0
         for sub in engine.submissions:
@@ -717,12 +728,7 @@ class ClusterSimulator:
             if sub.done:
                 completed += 1
                 if sub.count:
-                    rec.start_seconds = min(
-                        r.start
-                        for r in sim.task_records[
-                            sub.base:sub.base + sub.count
-                        ]
-                    )
+                    rec.start_seconds = first_start[sub.base]
         return InstanceReport(
             index=inst.index,
             sim=sim,
@@ -877,9 +883,9 @@ class ClusterSimulator:
         max_attempts = (
             resilience.max_attempts if resilience is not None else 1
         )
-        # Keyed by the id of a job's task tuple; ``jobs`` keeps every
-        # such tuple alive for the run, so ids cannot be recycled.
-        uploads: dict[tuple[int, int, int], tuple] = {}
+        # Keyed by the id of a job's task table; ``jobs`` keeps every
+        # such table alive for the run, so ids cannot be recycled.
+        uploads: dict[tuple[int, int, int], TaskTable] = {}
 
         def total_depth() -> int:
             return sum(inst.batcher.depth for inst in instances)

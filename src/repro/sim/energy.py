@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from repro.sim.config import HardwareConfig
 from repro.sim.engine import SimulationResult
 from repro.sim.ntt_cores import get_ntt_core
+from repro.sim.tasks import KINDS
 
 #: Dynamic energy per processed element, in joules (32-bit datapath).
 #: The NTT entry is the default ``poseidon`` variant's coefficient;
@@ -102,13 +103,17 @@ class EnergyModel:
             name: 0.0 for name in self._core_energy_per_element
         }
         spad_bytes = 0
-        for task in program.tasks:
-            core = task.kind.core
+        tasks = program.tasks
+        for kind, elements, spad in zip(
+            tasks.column("kind").tolist(), tasks.column("elements").tolist(),
+            tasks.column("spad_bytes").tolist(),
+        ):
+            core = KINDS[kind].core
             per_elem = self._core_energy_per_element.get(core)
             if per_elem is None:
                 continue
-            core_energy[core] += per_elem * task.elements
-            spad_bytes += task.spad_bytes
+            core_energy[core] += per_elem * elements
+            spad_bytes += spad
         hbm_energy = result.hbm_bytes * HBM_ENERGY_PER_BYTE
         spad_energy = spad_bytes * SPAD_ENERGY_PER_BYTE
         static = self._static_watts * result.total_seconds

@@ -31,15 +31,21 @@ feeds the Table VII bandwidth-utilization analysis.
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
-from dataclasses import dataclass, field, replace
+import math
+import operator
+from collections.abc import Sequence
+from dataclasses import dataclass, field
+from itertools import compress
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.errors import SchedulingError
 from repro.obs import metrics
 from repro.sim.config import CORE_ARRAYS, HardwareConfig
 from repro.sim.cores import CoreModel, CoreTiming
 from repro.sim.memory import MemoryModel, MemoryTiming, record_memory_metrics
+from repro.sim.tasks import OperatorTask, TaskTable, offsets
 from repro.utils.fold import left_fold_sum
 
 if TYPE_CHECKING:  # avoid a circular import; engine only needs the type
@@ -93,6 +99,142 @@ class TaskRecord:
     hbm_channels_used: int = 0
 
 
+#: TaskRecord fields a :class:`TaskRecords` holds as float and int
+#: columns under their own names (``core`` and ``op_label`` are codes).
+_FLOAT_FIELDS = (
+    "start", "end", "compute_seconds", "hbm_seconds", "queue_wait_seconds",
+    "hbm_start", "hbm_end", "ready_seconds", "stall_seconds",
+    "core_wait_seconds", "hbm_wait_seconds",
+)
+_INT_FIELDS = ("hbm_bytes", "instance", "hbm_channels_used")
+_NUMERIC_FIELDS = _FLOAT_FIELDS + _INT_FIELDS
+
+
+class TaskRecords(Sequence):
+    """The per-task schedule of a :class:`SimulationResult`, as columns.
+
+    It reads like the read-only list of :class:`TaskRecord` it stands
+    for: ``len``, integer (also negative) indexing and iteration build
+    records on demand, a slice is a :class:`TaskRecords`, and ``==``
+    compares record by record against a list, a tuple or another
+    :class:`TaskRecords`. Nothing builds a record until it is read.
+
+    Every numeric :class:`TaskRecord` field is a numpy column under its
+    own name (float64, or int64 for ``hbm_bytes``, ``instance`` and
+    ``hbm_channels_used``); ``core`` and ``op_label`` are codes into
+    ``core_names`` and ``label_names`` (``core_code``, ``label_code``).
+    Readers that walk every task (validation, timelines, traces,
+    metrics) read the columns. A record's values are Python floats,
+    ints and strings, exactly as the engine committed them.
+    """
+
+    __slots__ = (*_NUMERIC_FIELDS, "core_code", "core_names", "label_code",
+                 "label_names")
+
+    def __init__(self, columns: dict[str, np.ndarray], core_code,
+                 core_names, label_code, label_names):
+        for name in _NUMERIC_FIELDS:
+            setattr(self, name, columns[name])
+        self.core_code: np.ndarray = core_code
+        self.core_names: tuple[str, ...] = core_names
+        self.label_code: np.ndarray = label_code
+        self.label_names: tuple[str, ...] = label_names
+
+    @classmethod
+    def from_records(cls, records) -> "TaskRecords":
+        """Columns of a sequence of :class:`TaskRecord`."""
+        if isinstance(records, TaskRecords):
+            return records
+        records = list(records)
+        columns = {
+            name: np.array([getattr(r, name) for r in records],
+                           float if name in _FLOAT_FIELDS else np.int64)
+            for name in _NUMERIC_FIELDS
+        }
+        cores: dict[str, int] = {}
+        labels: dict[str, int] = {}
+        core_code = np.array(
+            [cores.setdefault(r.core, len(cores)) for r in records], np.int64
+        )
+        label_code = np.array(
+            [labels.setdefault(r.op_label, len(labels)) for r in records],
+            np.int64,
+        )
+        return cls(columns, core_code, tuple(cores), label_code,
+                   tuple(labels))
+
+    def names(self, field: str) -> np.ndarray:
+        """``core`` or ``op_label`` of every task, as an object column."""
+        if field == "core":
+            names, codes = self.core_names, self.core_code
+        else:
+            names, codes = self.label_names, self.label_code
+        return np.array(names, dtype=object)[codes]
+
+    def __len__(self) -> int:
+        return len(self.start)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return TaskRecords(
+                {name: getattr(self, name)[index] for name in _NUMERIC_FIELDS},
+                self.core_code[index], self.core_names,
+                self.label_code[index], self.label_names,
+            )
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("task record index out of range")
+        return TaskRecord(
+            self.start.item(i), self.end.item(i),
+            self.core_names[self.core_code.item(i)],
+            self.compute_seconds.item(i), self.hbm_seconds.item(i),
+            self.hbm_bytes.item(i), self.label_names[self.label_code.item(i)],
+            self.queue_wait_seconds.item(i), self.hbm_start.item(i),
+            self.hbm_end.item(i), self.instance.item(i),
+            self.ready_seconds.item(i), self.stall_seconds.item(i),
+            self.core_wait_seconds.item(i), self.hbm_wait_seconds.item(i),
+            self.hbm_channels_used.item(i),
+        )
+
+    def __iter__(self):
+        return map(
+            TaskRecord,
+            self.start.tolist(), self.end.tolist(),
+            self.names("core").tolist(),
+            self.compute_seconds.tolist(), self.hbm_seconds.tolist(),
+            self.hbm_bytes.tolist(), self.names("op_label").tolist(),
+            self.queue_wait_seconds.tolist(), self.hbm_start.tolist(),
+            self.hbm_end.tolist(), self.instance.tolist(),
+            self.ready_seconds.tolist(), self.stall_seconds.tolist(),
+            self.core_wait_seconds.tolist(), self.hbm_wait_seconds.tolist(),
+            self.hbm_channels_used.tolist(),
+        )
+
+    def __eq__(self, other):
+        if isinstance(other, TaskRecords):
+            return (
+                len(self) == len(other)
+                and all(
+                    np.array_equal(getattr(self, name), getattr(other, name))
+                    for name in _NUMERIC_FIELDS
+                )
+                and np.array_equal(self.names("core"), other.names("core"))
+                and np.array_equal(
+                    self.names("op_label"), other.names("op_label")
+                )
+            )
+        if isinstance(other, (list, tuple)):
+            return len(self) == len(other) and all(
+                a == b for a, b in zip(self, other)
+            )
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"TaskRecords({len(self)} tasks)"
+
+
 @dataclass
 class SimulationResult:
     """Aggregate outcome of one simulated program.
@@ -108,7 +250,9 @@ class SimulationResult:
             (union of transfer intervals, so it never exceeds the
             makespan).
         hbm_bytes: total off-chip traffic.
-        task_records: per-task schedule (ordered as submitted).
+        task_records: per-task schedule (ordered as submitted), as
+            :class:`TaskRecords`; a sequence of :class:`TaskRecord`
+            given here is converted once.
         core_stall_seconds: per-core time instances were held but
             stalled on their task's residual HBM stream.
     """
@@ -119,8 +263,11 @@ class SimulationResult:
     operator_seconds: dict[str, dict[str, float]]
     hbm_busy_seconds: float
     hbm_bytes: int
-    task_records: list[TaskRecord] = field(repr=False, default_factory=list)
+    task_records: TaskRecords = field(repr=False, default_factory=tuple)
     core_stall_seconds: dict[str, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.task_records = TaskRecords.from_records(self.task_records)
 
     @property
     def bandwidth_utilization(self) -> float:
@@ -152,20 +299,42 @@ class SimulationResult:
         return {name: t / total for name, t in self.op_seconds.items()}
 
 
-def _merged_length(intervals: list[tuple[float, float]]) -> float:
-    """Total length of the union of (start, end) intervals."""
-    if not intervals:
+def left_folds_by(values: np.ndarray, keys: np.ndarray) -> list[tuple[int, float]]:
+    """``(key, sum)`` per distinct key, keys in order of first
+    appearance; each sum is the left fold of that key's values in task
+    order (:func:`repro.utils.fold.left_fold_sum`, which a running
+    ``np.cumsum`` reproduces exactly, unlike ``sum()`` on Python 3.12
+    or the pairwise ``np.sum``)."""
+    if not len(keys):
+        return []
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    cuts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    folds = [
+        (first, key, np.cumsum(part)[-1].item())
+        for first, key, part in zip(
+            order[np.concatenate(([0], cuts))].tolist(),
+            ordered[np.concatenate(([0], cuts))].tolist(),
+            np.split(values[order], cuts),
+        )
+    ]
+    folds.sort()
+    return [(key, total) for _, key, total in folds]
+
+
+def _union_length(starts: np.ndarray, ends: np.ndarray) -> float:
+    """Total length of the union of ``[start, end]`` intervals: merged
+    in (start, end) order, the merged lengths left-folded."""
+    if not len(starts):
         return 0.0
-    intervals.sort()
-    total = 0.0
-    cur_start, cur_end = intervals[0]
-    for start, end in intervals[1:]:
-        if start > cur_end:
-            total += cur_end - cur_start
-            cur_start, cur_end = start, end
-        else:
-            cur_end = max(cur_end, end)
-    return total + (cur_end - cur_start)
+    order = np.lexsort((ends, starts))
+    starts, ends = starts[order], ends[order]
+    reach = np.maximum.accumulate(ends)
+    opens = np.flatnonzero(
+        np.concatenate(([True], starts[1:] > reach[:-1]))
+    )
+    closes = np.concatenate((opens[1:] - 1, [len(starts) - 1]))
+    return np.cumsum(reach[closes] - starts[opens])[-1].item()
 
 
 #: Event kinds, ordered so arrivals at a time t are visible before the
@@ -176,6 +345,15 @@ _EV_RELEASE = 1
 _EV_COMPLETE = 2
 
 _INF = float("inf")
+
+_CORE_CODE = {core: code for code, core in enumerate(CORE_ARRAYS)}
+
+#: The engine's per-task lists, indexed by global task id.
+_TASK_LISTS = (
+    "_core", "_durations", "_hbm_seconds", "_channels", "_shape_of",
+    "_label_of", "_remaining", "_ready", "_start", "_hbm_start", "_hbm_end",
+    "_end", "_instance_of", "_owner",
+)
 
 
 @dataclass
@@ -196,62 +374,79 @@ class Submission:
     finish_seconds: float | None = None
     _remaining: int = field(repr=False, default=0)
     _max_end: float = field(repr=False, default=0.0)
+    # The admission plan's local dependents (CSR), walked on finalize.
+    _dependent_offsets: list = field(repr=False, compare=False, default=())
+    _dependents: list = field(repr=False, compare=False, default=())
 
     @property
     def done(self) -> bool:
         return self.finish_seconds is not None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class AdmissionPlan:
-    """A task list's cost-model outputs, computed once per list.
+    """A task table's per-row admission state, computed once per table.
 
     Every FHE basic operation lowers to the same small operator DAG,
     so a served stream admits the same few programs over and over.
-    The plan holds what admission derives from a list independently of
-    when and where it is admitted: per task, the core timing, the
-    memory timing and the *undilated* occupancy ``max(compute,
-    scratchpad)``, the de-duplicated local dependencies and the local
-    dependents (the tasks that wait on it), plus the list's root
-    tasks. Derates (``compute_scale``/``hbm_scale``) apply on top at
-    each admission, so a straggler window never leaks into later
-    submissions. Indices are local to the list; the engine adds the
-    submission's base when it walks them, so an admission copies no
-    task and builds no per-task list.
+    The plan holds what admission derives from a table independently
+    of when and where it is admitted, as lists the engine extends its
+    own by: per row, the core array, the *undilated* occupancy
+    ``max(compute, scratchpad)``, the HBM channel time and slots, and
+    the count of distinct dependencies; the local dependents of every
+    row (CSR: ``dependents[dependent_offsets[i]:dependent_offsets[i +
+    1]]``, the rows that wait on row ``i``); and the root rows. All of
+    it comes from the table's columns with no per-row Python loop.
+    Derates (``compute_scale``/``hbm_scale``) apply on top at each
+    admission, so a straggler window never leaks into later
+    submissions. Indices are local to the table; the engine adds the
+    submission's base when it walks them.
 
-    ``tasks`` keeps the list alive: the engine caches plans by the
-    list's identity, and a live object's id cannot be recycled.
+    ``shapes`` and ``labels`` number each row's shape and display
+    label in the engine's own tables (so they are left out of ``==``).
+    ``tasks`` keeps the table alive: the engine caches plans by the
+    table's identity, and a live object's id cannot be recycled.
     """
 
-    tasks: tuple
-    timings: tuple[CoreTiming, ...]
-    mems: tuple[MemoryTiming, ...]
-    durations: tuple[float, ...]
-    deps: tuple[tuple[int, ...], ...]
-    dependents: tuple[tuple[int, ...], ...]
-    roots: tuple[int, ...]
-
-    @classmethod
-    def build(cls, tasks, timings, mems, durations, deps) -> "AdmissionPlan":
-        """A plan from per-task model outputs; derives the dependents
-        and roots from ``deps``."""
-        deps = tuple(deps)
-        dependents: list[list[int]] = [[] for _ in deps]
-        for local, task_deps in enumerate(deps):
-            for dep in task_deps:
-                dependents[dep].append(local)
-        return cls(
-            tasks, tuple(timings), tuple(mems), tuple(durations), deps,
-            tuple(map(tuple, dependents)),
-            tuple(local for local, d in enumerate(deps) if not d),
-        )
+    tasks: TaskTable
+    cores: list[str]
+    durations: list[float]
+    hbm_seconds: list[float]
+    channels: list[int]
+    hbm_pending: list
+    dep_counts: list[int]
+    dependent_offsets: list[int]
+    dependents: list[int]
+    roots: list[int]
+    shapes: list[int] = field(compare=False)
+    labels: list[int] = field(compare=False)
 
     @property
     def service_seconds(self) -> float:
-        """Serial occupancy of the whole list (left-fold of
+        """Serial occupancy of the whole table (left-fold of
         ``durations``, the serving layer's backlog unit)."""
         return left_fold_sum(self.durations)
 
+
+def _dependency_csr(table: TaskTable):
+    """De-duplicated dependencies of a checked table: per row the count
+    of distinct dependencies, the dependents CSR (offsets, rows in
+    ascending order) and the root rows."""
+    n = len(table)
+    rows = np.repeat(np.arange(n), np.diff(table.dep_offsets))
+    edges = np.sort(table.dep_index * n + rows)  # (dep, row) pairs
+    distinct = np.ones(len(edges), bool)
+    distinct[1:] = edges[1:] != edges[:-1]
+    edges = edges[distinct]
+    dep = edges // n
+    row = edges - dep * n
+    counts = np.bincount(row, minlength=n)
+    return (
+        counts.tolist(),
+        offsets(np.bincount(dep, minlength=n)).tolist(),
+        row.tolist(),
+        np.flatnonzero(counts == 0).tolist(),
+    )
 
 
 @dataclass(frozen=True)
@@ -297,6 +492,8 @@ class ScheduleEngine:
         memory: MemoryModel | None = None,
         epoch: float = 0.0,
     ):
+        if not math.isfinite(epoch):
+            raise SchedulingError(f"engine epoch must be finite, got {epoch}")
         if epoch < 0:
             raise SchedulingError(
                 f"engine epoch must be >= 0, got {epoch}"
@@ -334,41 +531,43 @@ class ScheduleEngine:
             name: [] for name in CORE_ARRAYS
         }
         self._hbm_queue: list[tuple[float, int]] = []
-        self._hbm_intervals: list[tuple[float, float]] = []
         self._finished = 0
         # ``epoch`` lets an instance be born mid-run on a shared master
         # clock (cluster autoscaling): the engine starts at that
         # simulated time and rejects submissions from before it, just
         # as if it had idled since t=0.
         self._now = epoch
-        # Per-task state, indexed by global task id (grows on submit).
-        # ``_tasks`` holds the submitted tasks themselves and
-        # ``_dependents`` their local dependents (a plan's own tuples on
-        # repeat admissions): both keep indices local to the task's
-        # submission, and the owner's ``base`` globalizes them
-        # (:meth:`_finalize`, :meth:`spans`).
-        self._tasks: list = []
-        self._timings: list = []
-        self._mems: list = []
+        # Cost-model outputs by engine shape id: a shape is every field
+        # but ``depends_on`` and ``op_label``, which the models never
+        # read, and ``_shape_ids`` numbers each distinct one once.
+        self._shape_ids: dict[tuple, int] = {}
+        self._shape_core: list[str] = []
+        self._shape_mem: list[MemoryTiming] = []
+        self._shape_duration: list[float] = []
+        self._shape_compute: list[float] = []
+        # Display labels (``op_label or "unlabelled"``) by engine id.
+        self._label_ids: dict[str, int] = {}
+        # Per-task state, indexed by global task id (grows on submit;
+        # see _TASK_LISTS). ``_hbm_end`` is None until the task's
+        # transfer is granted (0.0 for a task that moves no bytes).
+        self._core: list[str] = []
         self._durations: list[float] = []
+        self._hbm_seconds: list[float] = []
+        self._channels: list[int] = []
+        self._shape_of: list[int] = []
+        self._label_of: list[int] = []
         self._remaining: list[int] = []
-        self._dependents: list = []
         self._ready: list[float] = []
         self._start: list[float | None] = []
-        self._hbm_span: list[tuple[float, float] | None] = []
+        self._hbm_start: list[float] = []
+        self._hbm_end: list[float | None] = []
         self._end: list[float | None] = []
         self._instance_of: list[int] = []
         self._owner: list[Submission] = []
-        # Admission plans by task-tuple identity. A tuple's first
-        # undilated admission only records where its tasks landed; the
-        # second slices the plan from those arrays, so a one-shot run
-        # never holds a second copy of its cost-model outputs.
+        # Each submission's own table (local dependency indices).
+        self._tables: list[TaskTable] = []
+        # Admission plans by table identity.
         self._plans: dict[int, AdmissionPlan] = {}
-        self._first_fill: dict[int, tuple[tuple, int]] = {}
-        # Cost-model outputs ``(core timing, memory timing, undilated
-        # duration)`` by task shape: every field but ``depends_on`` and
-        # ``op_label``, which the models never read.
-        self._costs: dict[tuple, tuple[CoreTiming, MemoryTiming, float]] = {}
         self.submissions: list[Submission] = []
         #: Submissions in the order they completed (serving layer polls
         #: this after each :meth:`advance_until`).
@@ -387,12 +586,17 @@ class ScheduleEngine:
         compute_scale: float = 1.0,
         hbm_scale: float = 1.0,
     ) -> Submission:
-        """Admit a task list; its tasks become ready no earlier than
+        """Admit a task table; its tasks become ready no earlier than
         ``release``.
 
-        Dependency indices in ``tasks`` are local to the list (the
+        ``tasks`` is a :class:`~repro.sim.tasks.TaskTable` (a compiled
+        program's ``tasks``) or a list or tuple of
+        :class:`~repro.sim.tasks.OperatorTask`, which is converted to
+        one here. Dependency indices are local to the table (the
         compiler's convention) and are re-based onto the engine's
-        global index space.
+        global index space. Every row is checked before anything is
+        admitted, so a bad table raises and leaves the engine as it
+        was.
 
         ``compute_scale`` multiplies each task's core occupancy and
         ``hbm_scale`` each transfer's channel time — the fault layer's
@@ -400,248 +604,211 @@ class ScheduleEngine:
         Both default to 1.0, in which case this path is arithmetically
         untouched (no multiplication happens at all).
 
-        A tuple admitted before reuses its :class:`AdmissionPlan`
-        instead of walking its tasks again; the derates apply on top of
-        the plan's unscaled values. A list is walked afresh on every
-        admission, since it may change between them, but only a task
-        shape this engine has not seen before runs the cost models.
+        A table admitted before reuses its :class:`AdmissionPlan`; the
+        derates apply on top of the plan's unscaled values. A list or
+        tuple is converted and planned afresh on every admission, but
+        only a task shape this engine has not seen before runs the cost
+        models.
         """
         if self._dead:
             raise SchedulingError(
                 f"engine crashed at t={self._now}; restart as a fresh "
                 "epoch to submit again"
             )
-        if compute_scale <= 0 or hbm_scale <= 0:
+        if not (0 < compute_scale < _INF and 0 < hbm_scale < _INF):
             raise SchedulingError(
-                "derate scales must be positive, got "
+                "derate scales must be positive and finite, got "
                 f"compute_scale={compute_scale} hbm_scale={hbm_scale}"
             )
+        if not math.isfinite(release):
+            raise SchedulingError(f"release must be finite, got {release}")
         if release < self._now:
             raise SchedulingError(
                 f"cannot submit in the past: release {release} < "
                 f"engine time {self._now}"
             )
-        base = len(self._tasks)
+        base = len(self._durations)
+        table = TaskTable.from_tasks(tasks)
+        plan = (
+            self._plan(table, base, cache=table is tasks) if len(table)
+            else None
+        )
         submission = Submission(
             index=len(self.submissions),
             base=base,
-            count=len(tasks),
+            count=len(table),
             release_seconds=release,
             label=label,
-            _remaining=len(tasks),
+            _remaining=len(table),
         )
         self.submissions.append(submission)
-        if not tasks:
+        self._tables.append(table)
+        if plan is None:
             submission.finish_seconds = release
             heapq.heappush(
                 self._events, (release, _EV_COMPLETE, submission.index)
             )
-            return submission
-        plan = self._cached_plan(tasks)
-        if plan is None:
-            try:
-                self._fill(
-                    tasks, base, release, submission, compute_scale,
-                    hbm_scale,
-                )
-            except BaseException:
-                self._rollback(base)
-                raise
         else:
-            self._admit(
-                plan, base, release, submission, compute_scale, hbm_scale
-            )
+            self._admit(plan, submission, compute_scale, hbm_scale)
         return submission
 
     def admission_plan(self, tasks) -> AdmissionPlan:
         """The :class:`AdmissionPlan` of ``tasks`` on this engine's
-        models, built on first request and cached for a tuple.
+        models, built on first request and cached for a table.
 
-        Like an admission, every call counts the list's memory-model
+        Like an admission, every call counts the table's memory-model
         metrics (``sim.spad.*``, ``sim.hbm.transfers``,
         ``sim.hbm.channels_used``) once.
         """
-        plan = self._cached_plan(tasks)
-        if plan is None:
-            timings, mems, durations, deps = (
-                list(zip(*self._model(tasks, 0))) or [()] * 4
-            )
-            plan = AdmissionPlan.build(tasks, timings, mems, durations, deps)
-            if type(tasks) is tuple:
-                self._plans[id(tasks)] = plan
+        table = TaskTable.from_tasks(tasks)
+        return self._plan(table, 0, cache=table is tasks)
+
+    def _plan(self, table: TaskTable, base: int, *, cache: bool):
+        """The plan of ``table``: a cached one replays its memory-model
+        metrics, so counters stay per admitted task exactly as if the
+        models had run again. ``base`` only numbers tasks in errors."""
+        plan = self._plans.get(id(table))
+        if plan is not None:
+            reg = metrics.active()
+            if reg is not None:
+                self._replay(reg, plan.shapes)
+            return plan
+        shapes = self._row_shapes(table, base)
+        counts, dependent_offsets, dependents, roots = _dependency_csr(table)
+        label_ids = self._label_ids
+        labels = np.array([
+            label_ids.setdefault(label or "unlabelled", len(label_ids))
+            for label in table.labels
+        ], np.int64)
+
+        def per_row(values):
+            return np.array(values, dtype=object)[shapes].tolist()
+
+        mems = self._shape_mem
+        plan = AdmissionPlan(
+            tasks=table,
+            cores=per_row(self._shape_core),
+            durations=per_row(self._shape_duration),
+            hbm_seconds=per_row([m.hbm_seconds for m in mems]),
+            channels=per_row([m.channels_used for m in mems]),
+            hbm_pending=per_row([None if m.hbm_bytes else 0.0 for m in mems]),
+            dep_counts=counts,
+            dependent_offsets=dependent_offsets,
+            dependents=dependents,
+            roots=roots,
+            shapes=shapes.tolist(),
+            labels=labels[table.label].tolist(),
+        )
+        if cache:
+            self._plans[id(table)] = plan
         return plan
 
-    def _model(self, tasks, base: int):
-        """Validate and cost each task of a list, yielding ``(core
-        timing, memory timing, undilated duration, de-duplicated local
-        dependencies)``. ``base`` only numbers tasks in errors.
+    def _row_shapes(self, table: TaskTable, base: int) -> np.ndarray:
+        """Check every row of ``table`` and return its engine shape ids.
 
-        The cost models read only a task's shape, so each distinct
-        shape is costed once per engine (``_costs``); a repeat replays
-        its memory-model metrics instead, so the counters stay per
-        task. Dependencies are checked on every task, after the core
-        check and before the memory model, so a bad list raises the
-        same error and counts the same metrics as per-task costing.
+        Each distinct shape is costed once per engine, in order of its
+        first row: the cost models read only a task's shape, so a shape
+        seen before (``_shape_ids``) is not costed again. The memory
+        metrics are then counted per row, in row order, as a row-by-row
+        costing would count them.
+
+        A row's core is checked before its dependencies, and the first
+        failing row raises, naming its global index (``base`` plus its
+        local one); the rows before it count their memory metrics, and
+        the models never see a shape whose first row comes after it.
         """
-        costs = self._costs
-        cycle_seconds = self.config.cycle_seconds
+        n = len(table)
+        rows = np.repeat(np.arange(n), np.diff(table.dep_offsets))
+        bad = (table.dep_index < 0) | (table.dep_index >= rows)
+        bad_entry = int(np.argmax(bad)) if bad.any() else -1
+        bad_row = int(rows[bad_entry]) if bad_entry >= 0 else n
+        local, first = np.unique(table.shape, return_index=True)
+        ids = np.zeros(len(table.shapes), np.int64)
         reg = metrics.active()
-        for local, task in enumerate(tasks):
-            key = (
-                task.kind, task.elements, task.degree, task.limbs,
-                task.hbm_read_bytes, task.hbm_write_bytes, task.spad_bytes,
-            )
-            cost = costs.get(key)
-            if cost is None:
+        for row, s in sorted(zip(first.tolist(), local.tolist())):
+            if row > bad_row:
+                break
+            key = table.shapes[s]
+            eid = self._shape_ids.get(key)
+            if eid is None:
+                task = OperatorTask(*key)
                 timing = self.cores.task_cycles(task)
                 if timing.core not in CORE_ARRAYS:
+                    self._replay(reg, ids[table.shape[:row]].tolist())
                     raise SchedulingError(
-                        f"task {base + local} targets unknown core "
+                        f"task {base + row} targets unknown core "
                         f"{timing.core!r}"
                     )
-            deps = task.depends_on
-            for dep in deps:
-                if dep < 0 or dep >= local:
-                    raise SchedulingError(
-                        f"task {base + local} has forward/invalid "
-                        f"dependency {dep}"
-                    )
-            if len(deps) > 1:
-                deps = tuple(dict.fromkeys(deps))
-            if cost is None:
-                mem = self.memory.task_timing(task)
-                cost = costs[key] = (
-                    timing, mem,
-                    max(timing.cycles * cycle_seconds, mem.spad_seconds),
-                )
-            elif reg is not None:
-                record_memory_metrics(reg, cost[1])
-            yield *cost, deps
-
-    def _cached_plan(self, tasks) -> AdmissionPlan | None:
-        """The plan of a tuple admitted before, else ``None``.
-
-        A hit replays the list's memory-model metrics, so counters stay
-        per admitted task exactly as if the models had run again.
-        """
-        if type(tasks) is not tuple:
-            return None
-        key = id(tasks)
-        plan = self._plans.get(key)
-        if plan is None:
-            first = self._first_fill.pop(key, None)
-            if first is None:
-                return None
-            base = first[1]
-            end = base + len(tasks)
-            plan = self._plans[key] = AdmissionPlan.build(
-                tasks,
-                self._timings[base:end],
-                self._mems[base:end],
-                self._durations[base:end],
-                (tuple(dict.fromkeys(t.depends_on)) for t in tasks),
+                if row == bad_row:
+                    break  # its dependency check fails first
+                if reg is None:
+                    mem = self.memory.task_timing(task)
+                else:  # counted per row below, in row order
+                    with metrics.collecting():
+                        mem = self.memory.task_timing(task)
+                eid = self._shape_ids[key] = self._add_shape(timing, mem)
+            ids[s] = eid
+        if bad_row < n:
+            self._replay(reg, ids[table.shape[:bad_row]].tolist())
+            raise SchedulingError(
+                f"task {base + bad_row} has forward/invalid dependency "
+                f"{int(table.dep_index[bad_entry])}"
             )
-        reg = metrics.active()
+        shapes = ids[table.shape]
+        self._replay(reg, shapes.tolist())
+        return shapes
+
+    def _add_shape(self, timing: CoreTiming, mem: MemoryTiming) -> int:
+        """Record one costed shape; returns its engine shape id."""
+        compute = timing.cycles * self.config.cycle_seconds
+        self._shape_core.append(timing.core)
+        self._shape_mem.append(mem)
+        self._shape_compute.append(compute)
+        self._shape_duration.append(max(compute, mem.spad_seconds))
+        return len(self._shape_mem) - 1
+
+    def _replay(self, reg, shapes: list[int]) -> None:
+        """Count the memory-model metrics of rows of these shapes."""
         if reg is not None:
-            for mem in plan.mems:
-                record_memory_metrics(reg, mem)
-        return plan
+            mems = self._shape_mem
+            for s in shapes:
+                record_memory_metrics(reg, mems[s])
 
-    def _fill(
-        self, tasks, base, release, submission, compute_scale, hbm_scale
-    ) -> None:
-        """First admission of a list: cost it task by task (see
-        :meth:`_model`) straight into the engine arrays."""
-        dependents: list[list[int]] = []
-        for local, (timing, mem, duration, deps) in enumerate(
-            self._model(tasks, base)
-        ):
-            i = base + local
-            if hbm_scale != 1.0 and mem.hbm_bytes:
-                mem = replace(
-                    mem, hbm_seconds=mem.hbm_seconds * hbm_scale
-                )
-            if compute_scale != 1.0:
-                duration *= compute_scale
-            self._tasks.append(tasks[local])
-            self._timings.append(timing)
-            self._mems.append(mem)
-            self._durations.append(duration)
-            self._remaining.append(len(deps))
-            dependents.append([])
-            for dep in deps:
-                dependents[dep].append(local)
-            self._ready.append(release)
-            self._start.append(None)
-            self._hbm_span.append(
-                (0.0, 0.0) if mem.hbm_bytes == 0 else None
-            )
-            self._end.append(None)
-            self._instance_of.append(0)
-            self._owner.append(submission)
-            if not deps:
-                heapq.heappush(self._events, (release, _EV_READY, i))
-        self._dependents.extend(dependents)
-        if (
-            compute_scale == 1.0 and hbm_scale == 1.0
-            and type(tasks) is tuple
-        ):
-            self._first_fill[id(tasks)] = (tasks, base)
-
-    def _rollback(self, base: int) -> None:
-        """Undo a :meth:`_fill` that raised part-way: drop the tasks
-        from ``base`` on, their queued READY events and the last
-        submission, so the engine is as it was before the submit."""
-        for arr in (
-            self._tasks, self._timings, self._mems, self._durations,
-            self._remaining, self._dependents, self._ready, self._start,
-            self._hbm_span, self._end, self._instance_of, self._owner,
-        ):
-            del arr[base:]
-        events = self._events
-        events[:] = [
-            ev for ev in events if ev[1] != _EV_READY or ev[2] < base
-        ]
-        heapq.heapify(events)
-        self.submissions.pop()
-
-    def _admit(
-        self, plan, base, release, submission, compute_scale, hbm_scale
-    ) -> None:
-        """Repeat admission: extend the engine arrays from a plan and
-        queue its roots. The tasks and their dependents are the plan's
-        own tuples; nothing is copied per task."""
-        tasks = plan.tasks
-        n = len(tasks)
-        self._tasks.extend(tasks)
-        self._timings.extend(plan.timings)
-        mems = plan.mems
-        if hbm_scale != 1.0:
-            mems = [
-                replace(m, hbm_seconds=m.hbm_seconds * hbm_scale)
-                if m.hbm_bytes else m
-                for m in mems
-            ]
-        self._mems.extend(mems)
+    def _admit(self, plan, submission, compute_scale, hbm_scale) -> None:
+        """Extend the engine's per-task lists from a plan and queue its
+        roots; the only per-row work is the lists' own ``extend``."""
+        n = len(plan.durations)
+        base = submission.base
+        release = submission.release_seconds
+        self._core.extend(plan.cores)
         if compute_scale != 1.0:
             self._durations.extend(
-                [d * compute_scale for d in plan.durations]
+                (np.array(plan.durations) * compute_scale).tolist()
             )
         else:
             self._durations.extend(plan.durations)
-        self._remaining.extend(map(len, plan.deps))
-        self._dependents.extend(plan.dependents)
-        events = self._events
-        for local in plan.roots:
-            heapq.heappush(events, (release, _EV_READY, base + local))
+        if hbm_scale != 1.0:
+            self._hbm_seconds.extend(
+                (np.array(plan.hbm_seconds) * hbm_scale).tolist()
+            )
+        else:
+            self._hbm_seconds.extend(plan.hbm_seconds)
+        self._channels.extend(plan.channels)
+        self._shape_of.extend(plan.shapes)
+        self._label_of.extend(plan.labels)
+        self._remaining.extend(plan.dep_counts)
+        submission._dependent_offsets = plan.dependent_offsets
+        submission._dependents = plan.dependents
         self._ready.extend([release] * n)
         self._start.extend([None] * n)
-        self._hbm_span.extend(
-            [None if m.hbm_bytes else (0.0, 0.0) for m in mems]
-        )
+        self._hbm_start.extend([0.0] * n)
+        self._hbm_end.extend(plan.hbm_pending)
         self._end.extend([None] * n)
         self._instance_of.extend([0] * n)
         self._owner.extend([submission] * n)
+        events = self._events
+        for local in plan.roots:
+            heapq.heappush(events, (release, _EV_READY, base + local))
 
     # -- event processing ----------------------------------------------
     def _push_release(self, t: float) -> None:
@@ -652,10 +819,9 @@ class ScheduleEngine:
 
     def _finalize(self, i: int) -> None:
         """Both dispatch and grant committed: the end is known."""
-        task_end = max(self._start[i] + self._durations[i],
-                       self._hbm_span[i][1])
+        task_end = max(self._start[i] + self._durations[i], self._hbm_end[i])
         self._end[i] = task_end
-        core = self._timings[i].core
+        core = self._core[i]
         self._inst_free[core][self._instance_of[i]] = task_end
         if task_end < self._core_min[core]:
             self._core_min[core] = task_end
@@ -679,9 +845,11 @@ class ScheduleEngine:
                 (owner._max_end, _EV_COMPLETE, owner.index),
             )
         base = owner.base
+        local = i - base
+        at = owner._dependent_offsets
         ready = self._ready
         remaining = self._remaining
-        for d in self._dependents[i]:
+        for d in owner._dependents[at[local]:at[local + 1]]:
             d += base
             if task_end > ready[d]:
                 ready[d] = task_end
@@ -705,16 +873,15 @@ class ScheduleEngine:
         while queue and avail:
             entry = heapq.heappop(queue)
             i = entry[1]
-            mem = self._mems[i]
-            need = mem.channels_used
+            need = self._channels[i]
             if need > avail:
                 deferred.append(entry)
                 continue
-            done = t + mem.hbm_seconds
+            done = t + self._hbm_seconds[i]
             avail -= need
             heapq.heappush(busy, (done, need))
-            self._hbm_span[i] = (t, done)
-            self._hbm_intervals.append((t, done))
+            self._hbm_start[i] = t
+            self._hbm_end[i] = done
             self._push_release(done)
             if self._start[i] is not None:
                 self._finalize(i)
@@ -756,7 +923,7 @@ class ScheduleEngine:
                 i = heapq.heappop(queue)[1]
                 self._start[i] = t
                 self._instance_of[i] = k
-                if self._hbm_span[i] is not None:
+                if self._hbm_end[i] is not None:
                     self._finalize(i)
                 else:
                     # Core held; end unknown until the HBM grant.
@@ -780,9 +947,9 @@ class ScheduleEngine:
         elif kind == _EV_READY:
             i = payload
             ready = self._ready[i]
-            if self._mems[i].hbm_bytes > 0:
+            if self._hbm_end[i] is None:
                 heapq.heappush(self._hbm_queue, (ready, i))
-            core = self._timings[i].core
+            core = self._core[i]
             heapq.heappush(self._core_queue[core], (ready, i))
             if self._core_min[core] < self._dispatch_at:
                 self._dispatch_at = self._core_min[core]
@@ -805,8 +972,10 @@ class ScheduleEngine:
         an engine already past ``t`` processes nothing. A caller that
         needs the engine at ``t`` calls again until ``t`` comes back;
         the serving loop instead wakes at the returned instant, since a
-        completion is where it can act.
+        completion is where it can act. ``t`` may be infinite, not NaN.
         """
+        if t != t:
+            raise SchedulingError(f"cannot advance to t={t}")
         events = self._events
         step = self._step
         while events and events[0][0] <= t:
@@ -858,6 +1027,8 @@ class ScheduleEngine:
             raise SchedulingError(
                 f"engine already crashed at t={self._now}"
             )
+        if at != at:
+            raise SchedulingError(f"cannot crash at t={at}")
         if at < self._now:
             raise SchedulingError(
                 f"cannot crash in the past: {at} < engine time "
@@ -866,67 +1037,44 @@ class ScheduleEngine:
         # Events at exactly ``at`` land before the failure: a task (or
         # submission) finishing at the crash instant survived it.
         self._run_until(at)
-        keep = [
-            i for i, end in enumerate(self._end)
-            if end is not None and end <= at
-        ]
-        dropped = len(self._tasks) - len(keep)
-        self._timings = [self._timings[o] for o in keep]
-        self._mems = [self._mems[o] for o in keep]
-        self._durations = [self._durations[o] for o in keep]
-        self._ready = [self._ready[o] for o in keep]
-        self._start = [self._start[o] for o in keep]
-        self._hbm_span = [self._hbm_span[o] for o in keep]
-        self._end = [self._end[o] for o in keep]
-        self._instance_of = [self._instance_of[o] for o in keep]
-        self._owner = [self._owner[o] for o in keep]
+        kept = np.array(self._end, dtype=float) <= at  # unfinished: NaN
+        keep = np.flatnonzero(kept)
+        dropped = len(kept) - len(keep)
+        mask = kept.tolist()
+        for name in _TASK_LISTS:
+            setattr(self, name, list(compress(getattr(self, name), mask)))
         # A dead engine processes no more events.
         self._remaining = [0] * len(keep)
-        self._dependents = [()] * len(keep)
-        self._hbm_intervals = [
-            self._hbm_span[i]
-            for i in range(len(keep))
-            if self._mems[i].hbm_bytes > 0
-        ]
         # Re-base every submission onto the truncated index space.
-        # Bases are contiguous and ``keep`` ascending, so one cursor
-        # walk assigns each kept task to its owning submission; a lost
-        # submission keeps its finished prefix (possibly empty). A kept
-        # task's dependencies are provably kept (dep end <= task ready
-        # <= start <= end <= at) and local to its submission, so its
-        # local dependency indices remap within the kept prefix.
+        # Bases are contiguous and ``keep`` ascending, so each
+        # submission's kept tasks are one run of it; a lost submission
+        # keeps its finished prefix (possibly empty). A kept task's
+        # dependencies are provably kept (dep end <= task ready <=
+        # start <= end <= at) and local to its submission, so its
+        # table's rows renumber among themselves.
         lost = []
-        new_tasks = []
+        tables = []
         cursor = 0
-        for sub in self.submissions:
-            sub_end = sub.base + sub.count
-            new_base = cursor
-            local = {}
-            while cursor < len(keep) and keep[cursor] < sub_end:
-                old = keep[cursor]
-                local[old - sub.base] = cursor - new_base
-                task = self._tasks[old]
-                if task.depends_on:
-                    deps = tuple(local[d] for d in task.depends_on)
-                    if deps != task.depends_on:
-                        task = replace(task, depends_on=deps)
-                new_tasks.append(task)
-                cursor += 1
+        for sub, table in zip(self.submissions, self._tables):
+            lo, hi = np.searchsorted(keep, (sub.base, sub.base + sub.count))
+            if hi - lo < sub.count:
+                table = table.take(keep[lo:hi] - sub.base)
+            tables.append(table)
             if sub.finish_seconds is None or sub.finish_seconds > at:
                 # Either still running, or committed analytically for
                 # a future instant the crash pre-empted — the serving
                 # layer never observed the completion, so it is lost.
                 sub.finish_seconds = None
                 lost.append(sub)
-            sub.base = new_base
-            sub.count = cursor - new_base
-        self._tasks = new_tasks
+            sub.base = cursor
+            sub.count = len(table)
+            cursor += sub.count
+        self._tables = tables
         self._events.clear()
         self._release_times.clear()
         for queue in self._core_queue.values():
             queue.clear()
         self._hbm_queue.clear()
-        self._first_fill.clear()  # its array positions are gone
         self._finished = len(keep)
         self._dead = True
         return CrashReport(
@@ -947,90 +1095,103 @@ class ScheduleEngine:
         return self._now
 
     # -- results -------------------------------------------------------
-    def spans(self) -> tuple[tuple[int, list], ...]:
+    def spans(self) -> tuple[tuple[int, TaskTable], ...]:
         """Every submission's ``(base, tasks)``, in admission order.
 
-        ``tasks`` is a slice of the engine's own task list: the
-        submission's tasks, with dependency indices local to it, so
-        record ``base + j`` of :meth:`result` is its task ``j`` and a
-        local dependency ``d`` is record ``base + d``. The spans tile
-        the records in order, and
+        ``tasks`` is the submission's own table (truncated by a crash),
+        with dependency indices local to it, so record ``base + j`` of
+        :meth:`result` is its row ``j`` and a local dependency ``d`` is
+        record ``base + d``. The spans tile the records in order, and
         :func:`repro.sim.validate.validate_schedule` checks dependency
         ordering across a served run from them; no task is copied.
         """
-        tasks = self._tasks
         return tuple(
-            (s.base, tasks[s.base:s.base + s.count])
-            for s in self.submissions
+            (s.base, table) for s, table in zip(self.submissions, self._tables)
         )
 
     def result(self) -> SimulationResult:
         """Aggregate statistics over every submitted task.
 
-        Requires the engine to be drained (every task finished).
+        Requires the engine to be drained (every task finished). The
+        schedule is committed as columns, elementwise; the per-core and
+        per-label busy sums are left folds in task order.
         """
-        n = len(self._tasks)
+        n = len(self._durations)
         if self._finished != n:
             raise SchedulingError(
                 f"engine finished {self._finished}/{n} tasks; call "
                 "drain() before result()"
             )
-        cfg = self.config
-        core_busy: dict[str, float] = defaultdict(float)
-        core_stall: dict[str, float] = defaultdict(float)
-        op_seconds: dict[str, float] = defaultdict(float)
-        operator_seconds: dict[str, dict[str, float]] = defaultdict(
-            lambda: defaultdict(float)
-        )
-        hbm_bytes_total = 0
-        records: list[TaskRecord] = []
-        append = records.append
-        cycle_seconds = cfg.cycle_seconds
-        makespan = 0.0
-        for task, timing, mem, busy, start, end, ready, span, inst in zip(
-            self._tasks, self._timings, self._mems, self._durations,
-            self._start, self._end, self._ready, self._hbm_span,
-            self._instance_of,
-        ):
-            core = timing.core
-            hbm_start, hbm_end = span
-            hbm_bytes = mem.hbm_bytes
-            # Clamp tiny float-negative residues so stall stays a
-            # physical (non-negative) quantity and monotone counters
-            # downstream never see a negative increment. (Written as
-            # conditionals, these are exactly ``max(0.0, x)``.)
-            stall = end - start - busy
-            stall = stall if stall > 0.0 else 0.0
-            core_wait = start - ready
-            core_wait = core_wait if core_wait > 0.0 else 0.0
-            hbm_wait = hbm_start - ready if hbm_bytes else 0.0
-            hbm_wait = hbm_wait if hbm_wait > 0.0 else 0.0
-            if end > makespan:
-                makespan = end
-            hbm_bytes_total += hbm_bytes
-            core_busy[core] += busy
-            core_stall[core] += stall
-            label = task.op_label or "unlabelled"
-            op_seconds[label] += busy
-            operator_seconds[label][core] += busy
-            append(TaskRecord(
-                start, end, core, timing.cycles * cycle_seconds,
-                mem.hbm_seconds, hbm_bytes, label,
-                core_wait if core_wait >= hbm_wait else hbm_wait,
-                hbm_start, hbm_end, inst, ready, stall, core_wait,
-                hbm_wait, mem.channels_used if hbm_bytes else 0,
-            ))
-        return SimulationResult(
-            total_seconds=makespan,
-            core_busy_seconds=dict(core_busy),
-            op_seconds=dict(op_seconds),
-            operator_seconds={
-                k: dict(v) for k, v in operator_seconds.items()
+        shape = np.array(self._shape_of, np.int64)
+        core = np.array(
+            [_CORE_CODE[c] for c in self._shape_core], np.int64
+        )[shape]
+        label = np.array(self._label_of, np.int64)
+        mems = self._shape_mem
+        hbm_bytes = np.array([m.hbm_bytes for m in mems], np.int64)[shape]
+        moves = hbm_bytes != 0
+        start = np.array(self._start, float)
+        end = np.array(self._end, float)
+        ready = np.array(self._ready, float)
+        busy = np.array(self._durations, float)
+        hbm_start = np.array(self._hbm_start, float)
+        hbm_end = np.array(self._hbm_end, float)
+        # Clamp tiny float-negative residues so stall stays a physical
+        # (non-negative) quantity and monotone counters downstream
+        # never see a negative increment (``where`` is exactly the
+        # conditional ``x if x > 0.0 else 0.0``).
+        stall = end - start - busy
+        stall = np.where(stall > 0.0, stall, 0.0)
+        core_wait = start - ready
+        core_wait = np.where(core_wait > 0.0, core_wait, 0.0)
+        hbm_wait = np.where(moves, hbm_start - ready, 0.0)
+        hbm_wait = np.where(hbm_wait > 0.0, hbm_wait, 0.0)
+        records = TaskRecords(
+            {
+                "start": start,
+                "end": end,
+                "compute_seconds": np.array(self._shape_compute, float)[shape],
+                "hbm_seconds": np.array(self._hbm_seconds, float),
+                "hbm_bytes": hbm_bytes,
+                "queue_wait_seconds": np.where(
+                    core_wait >= hbm_wait, core_wait, hbm_wait
+                ),
+                "hbm_start": hbm_start,
+                "hbm_end": hbm_end,
+                "instance": np.array(self._instance_of, np.int64),
+                "ready_seconds": ready,
+                "stall_seconds": stall,
+                "core_wait_seconds": core_wait,
+                "hbm_wait_seconds": hbm_wait,
+                "hbm_channels_used": np.where(
+                    moves,
+                    np.array([m.channels_used for m in mems], np.int64)[shape],
+                    0,
+                ),
             },
-            hbm_busy_seconds=_merged_length(list(self._hbm_intervals)),
-            hbm_bytes=hbm_bytes_total,
+            core, CORE_ARRAYS, label, tuple(self._label_ids),
+        )
+        labels = records.label_names
+        operator_seconds: dict[str, dict[str, float]] = {}
+        for key, total in left_folds_by(busy, label * len(CORE_ARRAYS) + core):
+            lab, c = divmod(key, len(CORE_ARRAYS))
+            operator_seconds.setdefault(labels[lab], {})[CORE_ARRAYS[c]] = total
+        makespan = end.max().item() if n else 0.0
+        return SimulationResult(
+            total_seconds=makespan if makespan > 0.0 else 0.0,
+            core_busy_seconds={
+                CORE_ARRAYS[c]: total for c, total in left_folds_by(busy, core)
+            },
+            op_seconds={
+                labels[lab]: total for lab, total in left_folds_by(busy, label)
+            },
+            operator_seconds=operator_seconds,
+            hbm_busy_seconds=_union_length(hbm_start[moves], hbm_end[moves]),
+            hbm_bytes=int(hbm_bytes.sum()),
             task_records=records,
-            core_stall_seconds=dict(core_stall),
+            core_stall_seconds={
+                CORE_ARRAYS[c]: total for c, total in left_folds_by(stall, core)
+            },
         )
 
 
@@ -1075,7 +1236,10 @@ class PoseidonSimulator:
         """Publish one run's spans into the active metrics registry.
 
         Kept out of the scheduling loop so the disabled path costs a
-        single ``metrics.active()`` check per run.
+        single ``metrics.active()`` check per run. ``records`` is a
+        :class:`TaskRecords`, read by column: the histograms observe
+        every task in order, the counters add per-label task counts
+        and the byte total.
         """
         reg.counter("sim.tasks").inc(len(records))
         reg.gauge("sim.makespan_seconds").set(makespan)
@@ -1087,13 +1251,21 @@ class PoseidonSimulator:
         wait = reg.histogram("sim.task.queue_wait_seconds")
         busy_h = reg.histogram("sim.task.busy_seconds")
         stall_h = reg.histogram("sim.task.stall_seconds")
-        hbm_bytes = reg.counter("sim.hbm.bytes")
-        for record in records:
-            wait.observe(record.queue_wait_seconds)
-            busy_h.observe(record.end - record.start)
-            stall_h.observe(record.stall_seconds)
-            hbm_bytes.inc(record.hbm_bytes)
-            reg.counter(f"sim.op.{record.op_label}.tasks").inc()
+        reg.counter("sim.hbm.bytes").inc(int(records.hbm_bytes.sum()))
+        for w, held, stall in zip(
+            records.queue_wait_seconds.tolist(),
+            (records.end - records.start).tolist(),
+            records.stall_seconds.tolist(),
+        ):
+            wait.observe(w)
+            busy_h.observe(held)
+            stall_h.observe(stall)
+        tasks = np.bincount(
+            records.label_code, minlength=len(records.label_names)
+        ).tolist()
+        for label, count in zip(records.label_names, tasks):
+            if count:
+                reg.counter(f"sim.op.{label}.tasks").inc(count)
 
     # ------------------------------------------------------------------
     def run_ops(self, ops) -> SimulationResult:

@@ -5,12 +5,22 @@ elements (typically one polynomial: L limbs x N coefficients), plus the
 memory traffic it induces. The compiler lowers every FHE basic
 operation into a small DAG of these tasks (paper Table I), and the
 engine schedules them onto the core/memory resources.
+
+An :class:`OperatorTask` is one task as an object: the row type of
+lowerings, passes and hand-built lists. A compiled program is a
+:class:`TaskTable`, the same rows as columns, which the engine admits
+without building an object per task.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 
 class OperatorKind(enum.Enum):
@@ -38,12 +48,8 @@ class OperatorKind(enum.Enum):
 class OperatorTask:
     """One schedulable unit of operator work.
 
-    Slotted: compiled programs and key-upload prefixes hold one
-    instance per task, so a per-instance ``__dict__`` would dominate
-    their memory. A served run copies no task: the engine keeps each
-    submitted list's own tasks, with local dependency indices, and
-    validation reads them per submission
-    (:meth:`repro.sim.engine.ScheduleEngine.spans`).
+    Slotted, so the lowering cache's tasks carry no ``__dict__``.
+    Indexing or iterating a :class:`TaskTable` builds these on demand.
 
     Attributes:
         kind: operator executed.
@@ -79,48 +85,230 @@ class OperatorTask:
         """Total off-chip bytes moved."""
         return self.hbm_read_bytes + self.hbm_write_bytes
 
-    def relabel(self, op_label: str) -> "OperatorTask":
-        """Copy with a new basic-operation label."""
-        return OperatorTask(
-            kind=self.kind,
-            elements=self.elements,
-            degree=self.degree,
-            limbs=self.limbs,
-            hbm_read_bytes=self.hbm_read_bytes,
-            hbm_write_bytes=self.hbm_write_bytes,
-            spad_bytes=self.spad_bytes,
-            depends_on=self.depends_on,
-            op_label=op_label,
+
+#: The cost-model inputs of a task: every field but ``depends_on`` and
+#: ``op_label``. A :class:`TaskTable` stores each distinct combination
+#: (a *shape*) once.
+SHAPE_FIELDS = (
+    "kind", "elements", "degree", "limbs",
+    "hbm_read_bytes", "hbm_write_bytes", "spad_bytes",
+)
+
+#: Kind codes of ``TaskTable.column("kind")``, in enum order.
+KINDS = tuple(OperatorKind)
+_KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}
+
+
+def offsets(counts) -> np.ndarray:
+    """CSR offsets of per-row counts: ``[0, c0, c0 + c1, ...]``."""
+    counts = np.asarray(counts, np.int64)
+    out = np.zeros(len(counts) + 1, np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
+def ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``arange(s, s + n)`` for every ``(s, n)`` pair, concatenated."""
+    ends = np.cumsum(lengths)
+    if not len(ends) or not ends[-1]:
+        return np.zeros(0, np.int64)
+    return np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)
+
+
+def _codes(keys: Iterable, ids: dict) -> np.ndarray:
+    """Each key's id in ``ids``, adding unseen keys in order."""
+    return np.array(
+        [ids.setdefault(key, len(ids)) for key in keys], np.int64
+    )
+
+
+class TaskTable(Sequence):
+    """A topologically ordered task list, held as columns.
+
+    Row ``i`` is one task. Its cost-model inputs (:data:`SHAPE_FIELDS`)
+    are ``shapes[shape[i]]``: each distinct shape is stored once, and
+    :meth:`column` expands one field to a column. Its op label is
+    ``labels[label[i]]``. Its dependencies are CSR, ``dep_index[
+    dep_offsets[i]:dep_offsets[i + 1]]``, indices of this table's rows
+    (``dep_offsets`` starts at 0 and ends at ``len(dep_index)``).
+
+    The table reads as a sequence of :class:`OperatorTask`: an index
+    builds that row's task, iteration builds them one by one, and a
+    slice is a table whose dependency values are unchanged (as a tuple
+    slice leaves them). ``==`` compares row by row, against another
+    table or a list or tuple of tasks. The engine, the validator and
+    assembly read the columns instead. Columns are never written after
+    construction.
+    """
+
+    __slots__ = (
+        "shapes", "shape", "labels", "label", "dep_offsets", "dep_index",
+    )
+
+    def __init__(self, shapes, shape, labels, label, dep_offsets,
+                 dep_index):
+        self.shapes: tuple[tuple, ...] = shapes
+        self.shape: np.ndarray = shape
+        self.labels: tuple[str, ...] = labels
+        self.label: np.ndarray = label
+        self.dep_offsets: np.ndarray = dep_offsets
+        self.dep_index: np.ndarray = dep_index
+
+    @classmethod
+    def from_tasks(cls, tasks: Iterable[OperatorTask]) -> "TaskTable":
+        """A table of the given tasks, or the table itself. Dependency
+        indices are stored as given; the engine checks them."""
+        if isinstance(tasks, TaskTable):
+            return tasks
+        shape_ids: dict[tuple, int] = {}
+        label_ids: dict[str, int] = {}
+        shape, label, counts, deps = [], [], [], []
+        for t in tasks:
+            shape.append(shape_ids.setdefault(
+                (t.kind, t.elements, t.degree, t.limbs, t.hbm_read_bytes,
+                 t.hbm_write_bytes, t.spad_bytes),
+                len(shape_ids),
+            ))
+            label.append(label_ids.setdefault(t.op_label, len(label_ids)))
+            counts.append(len(t.depends_on))
+            deps.append(t.depends_on)
+        return cls(
+            tuple(shape_ids), np.array(shape, np.int64),
+            tuple(label_ids), np.array(label, np.int64),
+            offsets(counts),
+            np.fromiter(chain.from_iterable(deps), np.int64),
         )
 
-    def shifted(
-        self, offset: int, roots: tuple[int, ...] = ()
-    ) -> "OperatorTask":
-        """Copy with dependency indices shifted by ``offset``; a task
-        with no dependencies gets ``roots`` as its dependencies.
+    def stack(self, bounds, slots, barrier_offsets, barrier_index):
+        """A table built from blocks of this one.
 
-        Used when concatenating per-operation task lists into one
-        program-level list (``roots`` is the op's barrier), and when a
-        key-set upload is prepended to a request's task chain
-        (``roots`` is the upload). The fields are already validated, so
-        the copy is set slot by slot instead of re-running
-        ``__init__``/``__post_init__``.
+        Block ``s`` of this table is rows ``bounds[s]:bounds[s + 1]``,
+        with dependencies local to the block. Output block ``k`` is a
+        copy of block ``slots[k]`` placed after the earlier output
+        blocks: a row with dependencies keeps them, shifted by the
+        output block's first row, and a row with none depends on block
+        ``k``'s barrier instead, ``barrier_index[barrier_offsets[k]:
+        barrier_offsets[k + 1]]`` (rows of the output). Nothing is
+        built per row; a block named many times is stored here once.
         """
-        deps = self.depends_on
-        new = _new(OperatorTask)
-        _set(new, "kind", self.kind)
-        _set(new, "elements", self.elements)
-        _set(new, "degree", self.degree)
-        _set(new, "limbs", self.limbs)
-        _set(new, "hbm_read_bytes", self.hbm_read_bytes)
-        _set(new, "hbm_write_bytes", self.hbm_write_bytes)
-        _set(new, "spad_bytes", self.spad_bytes)
-        _set(new, "depends_on",
-             tuple([d + offset for d in deps]) if deps else roots)
-        _set(new, "op_label", self.op_label)
-        return new
+        bounds = np.asarray(bounds, np.int64)
+        slots = np.asarray(slots, np.int64)
+        barrier_offsets = np.asarray(barrier_offsets, np.int64)
+        sizes = np.diff(bounds)[slots]
+        starts = offsets(sizes)
+        block = np.repeat(np.arange(len(slots)), sizes)
+        src = ranges(bounds[:-1][slots], sizes)
+        own = np.diff(self.dep_offsets)[src]
+        root = own == 0
+        counts = np.where(root, np.diff(barrier_offsets)[block], own)
+        # Every row's dependencies are one run of ``pool`` plus a shift:
+        # its own run shifted by its block's first row, or its block's
+        # barrier as it is.
+        pool = np.concatenate(
+            (self.dep_index, np.asarray(barrier_index, np.int64))
+        )
+        run = np.where(
+            root, barrier_offsets[:-1][block] + len(self.dep_index),
+            self.dep_offsets[:-1][src],
+        )
+        shift = np.where(root, 0, starts[:-1][block])
+        return TaskTable(
+            self.shapes, self.shape[src], self.labels, self.label[src],
+            offsets(counts),
+            pool[ranges(run, counts)] + np.repeat(shift, counts),
+        )
 
+    def take(self, rows) -> "TaskTable":
+        """The given rows (ascending), with their dependencies
+        renumbered among them; every dependency must be one of them."""
+        rows = np.asarray(rows, np.int64)
+        remap = np.full(len(self), -1, np.int64)
+        remap[rows] = np.arange(len(rows))
+        counts = np.diff(self.dep_offsets)[rows]
+        return TaskTable(
+            self.shapes, self.shape[rows], self.labels, self.label[rows],
+            offsets(counts),
+            remap[self.dep_index[ranges(self.dep_offsets[rows], counts)]],
+        )
 
-# Frozen-dataclass slot writers for :meth:`OperatorTask.shifted`.
-_new = object.__new__
-_set = object.__setattr__
+    def column(self, name: str) -> np.ndarray:
+        """One :data:`SHAPE_FIELDS` field per row (``kind`` as its
+        :data:`KINDS` code)."""
+        k = SHAPE_FIELDS.index(name)
+        per_shape = [
+            _KIND_CODE[s[0]] if k == 0 else s[k] for s in self.shapes
+        ]
+        return np.array(per_shape, np.int64)[self.shape]
+
+    # -- sequence of OperatorTask ---------------------------------------
+    def __len__(self) -> int:
+        return len(self.shape)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            start, stop, step = index.indices(len(self))
+            if step != 1:
+                return TaskTable.from_tasks(
+                    [self[i] for i in range(start, stop, step)]
+                )
+            stop = max(start, stop)
+            off = self.dep_offsets
+            return TaskTable(
+                self.shapes, self.shape[start:stop],
+                self.labels, self.label[start:stop],
+                off[start:stop + 1] - off[start],
+                self.dep_index[off[start]:off[stop]],
+            )
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("task index out of range")
+        off = self.dep_offsets
+        return OperatorTask(
+            *self.shapes[self.shape[i]],
+            tuple(self.dep_index[off[i]:off[i + 1]].tolist()),
+            self.labels[self.label[i]],
+        )
+
+    def __iter__(self):
+        shapes, labels = self.shapes, self.labels
+        off = self.dep_offsets.tolist()
+        deps = self.dep_index.tolist()
+        for i, (s, lab) in enumerate(
+            zip(self.shape.tolist(), self.label.tolist())
+        ):
+            yield OperatorTask(
+                *shapes[s], tuple(deps[off[i]:off[i + 1]]), labels[lab]
+            )
+
+    def __eq__(self, other):
+        if isinstance(other, TaskTable):
+            shape_ids: dict[tuple, int] = {}
+            label_ids: dict[str, int] = {}
+            return (
+                len(self) == len(other)
+                and np.array_equal(self.dep_offsets, other.dep_offsets)
+                and np.array_equal(self.dep_index, other.dep_index)
+                and np.array_equal(
+                    _codes(self.shapes, shape_ids)[self.shape],
+                    _codes(other.shapes, shape_ids)[other.shape],
+                )
+                and np.array_equal(
+                    _codes(self.labels, label_ids)[self.label],
+                    _codes(other.labels, label_ids)[other.label],
+                )
+            )
+        if isinstance(other, (tuple, list)):
+            return len(self) == len(other) and all(
+                a == b for a, b in zip(self, other)
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((
+            len(self), self.dep_offsets.tobytes(), self.dep_index.tobytes()
+        ))
+
+    def __repr__(self) -> str:
+        return f"TaskTable({len(self)} tasks)"

@@ -65,19 +65,17 @@ class Timeline:
         self.result = result
         self.intervals: dict[str, list[CoreInterval]] = {}
         self.instance_counts: dict[str, int] = {}
-        for record in result.task_records:
-            self.intervals.setdefault(record.core, []).append(
-                CoreInterval(
-                    core=record.core,
-                    start=record.start,
-                    end=record.end,
-                    op_label=record.op_label,
-                    instance=record.instance,
-                    stall=record.stall_seconds,
-                )
+        records = result.task_records
+        for core, start, end, label, instance, stall in zip(
+            records.names("core").tolist(), records.start.tolist(),
+            records.end.tolist(), records.names("op_label").tolist(),
+            records.instance.tolist(), records.stall_seconds.tolist(),
+        ):
+            self.intervals.setdefault(core, []).append(
+                CoreInterval(core, start, end, label, instance, stall)
             )
-            prev = self.instance_counts.get(record.core, 1)
-            self.instance_counts[record.core] = max(prev, record.instance + 1)
+            prev = self.instance_counts.get(core, 1)
+            self.instance_counts[core] = max(prev, instance + 1)
         for intervals in self.intervals.values():
             intervals.sort(key=lambda iv: (iv.start, iv.instance))
 

@@ -181,7 +181,9 @@ def shift_then_replace_assembly(draft):
             sorted(sink[p] for p in draft.effective_deps(i) if p < i)
         )
         for task in tasks:
-            shifted = task.shifted(offset)
+            shifted = replace(
+                task, depends_on=tuple(d + offset for d in task.depends_on)
+            )
             if not shifted.depends_on and barrier:
                 shifted = replace(shifted, depends_on=barrier)
             all_tasks.append(shifted)

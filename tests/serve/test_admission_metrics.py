@@ -23,6 +23,7 @@ from repro.serve import (
 )
 from repro.sim.config import HardwareConfig
 from repro.sim.engine import ScheduleEngine
+from repro.sim.tasks import TaskTable
 
 MEMORY_METRICS = (
     "sim.spad.hits",
@@ -124,7 +125,7 @@ class TestKeyUploadTuples:
         self, monkeypatch
     ):
         # With no key cache every admission is a miss; the prefixed
-        # task tuples must still be one object per (program, key set),
+        # task tables must still be one object per (program, key set),
         # so the engines' plan caches stay bounded.
         submitted = []
         original = ScheduleEngine.submit
@@ -136,7 +137,7 @@ class TestKeyUploadTuples:
         monkeypatch.setattr(ScheduleEngine, "submit", spy)
         result = faulted_fleet_run(fleet_policy(key_cache_capacity=0))
         assert result.key_hits == 0
-        assert all(type(tasks) is tuple for tasks in submitted)
+        assert all(type(tasks) is TaskTable for tasks in submitted)
         key_sets = {rec.key_set for rec in result.records}
         distinct = {id(tasks) for tasks in submitted}
         assert len(submitted) > len(distinct)

@@ -25,6 +25,7 @@ from repro.serve import (
     request_type,
 )
 from repro.serve.cluster import KEY_UPLOAD_LABEL, _with_key_upload
+from repro.sim.tasks import TaskTable
 
 HEAVY_KEYS = 4 * KEY_SET_BYTES
 
@@ -151,11 +152,11 @@ class TestSchedulesValid:
         # The oracle: a shifted copy of every task, then a second copy
         # for each root so it waits on the upload.
         want = [
-            replace(t, depends_on=(0,)) if not t.depends_on else t
-            for t in (task.shifted(1) for task in tasks)
+            replace(t, depends_on=tuple(d + 1 for d in t.depends_on) or (0,))
+            for t in tasks
         ]
         got = _with_key_upload(tasks, HEAVY_KEYS, 3)
-        assert type(got) is tuple
+        assert type(got) is TaskTable
         assert got[0].op_label == f"{KEY_UPLOAD_LABEL}:k3"
         assert rows(got[1:]) == rows(want)
 

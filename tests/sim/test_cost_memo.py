@@ -9,6 +9,7 @@ loop kept below as the oracle, or against values recorded from it.
 import random
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from repro.compiler import compile_trace
@@ -22,11 +23,13 @@ from repro.workloads import helr_trace
 
 
 class PerTaskEngine(ScheduleEngine):
-    """The engine with every task costed on its own (the oracle)."""
+    """The engine with every task checked and costed on its own, row
+    by row, each as a shape of its own (the oracle): it replaces the
+    engine's per-shape costing seam, ``_row_shapes``."""
 
-    def _model(self, tasks, base):
-        cycle_seconds = self.config.cycle_seconds
-        for local, task in enumerate(tasks):
+    def _row_shapes(self, table, base):
+        shapes = []
+        for local, task in enumerate(table):
             timing = self.cores.task_cycles(task)
             if timing.core not in CORE_ARRAYS:
                 raise SchedulingError(
@@ -39,9 +42,10 @@ class PerTaskEngine(ScheduleEngine):
                         f"task {base + local} has forward/invalid "
                         f"dependency {dep}"
                     )
-            mem = self.memory.task_timing(task)
-            duration = max(timing.cycles * cycle_seconds, mem.spad_seconds)
-            yield timing, mem, duration, tuple(dict.fromkeys(task.depends_on))
+            shapes.append(
+                self._add_shape(timing, self.memory.task_timing(task))
+            )
+        return np.array(shapes, np.int64)
 
 
 #: A few shapes, so a random DAG repeats each many times with

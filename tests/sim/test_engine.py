@@ -416,8 +416,90 @@ class TestWarmEngine:
         # maps it onto record 1.
         _, tasks = spans[1]
         assert tasks[1].depends_on == (0,)
-        assert tasks[1] is second[1]
-        # A slice of the engine's own list, not the caller's list.
+        assert tasks[1] == second[1]
+        # The engine's own table, not the caller's list.
         assert all(tasks is not second for _, tasks in spans)
         validate_schedule(engine.result(), spans=spans,
                           config=engine.config)
+
+
+class TestNonFiniteInputs:
+    """Times and derates must be numbers the event heap can order: a
+    NaN or infinite one is refused up front, and the engine carries on
+    as if the call had not been made."""
+
+    NAN = float("nan")
+    INF = float("inf")
+
+    @staticmethod
+    def _chain():
+        return [simple_task(OperatorKind.MA),
+                simple_task(OperatorKind.NTT, deps=(0,))]
+
+    def _assert_still_runs(self, engine, tasks=2):
+        engine.submit(self._chain(), release=engine.now)
+        engine.drain()
+        result = engine.result()
+        assert len(result.task_records) == tasks
+        assert 0 < result.total_seconds < self.INF
+
+    @pytest.mark.parametrize("release", [NAN, INF, -INF],
+                             ids=["nan", "inf", "-inf"])
+    def test_release_must_be_finite(self, release):
+        from repro.sim.engine import ScheduleEngine
+
+        engine = ScheduleEngine()
+        with pytest.raises(SchedulingError,
+                           match=r"^release must be finite, got"):
+            engine.submit(self._chain(), release=release)
+        assert engine.submissions == []
+        self._assert_still_runs(engine)
+
+    @pytest.mark.parametrize("scales", [
+        {"compute_scale": NAN}, {"compute_scale": INF},
+        {"hbm_scale": NAN}, {"hbm_scale": INF},
+    ], ids=["compute-nan", "compute-inf", "hbm-nan", "hbm-inf"])
+    def test_derates_must_be_finite(self, scales):
+        from repro.sim.engine import ScheduleEngine
+
+        engine = ScheduleEngine()
+        with pytest.raises(SchedulingError,
+                           match=r"^derate scales must be positive and "
+                                 r"finite, got compute_scale="):
+            engine.submit(self._chain(), **scales)
+        assert engine.submissions == []
+        self._assert_still_runs(engine)
+
+    @pytest.mark.parametrize("epoch", [NAN, INF], ids=["nan", "inf"])
+    def test_epoch_must_be_finite(self, epoch):
+        from repro.sim.engine import ScheduleEngine
+
+        with pytest.raises(SchedulingError,
+                           match=r"^engine epoch must be finite, got"):
+            ScheduleEngine(epoch=epoch)
+
+    def test_advance_to_nan_refused(self):
+        from repro.sim.engine import ScheduleEngine
+
+        engine = ScheduleEngine()
+        engine.submit(self._chain())
+        with pytest.raises(SchedulingError,
+                           match=r"^cannot advance to t=nan$"):
+            engine.advance_until(self.NAN)
+        assert engine.now == 0.0
+        # Infinity is a time the heap can order: it runs to the first
+        # completion.
+        done = engine.advance_until(self.INF)
+        assert done == engine.submissions[0].finish_seconds
+        self._assert_still_runs(engine, tasks=4)
+
+    def test_crash_at_nan_refused(self):
+        from repro.sim.engine import ScheduleEngine
+
+        engine = ScheduleEngine()
+        engine.submit(self._chain())
+        with pytest.raises(SchedulingError, match=r"^cannot crash at t=nan$"):
+            engine.crash(self.NAN)
+        assert not engine.dead
+        engine.drain()
+        assert len(engine.result().task_records) == 2

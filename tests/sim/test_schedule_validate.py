@@ -82,10 +82,9 @@ class TestRealSchedules:
 
     def test_tampered_real_run_fails(self, real_run):
         program, config, result = real_run
-        victim = result.task_records[0]
-        result.task_records[0] = dataclasses.replace(
-            victim, end=victim.end + 1.0
-        )
+        records = list(result.task_records)
+        records[0] = dataclasses.replace(records[0], end=records[0].end + 1.0)
+        result = dataclasses.replace(result, task_records=records)
         with pytest.raises(SimulationError):
             validate_schedule(result, program=program, config=config)
 
@@ -198,20 +197,21 @@ class TestDependencies:
         program, config, result = real_run
         # Find a task with a dependency and pull its start earlier
         # than the dependency's end.
+        records = list(result.task_records)
         for i, task in enumerate(program.tasks):
             if task.depends_on:
-                dep_end = result.task_records[task.depends_on[0]].end
-                victim = result.task_records[i]
-                result.task_records[i] = dataclasses.replace(
-                    victim, start=dep_end / 2
-                )
+                dep_end = records[task.depends_on[0]].end
+                records[i] = dataclasses.replace(records[i], start=dep_end / 2)
                 break
+        result = dataclasses.replace(result, task_records=records)
         with pytest.raises(SimulationError, match="before"):
             validate_schedule(result, program=program, config=config)
 
     def test_program_length_mismatch_rejected(self, real_run):
         program, config, result = real_run
-        result.task_records.pop()
+        result = dataclasses.replace(
+            result, task_records=result.task_records[:-1]
+        )
         with pytest.raises(SimulationError, match="recorded"):
             validate_schedule(result, program=program, config=config)
 
@@ -296,7 +296,7 @@ class TestSpans:
 
     def test_later_submission_started_before_dependency(self, served_run):
         result, spans, config = served_run
-        records = result.task_records
+        records = list(result.task_records)
         base, tasks = spans[-1]
         j = next(j for j, task in enumerate(tasks) if task.depends_on)
         d = tasks[j].depends_on[0]
@@ -309,6 +309,7 @@ class TestSpans:
         records[base + j] = dataclasses.replace(
             victim, start=early, ready_seconds=early, instance=1
         )
+        result = dataclasses.replace(result, task_records=records)
         spare = config.with_core_instances(**{victim.core: 2})
         with pytest.raises(
             SimulationError,
