@@ -24,8 +24,11 @@ target asserts on, so results can be inspected without running pytest.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import sys
 
+from repro import serve
 from repro.analysis import (
     fig7_operator_analysis,
     fig8_benchmark_op_breakdown,
@@ -45,12 +48,41 @@ from repro.analysis import (
     table12_fpga_comparison,
 )
 from repro.analysis.report import render_shares, render_table
-from repro.serve.router import ROUTER_POLICIES
+from repro.errors import ParameterError
+from repro.serve import knobs
 from repro.sim.config import HardwareConfig
 from repro.sim.ntt_cores import DEFAULT_NTT_CORE, available_ntt_cores
 
 #: Canonical workload spellings for fig11/design.
 PAPER_WORKLOADS = ("LR", "LSTM", "ResNet-20", "Packed Bootstrapping")
+
+#: The classes whose flagged knobs ``serve`` takes, in ``--help`` order.
+SERVE_KNOBS = (
+    serve.PoissonArrivals,
+    serve.BatchPolicy,
+    serve.ClusterPolicy,
+    serve.TenantPopulation,
+    serve.AutoscalerPolicy,
+    serve.ResiliencePolicy,
+    serve.RetryPolicy,
+)
+
+#: ``serve``'s repeatable fault flags: each takes one event of the
+#: class, its fields colon-separated in declaration order.
+FAULT_FLAGS = (
+    ("--crash", serve.InstanceCrash,
+     "inject an instance crash: instance index, crash time in "
+     "simulated seconds, and an optional restart delay "
+     "(e.g. 0:0.02:0.01); repeatable"),
+    ("--straggler", serve.Straggler,
+     "inject a straggler window: instance, start, duration, "
+     "compute slowdown factor >= 1 (e.g. 1:0.01:0.05:2.0); "
+     "repeatable"),
+    ("--hbm-derate", serve.HBMDegradation,
+     "inject an HBM-degradation window: instance, start, "
+     "duration, bandwidth factor in (0,1] "
+     "(e.g. 0:0.0:0.03:0.5); repeatable"),
+)
 
 
 def _config_from_args(args) -> HardwareConfig:
@@ -291,162 +323,105 @@ def cmd_metrics(args) -> None:
     print(f"wrote {out}: {len(doc['metrics'])} metrics ({name})")
 
 
-def cmd_serve(args) -> None:
-    """Run the open-system serving simulator and report load metrics."""
-    import json
+def _build(cls, args, **extra):
+    """``cls`` built from the ``serve`` flags of its knobs; a flag left
+    at ``None`` keeps the field's default."""
+    values = {}
+    for f, k in knobs.declared(cls):
+        if k.flag is not None:
+            value = getattr(args, k.flag[2:].replace("-", "_"))
+            if value is not None:
+                values[f.name] = value
+    return cls(**values, **extra)
 
-    from repro.errors import ParameterError, WorkloadError
-    from repro.obs import collecting, write_cluster_trace, write_metrics_json
-    from repro.serve import (
-        AutoscalerPolicy,
-        BatchPolicy,
-        ClusterPolicy,
-        ClusterSimulator,
-        FaultPlan,
-        HBMDegradation,
-        InstanceCrash,
-        PoissonArrivals,
-        ResiliencePolicy,
-        RetryPolicy,
-        Straggler,
-        TenantPopulation,
-        TraceArrivals,
+
+def _trace_arrivals(path: str) -> serve.TraceArrivals:
+    """Arrivals replayed from a JSON list of timestamps."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            stamps = json.load(fh)
+    except OSError as exc:
+        raise ParameterError(
+            f"cannot read --arrival-trace {path}: {exc.strerror or exc}"
+        ) from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParameterError(
+            f"--arrival-trace {path} is not JSON: {exc}"
+        ) from None
+    if not isinstance(stamps, list) or not all(
+        isinstance(t, (int, float)) and not isinstance(t, bool)
+        for t in stamps
+    ):
+        raise ParameterError(
+            f"--arrival-trace {path} must hold a JSON list of numbers"
+        )
+    return serve.TraceArrivals(stamps)
+
+
+def _serve_inputs(args) -> argparse.Namespace:
+    """The policies, arrivals and fault plan ``serve``'s flags ask for;
+    the autoscaler, retry and resilience policies only when given."""
+    events = [
+        knobs.parse_spec(cls, spec, flag)
+        for flag, cls, _ in FAULT_FLAGS
+        for spec in getattr(args, flag[2:].replace("-", "_")) or ()
+    ]
+    plan = serve.FaultPlan(tuple(events)) if events else None
+    tuned = args.retry_backoff is not None or args.retry_jitter is not None
+    if tuned and args.retry_max is None:
+        raise ParameterError(
+            "--retry-backoff and --retry-jitter need --retry-max"
+        )
+    retry = None
+    if args.retry_max is not None:
+        retry = _build(serve.RetryPolicy, args)
+    resilience = None
+    if args.deadline is not None or retry or args.detect_delay != 0:
+        resilience = _build(serve.ResiliencePolicy, args, retry=retry)
+    batch = _build(serve.BatchPolicy, args)
+    autoscaler = None
+    if args.autoscale_max is not None:
+        autoscaler = _build(serve.AutoscalerPolicy, args)
+    cluster = _build(serve.ClusterPolicy, args, autoscaler=autoscaler)
+    population = _build(serve.TenantPopulation, args)
+    if args.arrival_trace is not None:
+        arrivals = _trace_arrivals(args.arrival_trace)
+        arrival_desc = f"trace({len(arrivals.times())} arrivals)"
+    else:
+        arrivals = _build(serve.PoissonArrivals, args)
+        arrival_desc = (
+            f"Poisson rate={args.arrival_rate}/s n={args.requests} "
+            f"seed={args.seed}"
+        )
+    return argparse.Namespace(
+        plan=plan, resilience=resilience, batch=batch, cluster=cluster,
+        population=population, arrivals=arrivals, arrival_desc=arrival_desc,
     )
 
-    def _split(spec: str, flag: str, want: tuple[int, ...]) -> list[str]:
-        parts = spec.split(":")
-        if len(parts) not in want:
-            raise SystemExit(
-                f"error: {flag} expects "
-                f"{' or '.join(str(w) for w in want)} colon-separated "
-                f"fields, got {spec!r}"
-            )
-        return parts
+
+def cmd_serve(args) -> None:
+    """Run the open-system serving simulator and report load metrics."""
+    from repro.errors import WorkloadError
+    from repro.obs import collecting, write_cluster_trace, write_metrics_json
 
     try:
-        events = []
-        for spec in args.crash or ():
-            parts = _split(spec, "--crash", (2, 3))
-            events.append(InstanceCrash(
-                instance=int(parts[0]),
-                at_seconds=float(parts[1]),
-                restart_after=(
-                    float(parts[2]) if len(parts) == 3 else None
-                ),
-            ))
-        for spec in args.straggler or ():
-            parts = _split(spec, "--straggler", (4,))
-            events.append(Straggler(
-                instance=int(parts[0]),
-                start_seconds=float(parts[1]),
-                duration_seconds=float(parts[2]),
-                slowdown=float(parts[3]),
-            ))
-        for spec in args.hbm_derate or ():
-            parts = _split(spec, "--hbm-derate", (4,))
-            events.append(HBMDegradation(
-                instance=int(parts[0]),
-                start_seconds=float(parts[1]),
-                duration_seconds=float(parts[2]),
-                factor=float(parts[3]),
-            ))
-        plan = FaultPlan(tuple(events)) if events else None
-        # Unset tuning keeps RetryPolicy's defaults; without
-        # --retry-max there are no retries for it to tune.
-        retry_tuning = {}
-        if args.retry_backoff is not None:
-            retry_tuning["backoff_seconds"] = args.retry_backoff
-        if args.retry_jitter is not None:
-            retry_tuning["jitter"] = args.retry_jitter
-        if retry_tuning and args.retry_max is None:
-            raise SystemExit(
-                "error: --retry-backoff and --retry-jitter need --retry-max"
-            )
-        resilience = None
-        if (
-            args.deadline is not None
-            or args.retry_max is not None
-            or args.detect_delay != 0
-        ):
-            retry = None
-            if args.retry_max is not None:
-                retry = RetryPolicy(
-                    max_attempts=args.retry_max, **retry_tuning
-                )
-            resilience = ResiliencePolicy(
-                deadline_seconds=args.deadline,
-                retry=retry,
-                detection_seconds=args.detect_delay,
-            )
-        policy = BatchPolicy(
-            max_batch_size=args.max_batch,
-            max_queue_delay=args.max_queue_delay,
-            order=args.policy,
-            max_queue_depth=args.max_queue_depth,
-            max_inflight_batches=args.max_inflight,
-        )
-        autoscaler = None
-        if args.autoscale_max is not None:
-            autoscaler = AutoscalerPolicy(max_instances=args.autoscale_max)
-        cluster_policy = ClusterPolicy(
-            instances=args.instances,
-            router=args.router,
-            key_cache_capacity=args.key_cache,
-            key_upload_bytes=args.key_bytes,
-            max_tenant_share=args.max_tenant_share,
-            autoscaler=autoscaler,
-        )
-        population = TenantPopulation(
-            tenants=args.tenants,
-            key_sets=args.key_sets,
-            skew=args.key_skew,
-        )
-        if args.arrival_trace is not None:
-            path = args.arrival_trace
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    stamps = json.load(fh)
-            except OSError as exc:
-                raise SystemExit(
-                    f"error: cannot read --arrival-trace {path}: "
-                    f"{exc.strerror or exc}"
-                ) from None
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise SystemExit(
-                    f"error: --arrival-trace {path} is not JSON: {exc}"
-                ) from None
-            if not isinstance(stamps, list) or not all(
-                isinstance(t, (int, float)) and not isinstance(t, bool)
-                for t in stamps
-            ):
-                raise SystemExit(
-                    f"error: --arrival-trace {path} must hold a JSON "
-                    "list of numbers"
-                )
-            arrivals = TraceArrivals(stamps)
-            arrival_desc = f"trace({len(stamps)} arrivals)"
-        else:
-            arrivals = PoissonArrivals(
-                rate=args.arrival_rate, count=args.requests, seed=args.seed
-            )
-            arrival_desc = (
-                f"Poisson rate={args.arrival_rate}/s n={args.requests} "
-                f"seed={args.seed}"
-            )
+        run = _serve_inputs(args)
     except ParameterError as exc:
         raise SystemExit(f"error: {exc}") from None
+    policy, cluster_policy, population = run.batch, run.cluster, run.population
     config = _config_from_args(args)
     with collecting() as registry:
         try:
-            result = ClusterSimulator(config, cluster_policy, policy).run(
-                args.workload, arrivals,
+            sim = serve.ClusterSimulator(config, cluster_policy, policy)
+            result = sim.run(
+                args.workload, run.arrivals,
                 seed=args.seed, population=population,
                 passes=args.passes,
-                faults=plan, resilience=resilience,
+                faults=run.plan, resilience=run.resilience,
             )
         except KeyError as exc:
             raise SystemExit(f"error: {exc.args[0]}") from None
-        except WorkloadError as exc:
+        except (ParameterError, WorkloadError) as exc:
             raise SystemExit(f"error: {exc}") from None
     if args.validate:
         result.validate()
@@ -457,7 +432,7 @@ def cmd_serve(args) -> None:
         )
 
     s = result.summary()
-    print(f"--- serving: {args.workload} | {arrival_desc} ---")
+    print(f"--- serving: {args.workload} | {run.arrival_desc} ---")
     print(
         f"policy: batch<={policy.max_batch_size} "
         f"delay={policy.max_queue_delay} order={policy.order} "
@@ -476,7 +451,7 @@ def cmd_serve(args) -> None:
         f"{s['key_upload_bytes'] / 1e9:.2f} GB uploaded, "
         f"{s['scale_events']} scale events"
     )
-    if plan is not None or resilience is not None:
+    if run.plan is not None or run.resilience is not None:
         print(
             f"faults: {s['crashes']} crashes, {s['restarts']} "
             f"restarts, {s['lost_events']} lost submissions, "
@@ -516,17 +491,11 @@ def cmd_serve(args) -> None:
             args.output,
             meta={
                 "workload": args.workload,
-                "arrivals": arrival_desc,
+                "arrivals": run.arrival_desc,
                 "seed": args.seed,
                 "lanes": args.lanes,
                 "passes": args.passes or "none",
-                "policy": {
-                    "max_batch_size": policy.max_batch_size,
-                    "max_queue_delay": policy.max_queue_delay,
-                    "order": policy.order,
-                    "max_queue_depth": policy.max_queue_depth,
-                    "max_inflight_batches": policy.max_inflight_batches,
-                },
+                "policy": dataclasses.asdict(policy),
                 **s,
             },
         )
@@ -636,92 +605,9 @@ def _add_serve_options(sub) -> None:
              "lstm, bootstrapping)",
     )
     sub.add_argument(
-        "--arrival-rate", type=float, default=100.0,
-        help="Poisson arrival rate in requests per simulated second "
-             "(default 100)",
-    )
-    sub.add_argument(
-        "--requests", type=int, default=16,
-        help="number of requests to generate (default 16; raise it for "
-             "tighter percentiles on the light mixes)",
-    )
-    sub.add_argument(
-        "--seed", type=int, default=0,
-        help="RNG seed for arrivals and job-type choice; equal seeds "
-             "give bit-identical metrics (default 0)",
-    )
-    sub.add_argument(
         "--arrival-trace", default=None,
         help="replay arrivals from a JSON file holding a list of "
              "timestamps in seconds (overrides --arrival-rate/--requests)",
-    )
-    sub.add_argument(
-        "--max-batch", type=int, default=8,
-        help="dynamic batcher: max requests admitted per batch "
-             "(default 8)",
-    )
-    sub.add_argument(
-        "--max-queue-delay", type=float, default=None,
-        help="force a partial batch out once the oldest queued request "
-             "has waited this many simulated seconds (default: no timer)",
-    )
-    sub.add_argument(
-        "--policy", choices=("fifo", "sjf"), default="fifo",
-        help="queue order: fifo (arrival) or sjf (shortest job first)",
-    )
-    sub.add_argument(
-        "--max-queue-depth", type=int, default=None,
-        help="admission control: reject arrivals beyond this queue "
-             "depth (default: unbounded)",
-    )
-    sub.add_argument(
-        "--max-inflight", type=int, default=1,
-        help="batches allowed in flight concurrently (default 1)",
-    )
-    sub.add_argument(
-        "--instances", type=int, default=1,
-        help="accelerator instances behind the router (default 1: a "
-             "single accelerator)",
-    )
-    sub.add_argument(
-        "--router", default="key-affinity",
-        choices=sorted(ROUTER_POLICIES),
-        help="fleet dispatch policy (default key-affinity)",
-    )
-    sub.add_argument(
-        "--key-cache", type=int, default=4, metavar="SETS",
-        help="rotation/relin key sets resident per instance (LRU); "
-             "0 disables caching, every request then uploads "
-             "(default 4)",
-    )
-    sub.add_argument(
-        "--key-bytes", type=int, default=None,
-        help="modeled key-set upload size in bytes; 0 makes uploads "
-             "free (default: the mix-shape switch-key size, ~569 MB)",
-    )
-    sub.add_argument(
-        "--tenants", type=int, default=1,
-        help="tenant population size for request labeling (default 1)",
-    )
-    sub.add_argument(
-        "--key-sets", type=int, default=1,
-        help="distinct rotation/relin key sets across the population "
-             "(default 1)",
-    )
-    sub.add_argument(
-        "--key-skew", type=float, default=0.0,
-        help="Zipf-like popularity skew of tenant/key-set draws; 0 is "
-             "uniform (default 0)",
-    )
-    sub.add_argument(
-        "--max-tenant-share", type=float, default=None,
-        help="fair admission: max fraction of an instance's queue one "
-             "tenant may hold (default: no cap)",
-    )
-    sub.add_argument(
-        "--autoscale-max", type=int, default=None,
-        help="enable autoscaling up to this many instances against "
-             "the queue-depth knee (default: fixed fleet)",
     )
     sub.add_argument(
         "--passes", default=None,
@@ -729,53 +615,21 @@ def _add_serve_options(sub) -> None:
              "(default), 'default' (full pipeline), or a "
              "comma-separated pass list (see docs/COMPILER.md)",
     )
-    sub.add_argument(
-        "--crash", action="append", default=None, metavar="I:AT[:REST]",
-        help="inject an instance crash: instance index, crash time in "
-             "simulated seconds, and an optional restart delay "
-             "(e.g. 0:0.02:0.01); repeatable",
-    )
-    sub.add_argument(
-        "--straggler", action="append", default=None,
-        metavar="I:START:DUR:SLOW",
-        help="inject a straggler window: instance, start, duration, "
-             "compute slowdown factor >= 1 (e.g. 1:0.01:0.05:2.0); "
-             "repeatable",
-    )
-    sub.add_argument(
-        "--hbm-derate", action="append", default=None,
-        metavar="I:START:DUR:FACTOR",
-        help="inject an HBM-degradation window: instance, start, "
-             "duration, bandwidth factor in (0,1] "
-             "(e.g. 0:0.0:0.03:0.5); repeatable",
-    )
-    sub.add_argument(
-        "--deadline", type=float, default=None,
-        help="per-request deadline in simulated seconds from arrival; "
-             "queued requests past it are abandoned, completions past "
-             "it count as SLO violations",
-    )
-    sub.add_argument(
-        "--retry-max", type=int, default=None,
-        help="client retry budget: total attempts per request after "
-             "losses to crashes (default: no retries)",
-    )
-    sub.add_argument(
-        "--retry-backoff", type=float, default=None,
-        help="base retry backoff in simulated seconds, doubled per "
-             "attempt; needs --retry-max (default 0.0005)",
-    )
-    sub.add_argument(
-        "--retry-jitter", type=float, default=None,
-        help="seeded-deterministic jitter fraction added to each retry "
-             "delay, in [0,1]; needs --retry-max (default 0)",
-    )
-    sub.add_argument(
-        "--detect-delay", type=float, default=0.0,
-        help="failure-detection delay: the router keeps dispatching to "
-             "a crashed instance's last-known view for this many "
-             "seconds (default 0: instant detection)",
-    )
+    for cls in SERVE_KNOBS:
+        for f, k in knobs.declared(cls):
+            if k.flag is not None:
+                sub.add_argument(
+                    k.flag, type=knobs.field_type(f),
+                    default=knobs.flag_default(f, k),
+                    choices=getattr(k.accepts, "choices", None),
+                    metavar=k.metavar, help=knobs.flag_help(f, k),
+                )
+    for flag, cls, help_text in FAULT_FLAGS:
+        sub.add_argument(
+            flag, action="append", default=None,
+            metavar=knobs.spec_metavar(cls),
+            help=help_text,
+        )
     sub.add_argument(
         "--validate", action="store_true",
         help="check every instance's served schedule against every "

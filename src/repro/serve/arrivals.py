@@ -14,31 +14,34 @@ import random
 from dataclasses import dataclass
 
 from repro.errors import ParameterError
+from repro.serve.knobs import Range, check_knobs, knob
 
 
 @dataclass(frozen=True)
 class PoissonArrivals:
-    """A homogeneous Poisson process: i.i.d. exponential gaps.
+    """A homogeneous Poisson process: i.i.d. exponential gaps at
+    ``rate`` per simulated second; equal seeds give bit-identical
+    timestamps."""
 
-    Attributes:
-        rate: expected arrivals per simulated second (lambda).
-        count: number of requests to generate.
-        seed: RNG seed; equal seeds give bit-identical timestamps.
-    """
-
-    rate: float
-    count: int
-    seed: int = 0
+    rate: float = knob(
+        accepts=Range(lo=0, lo_open=True), flag="--arrival-rate",
+        flag_default=100.0,
+        help="Poisson arrival rate in requests per simulated second "
+             "(default {default})",
+    )
+    count: int = knob(
+        accepts=Range(lo=1), flag="--requests", flag_default=16,
+        help="number of requests to generate (default {default}; raise "
+             "it for tighter percentiles on the light mixes)",
+    )
+    seed: int = knob(
+        0, flag="--seed",
+        help="RNG seed for arrivals and job-type choice; equal seeds "
+             "give bit-identical metrics (default {default})",
+    )
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ParameterError(
-                f"arrival rate must be positive, got {self.rate}"
-            )
-        if not self.count >= 1:
-            raise ParameterError(
-                f"need at least one arrival, got {self.count}"
-            )
+        check_knobs(self)
 
     def times(self) -> tuple[float, ...]:
         """The sorted arrival timestamps, starting after t=0."""

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import TYPE_CHECKING
 
-from repro.errors import ParameterError
+from repro.serve.knobs import OneOf, Range, check_knobs, knob
 from repro.utils.fold import left_fold_sum
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -43,51 +43,41 @@ _SJF_ORDER = attrgetter("service_estimate", "arrival_seconds", "request_id")
 
 @dataclass(frozen=True)
 class BatchPolicy:
-    """Knobs of the dynamic batcher.
+    """Knobs of the dynamic batcher, each described by its flag's help.
 
-    Attributes:
-        max_batch_size: most requests admitted in one batch.
-        max_queue_delay: oldest-request wait (simulated seconds) that
-            forces a partial batch out; ``None`` disables the timer
-            (batches then launch full, work-conserving, or at tail
-            drain).
-        order: ``"fifo"`` (arrival order) or ``"sjf"`` (shortest
-            estimated service time first).
-        max_queue_depth: arrivals beyond this queue depth are rejected
-            (backpressure); ``None`` means an unbounded queue.
-        max_inflight_batches: batches the engine may hold concurrently;
-            1 models a strict batch server, higher values pipeline
-            admission against in-flight work.
+    Without a ``max_queue_delay`` timer, batches launch full,
+    work-conserving, or at tail drain; without a ``max_queue_depth``
+    the queue is unbounded. A ``max_inflight_batches`` of 1 models a
+    strict batch server; higher values pipeline admission against
+    in-flight work.
     """
 
-    max_batch_size: int = 8
-    max_queue_delay: float | None = None
-    order: str = "fifo"
-    max_queue_depth: int | None = None
-    max_inflight_batches: int = 1
+    max_batch_size: int = knob(
+        8, Range(lo=1), flag="--max-batch",
+        help="dynamic batcher: max requests admitted per batch "
+             "(default {default})",
+    )
+    max_queue_delay: float | None = knob(
+        None, Range(lo=0, optional=True), flag="--max-queue-delay",
+        help="force a partial batch out once the oldest queued request "
+             "has waited this many simulated seconds (default: no timer)",
+    )
+    order: str = knob(
+        "fifo", OneOf(ORDERS), flag="--policy",
+        help="queue order: fifo (arrival) or sjf (shortest job first)",
+    )
+    max_queue_depth: int | None = knob(
+        None, Range(lo=1, optional=True), flag="--max-queue-depth",
+        help="admission control: reject arrivals beyond this queue "
+             "depth (default: unbounded)",
+    )
+    max_inflight_batches: int = knob(
+        1, Range(lo=1), flag="--max-inflight",
+        help="batches allowed in flight concurrently (default {default})",
+    )
 
     def __post_init__(self):
-        if not self.max_batch_size >= 1:
-            raise ParameterError(
-                f"max_batch_size must be >= 1, got {self.max_batch_size}"
-            )
-        if self.max_queue_delay is not None and not self.max_queue_delay >= 0:
-            raise ParameterError(
-                f"max_queue_delay must be >= 0, got {self.max_queue_delay}"
-            )
-        if self.order not in ORDERS:
-            raise ParameterError(
-                f"order must be one of {ORDERS}, got {self.order!r}"
-            )
-        if self.max_queue_depth is not None and not self.max_queue_depth >= 1:
-            raise ParameterError(
-                f"max_queue_depth must be >= 1, got {self.max_queue_depth}"
-            )
-        if not self.max_inflight_batches >= 1:
-            raise ParameterError(
-                "max_inflight_batches must be >= 1, got "
-                f"{self.max_inflight_batches}"
-            )
+        check_knobs(self)
 
 
 class DynamicBatcher:

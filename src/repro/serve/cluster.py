@@ -70,6 +70,7 @@ from repro.serve.faults import (
     FaultPlan,
     ResiliencePolicy,
 )
+from repro.serve.knobs import OneOf, Range, check_knobs, knob
 from repro.serve.requests import (
     KEY_SET_BYTES,
     Request,
@@ -78,7 +79,7 @@ from repro.serve.requests import (
     TenantPopulation,
     resolve_request_mix,
 )
-from repro.serve.router import KeyCache, InstanceView, resolve_router
+from repro.serve.router import ROUTER_POLICIES, InstanceView, KeyCache, resolve_router
 from repro.sim.config import HardwareConfig
 from repro.sim.engine import (
     PoseidonSimulator,
@@ -106,72 +107,62 @@ class AutoscalerPolicy:
         cooldown_seconds: minimum simulated time between scale-outs.
     """
 
-    max_instances: int
-    queue_high: float = 4.0
-    cooldown_seconds: float = 0.002
+    max_instances: int = knob(
+        accepts=Range(lo=1), flag="--autoscale-max", flag_default=None,
+        help="enable autoscaling up to this many instances against "
+             "the queue-depth knee (default: fixed fleet)",
+    )
+    queue_high: float = knob(4.0, Range(lo=0, lo_open=True))
+    cooldown_seconds: float = knob(0.002, Range(lo=0))
 
     def __post_init__(self):
-        if not self.max_instances >= 1:
-            raise ParameterError(
-                f"max_instances must be >= 1, got {self.max_instances}"
-            )
-        if not self.queue_high > 0:
-            raise ParameterError(
-                f"queue_high must be positive, got {self.queue_high}"
-            )
-        if not self.cooldown_seconds >= 0:
-            raise ParameterError(
-                "cooldown_seconds must be >= 0, got "
-                f"{self.cooldown_seconds}"
-            )
+        check_knobs(self)
 
 
 @dataclass(frozen=True)
 class ClusterPolicy:
     """Fleet-level knobs (per-instance batching stays in
-    :class:`~repro.serve.batcher.BatchPolicy`).
+    :class:`~repro.serve.batcher.BatchPolicy`), each described by its
+    flag's help.
 
-    Attributes:
-        instances: instances active from t=0.
-        router: dispatch policy name (see
-            :data:`repro.serve.router.ROUTER_POLICIES`).
-        key_cache_capacity: key sets resident per instance (LRU);
-            ``0`` disables caching (every request uploads), ``None``
-            is unbounded.
-        key_upload_bytes: modeled size of one key-set upload; ``None``
-            uses the mix-shape switch-key size
-            (:data:`repro.serve.requests.KEY_SET_BYTES`, ~569 MB).
-        max_tenant_share: fair admission — a tenant may hold at most
-            this fraction of an instance's queue (floor of one slot);
-            ``None`` disables the cap.
-        autoscaler: optional scale-out policy; its ``max_instances``
-            must be >= ``instances``.
+    ``instances`` are active from t=0. A ``key_cache_capacity`` of
+    ``None`` is unbounded; a ``key_upload_bytes`` of ``None`` uses
+    :data:`repro.serve.requests.KEY_SET_BYTES`. ``max_tenant_share``
+    leaves every tenant a floor of one queue slot. The optional
+    ``autoscaler``'s ``max_instances`` must be >= ``instances``.
     """
 
-    instances: int = 2
-    router: str = "key-affinity"
-    key_cache_capacity: int | None = 4
-    key_upload_bytes: int | None = None
-    max_tenant_share: float | None = None
+    instances: int = knob(
+        1, Range(lo=1), flag="--instances",
+        help="accelerator instances behind the router (default "
+             "{default}: a single accelerator)",
+    )
+    router: str = knob(
+        "key-affinity", OneOf(tuple(sorted(ROUTER_POLICIES))),
+        checked=False, flag="--router",
+        help="fleet dispatch policy (default {default})",
+    )
+    key_cache_capacity: int | None = knob(
+        4, Range(lo=0, optional=True), flag="--key-cache", metavar="SETS",
+        help="rotation/relin key sets resident per instance (LRU); "
+             "0 disables caching, every request then uploads "
+             "(default {default})",
+    )
+    key_upload_bytes: int | None = knob(
+        None, Range(lo=0, optional=True), flag="--key-bytes",
+        help="modeled key-set upload size in bytes; 0 makes uploads "
+             "free (default: the mix-shape switch-key size, ~569 MB)",
+    )
+    max_tenant_share: float | None = knob(
+        None, Range(lo=0, hi=1, lo_open=True, optional=True),
+        flag="--max-tenant-share",
+        help="fair admission: max fraction of an instance's queue one "
+             "tenant may hold (default: no cap)",
+    )
     autoscaler: AutoscalerPolicy | None = None
 
     def __post_init__(self):
-        if self.instances < 1:
-            raise ParameterError(
-                f"need at least one instance, got {self.instances}"
-            )
-        if self.key_upload_bytes is not None and self.key_upload_bytes < 0:
-            raise ParameterError(
-                "key_upload_bytes must be >= 0, got "
-                f"{self.key_upload_bytes}"
-            )
-        if self.max_tenant_share is not None and not (
-            0 < self.max_tenant_share <= 1
-        ):
-            raise ParameterError(
-                "max_tenant_share must be in (0, 1], got "
-                f"{self.max_tenant_share}"
-            )
+        check_knobs(self)
         if (
             self.autoscaler is not None
             and self.autoscaler.max_instances < self.instances
@@ -647,8 +638,7 @@ class ClusterSimulator:
         """
         compute_scale = hbm_scale = 1.0
         if plan is not None:
-            compute_scale = plan.compute_scale(inst.index, now)
-            hbm_scale = plan.hbm_scale(inst.index, now)
+            compute_scale, hbm_scale = plan.derates(inst.index, now)
         launched = 0
         while inst.batcher.should_launch(
             now, inst.inflight, arrivals_pending
@@ -798,6 +788,10 @@ class ClusterSimulator:
         policy = self.policy
         plan = faults if faults else None
         times = arrivals.times()
+        # An arrival the clock can never reach would end the run with
+        # its request pending (a Poisson rate near zero draws these).
+        if not all(map(math.isfinite, times)):
+            raise ParameterError("arrivals include a non-finite timestamp")
         job_rng = random.Random(f"repro.serve.jobs:{seed}")
         identities = population.draw(len(times), seed=seed)
 
@@ -1027,8 +1021,12 @@ class ClusterSimulator:
                     finish = inst.next_completion(fleet_next)
                     if finish < horizon:
                         horizon = finish
-            if horizon == math.inf:  # pragma: no cover - loop invariant
-                break
+            # Only a task that never finishes (an infinite key upload)
+            # leaves pending work without a next instant.
+            if horizon == math.inf:  # pragma: no cover - defensive
+                raise SimulationError(
+                    "serving loop has pending requests but no next instant"
+                )
 
             # Completions the fleet clock has reached release batch
             # slots and backlog estimate.

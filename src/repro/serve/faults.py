@@ -31,10 +31,12 @@ dead instance's last-known state). The cluster guarantees request
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
 from repro.errors import ParameterError
+from repro.serve.knobs import Range, check_knobs, knob
 
 #: Terminal request outcomes; conservation means every arrival lands in
 #: exactly one. ``completed`` includes deadline-missing completions
@@ -57,24 +59,14 @@ class InstanceCrash:
     run.
     """
 
-    instance: int
-    at_seconds: float
-    restart_after: float | None = None
+    instance: int = knob(accepts=Range(lo=0), metavar="I")
+    at_seconds: float = knob(accepts=Range(lo=0), metavar="AT")
+    restart_after: float | None = knob(
+        None, Range(lo=0, lo_open=True, optional=True), metavar="REST"
+    )
 
     def __post_init__(self):
-        if not self.instance >= 0:
-            raise ParameterError(
-                f"crash instance must be >= 0, got {self.instance}"
-            )
-        if not self.at_seconds >= 0:
-            raise ParameterError(
-                f"crash at_seconds must be >= 0, got {self.at_seconds}"
-            )
-        if self.restart_after is not None and not self.restart_after > 0:
-            raise ParameterError(
-                "restart_after must be positive or None, got "
-                f"{self.restart_after}"
-            )
+        check_knobs(self)
 
 
 @dataclass(frozen=True)
@@ -88,26 +80,13 @@ class Straggler:
     before or after the window runs at full speed.
     """
 
-    instance: int
-    start_seconds: float
-    duration_seconds: float
-    slowdown: float
+    instance: int = knob(accepts=Range(lo=0), metavar="I")
+    start_seconds: float = knob(accepts=Range(lo=0), metavar="START")
+    duration_seconds: float = knob(accepts=Range(lo=0, lo_open=True), metavar="DUR")
+    slowdown: float = knob(accepts=Range(lo=1, hi_open=True), metavar="SLOW")
 
     def __post_init__(self):
-        if not self.instance >= 0:
-            raise ParameterError(
-                f"straggler instance must be >= 0, got {self.instance}"
-            )
-        if not (self.start_seconds >= 0 and self.duration_seconds > 0):
-            raise ParameterError(
-                "straggler window must have start >= 0 and positive "
-                f"duration, got [{self.start_seconds}, "
-                f"+{self.duration_seconds})"
-            )
-        if not self.slowdown >= 1.0:
-            raise ParameterError(
-                f"slowdown must be >= 1.0, got {self.slowdown}"
-            )
+        check_knobs(self)
 
     def covers(self, t: float) -> bool:
         return (
@@ -127,26 +106,13 @@ class HBMDegradation:
     transfer occupies the same slots, just longer.
     """
 
-    instance: int
-    start_seconds: float
-    duration_seconds: float
-    factor: float
+    instance: int = knob(accepts=Range(lo=0), metavar="I")
+    start_seconds: float = knob(accepts=Range(lo=0), metavar="START")
+    duration_seconds: float = knob(accepts=Range(lo=0, lo_open=True), metavar="DUR")
+    factor: float = knob(accepts=Range(lo=0, hi=1, lo_open=True), metavar="FACTOR")
 
     def __post_init__(self):
-        if not self.instance >= 0:
-            raise ParameterError(
-                f"degradation instance must be >= 0, got {self.instance}"
-            )
-        if not (self.start_seconds >= 0 and self.duration_seconds > 0):
-            raise ParameterError(
-                "degradation window must have start >= 0 and positive "
-                f"duration, got [{self.start_seconds}, "
-                f"+{self.duration_seconds})"
-            )
-        if not 0.0 < self.factor <= 1.0:
-            raise ParameterError(
-                f"bandwidth factor must be in (0, 1], got {self.factor}"
-            )
+        check_knobs(self)
 
     def covers(self, t: float) -> bool:
         return (
@@ -164,6 +130,10 @@ class FaultPlan:
     instance already down) are skipped — a plan can therefore be reused
     across fleet sizes. Crash events fire in ``(at_seconds, instance)``
     order.
+
+    Derates multiply where windows overlap, so a plan is refused when
+    an instance's derates overflow with every window open: work
+    admitted there would never finish.
     """
 
     events: tuple = ()
@@ -175,6 +145,12 @@ class FaultPlan:
             ):
                 raise ParameterError(
                     f"unknown fault event type {type(ev).__name__!r}"
+                )
+        for instance in sorted({ev.instance for ev in self.events}):
+            if math.inf in self.derates(instance):
+                raise ParameterError(
+                    f"fault plan overflows on instance {instance}: its "
+                    "derates multiply to infinity with every window open"
                 )
 
     def __bool__(self) -> bool:
@@ -188,31 +164,25 @@ class FaultPlan:
             key=lambda e: (e.at_seconds, e.instance),
         ))
 
-    def compute_scale(self, instance: int, t: float) -> float:
-        """Cycle-time multiplier for work admitted to ``instance`` at
-        ``t`` (product of all open straggler windows; 1.0 = healthy)."""
-        scale = 1.0
+    def derates(
+        self, instance: int, t: float | None = None
+    ) -> tuple[float, float]:
+        """Cycle-time and HBM stream-time multipliers for work admitted
+        to ``instance`` at ``t``: the product of the slowdowns of its
+        open straggler windows, and of ``1/factor`` over its open
+        degradation windows (1.0 = healthy). ``t=None`` opens every
+        window, the worst case."""
+        compute = hbm = 1.0
         for ev in self.events:
-            if (
-                isinstance(ev, Straggler)
-                and ev.instance == instance
-                and ev.covers(t)
-            ):
-                scale *= ev.slowdown
-        return scale
-
-    def hbm_scale(self, instance: int, t: float) -> float:
-        """HBM stream-time multiplier for work admitted to ``instance``
-        at ``t`` (product of ``1/factor`` over open windows)."""
-        scale = 1.0
-        for ev in self.events:
-            if (
-                isinstance(ev, HBMDegradation)
-                and ev.instance == instance
-                and ev.covers(t)
-            ):
-                scale /= ev.factor
-        return scale
+            if isinstance(ev, InstanceCrash) or ev.instance != instance:
+                continue
+            if t is not None and not ev.covers(t):
+                continue
+            if isinstance(ev, Straggler):
+                compute *= ev.slowdown
+            else:
+                hbm /= ev.factor
+        return compute, hbm
 
 
 def poisson_crashes(
@@ -228,18 +198,13 @@ def poisson_crashes(
     Each instance draws independent exponential inter-crash gaps at
     ``rate`` crashes per simulated second until ``horizon_seconds``;
     equal seeds give identical plans. ``restart_after`` applies to
-    every generated crash.
+    every generated crash. ``rate`` and ``horizon_seconds`` must be
+    positive and finite: an infinite rate draws zero gaps forever.
     """
-    if rate <= 0:
-        raise ParameterError(f"crash rate must be positive, got {rate}")
-    if horizon_seconds <= 0:
-        raise ParameterError(
-            f"horizon must be positive, got {horizon_seconds}"
-        )
-    if instances < 1:
-        raise ParameterError(
-            f"need at least one instance, got {instances}"
-        )
+    positive = Range(lo=0, lo_open=True, hi_open=True)
+    positive.check("crash rate", rate)
+    positive.check("horizon_seconds", horizon_seconds)
+    Range(lo=1).check("instances", instances)
     events = []
     for i in range(instances):
         rng = random.Random(f"repro.serve.faults:{seed}:{i}")
@@ -264,29 +229,44 @@ class RetryPolicy:
     de-synchronize, deterministically.
     """
 
-    max_attempts: int = 3
-    backoff_seconds: float = 0.0005
-    jitter: float = 0.0
+    max_attempts: int = knob(
+        3, Range(lo=1), flag="--retry-max", flag_default=None,
+        help="client retry budget: total attempts per request after "
+             "losses to crashes (default: no retries)",
+    )
+    backoff_seconds: float = knob(
+        0.0005, Range(lo=0, hi_open=True), flag="--retry-backoff",
+        flag_default=None,
+        help="base retry backoff in simulated seconds, doubled per "
+             "attempt; needs --retry-max (default {default})",
+    )
+    jitter: float = knob(
+        0.0, Range(lo=0, hi=1), flag="--retry-jitter", flag_default=None,
+        help="seeded-deterministic jitter fraction added to each retry "
+             "delay, in [0,1]; needs --retry-max (default {default})",
+    )
 
     def __post_init__(self):
-        if not self.max_attempts >= 1:
+        check_knobs(self)
+        # The longest delay, after losing attempt max_attempts - 1, is
+        # at most worst * 2**(max_attempts - 2). Its exponent is
+        # counted with frexp, since 2.0 ** n raises once n reaches 1024.
+        worst = self.backoff_seconds * (1.0 + self.jitter)
+        if self.max_attempts > 1 and worst and (
+            worst == math.inf
+            or math.frexp(worst)[1] + self.max_attempts - 2 > 1024
+        ):
             raise ParameterError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if not self.backoff_seconds >= 0:
-            raise ParameterError(
-                f"backoff_seconds must be >= 0, got {self.backoff_seconds}"
-            )
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ParameterError(
-                f"jitter must be in [0, 1], got {self.jitter}"
+                f"retry backoff {self.backoff_seconds} with jitter "
+                f"{self.jitter} overflows over {self.max_attempts} "
+                "attempts"
             )
 
     def delay_seconds(
         self, attempt: int, *, seed: int, request_id: int
     ) -> float:
         """Backoff before the retry that follows losing ``attempt``."""
-        delay = self.backoff_seconds * 2.0 ** (attempt - 1)
+        delay = math.ldexp(self.backoff_seconds, attempt - 1)
         if self.jitter:
             rng = random.Random(
                 f"repro.serve.retry:{seed}:{request_id}:{attempt}"
@@ -297,42 +277,33 @@ class RetryPolicy:
 
 @dataclass(frozen=True)
 class ResiliencePolicy:
-    """Client-side deadline/retry/detection knobs for a cluster run.
+    """Client-side deadline/retry/detection knobs for a cluster run,
+    each described by its flag's help.
 
-    Attributes:
-        deadline_seconds: per-request deadline, relative to the
-            *original* arrival (retries do not reset it). A request
-            still queued at its deadline is ``abandoned``; a completion
-            after the deadline still counts ``completed`` but is an
-            SLO violation and excluded from goodput. ``None`` disables
-            deadlines.
-        retry: retry policy for requests lost to crashes; ``None``
-            means a lost request immediately ends ``exhausted``.
-        detection_seconds: modeled failure-detection delay. For this
-            long after a crash the router still sees the dead
-            instance's last-known (ghost) state and requests routed to
-            it are lost on arrival; afterwards the instance drops out
-            of the routable view until it restarts.
+    A deadline counts from the *original* arrival (retries do not reset
+    it); a completion past it counts ``completed`` but is excluded from
+    goodput. Without ``retry`` a lost request ends ``exhausted``. A
+    request routed to a crashed instance within ``detection_seconds``
+    is lost on arrival; afterwards the instance leaves the routable
+    view until it restarts.
     """
 
-    deadline_seconds: float | None = None
+    deadline_seconds: float | None = knob(
+        None, Range(lo=0, lo_open=True, optional=True), flag="--deadline",
+        help="per-request deadline in simulated seconds from arrival; "
+             "queued requests past it are abandoned, completions past "
+             "it count as SLO violations",
+    )
     retry: RetryPolicy | None = None
-    detection_seconds: float = 0.0
+    detection_seconds: float = knob(
+        0.0, Range(lo=0), flag="--detect-delay",
+        help="failure-detection delay: the router keeps dispatching to "
+             "a crashed instance's last-known view for this many "
+             "seconds (default {default}: instant detection)",
+    )
 
     def __post_init__(self):
-        if (
-            self.deadline_seconds is not None
-            and not self.deadline_seconds > 0
-        ):
-            raise ParameterError(
-                "deadline_seconds must be positive or None, got "
-                f"{self.deadline_seconds}"
-            )
-        if not self.detection_seconds >= 0:
-            raise ParameterError(
-                "detection_seconds must be >= 0, got "
-                f"{self.detection_seconds}"
-            )
+        check_knobs(self)
 
     @property
     def max_attempts(self) -> int:

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 from repro.compiler.ops import FheOp, FheOpName
 from repro.compiler.program import OperatorProgram, compile_trace
-from repro.errors import ParameterError
+from repro.serve.knobs import Range, check_knobs, knob
 from repro.sim.config import LIMB_BYTES
 
 #: Ring shape of the light request mixes (matches the batch-serving
@@ -261,23 +261,24 @@ class TenantPopulation:
     after hits).
     """
 
-    tenants: int = 1
-    key_sets: int = 1
-    skew: float = 0.0
+    tenants: int = knob(
+        1, Range(lo=1), flag="--tenants",
+        help="tenant population size for request labeling "
+             "(default {default})",
+    )
+    key_sets: int = knob(
+        1, Range(lo=1), flag="--key-sets",
+        help="distinct rotation/relin key sets across the population "
+             "(default {default})",
+    )
+    skew: float = knob(
+        0.0, Range(lo=0), flag="--key-skew",
+        help="Zipf-like popularity skew of tenant/key-set draws; 0 is "
+             "uniform (default {default})",
+    )
 
     def __post_init__(self):
-        if not self.tenants >= 1:
-            raise ParameterError(
-                f"need at least one tenant, got {self.tenants}"
-            )
-        if not self.key_sets >= 1:
-            raise ParameterError(
-                f"need at least one key set, got {self.key_sets}"
-            )
-        if not self.skew >= 0:
-            raise ParameterError(
-                f"popularity skew must be >= 0, got {self.skew}"
-            )
+        check_knobs(self)
 
     def draw(self, count: int, *, seed: int = 0) -> list[tuple[str, int]]:
         """``count`` seeded ``(tenant, key_set)`` draws.

@@ -15,10 +15,25 @@ NTT's lazy bounds from ``4q``/``2q`` (forward/inverse) down to
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from hypothesis import strategies as st
 
 from repro import kernels
+from repro.serve import (
+    AutoscalerPolicy,
+    BatchPolicy,
+    ClusterPolicy,
+    HBMDegradation,
+    InstanceCrash,
+    PoissonArrivals,
+    ResiliencePolicy,
+    RetryPolicy,
+    Straggler,
+    TenantPopulation,
+)
+from repro.serve.knobs import OneOf, declared, field_type
 from repro.utils.primes import find_ntt_primes
 
 #: Largest ring degree the suite exercises. Any power-of-two degree
@@ -141,3 +156,100 @@ def negacyclic_convolution(a, b, q: int) -> list[int]:
             else:
                 out[k] = (out[k] + term) % q
     return out
+
+
+#: The ten serving classes with scalar knobs, each with the least
+#: arguments it needs to build; every other field keeps its default.
+KNOB_CLASSES = {
+    PoissonArrivals: {"rate": 1.0, "count": 1},
+    BatchPolicy: {},
+    AutoscalerPolicy: {"max_instances": 1},
+    ClusterPolicy: {},
+    InstanceCrash: {"instance": 0, "at_seconds": 0.0},
+    Straggler: {
+        "instance": 0, "start_seconds": 0.0, "duration_seconds": 1.0,
+        "slowdown": 1.0,
+    },
+    HBMDegradation: {
+        "instance": 0, "start_seconds": 0.0, "duration_seconds": 1.0,
+        "factor": 1.0,
+    },
+    RetryPolicy: {},
+    ResiliencePolicy: {},
+    TenantPopulation: {},
+}
+
+
+def knob_probes(knob) -> list:
+    """Probe values for a knob's declaration: each finite or infinite bound
+    of its range and the floats next to it, 0, -1, NaN and both
+    infinities, None where the range takes None, and each choice of a
+    named knob."""
+    accepts = knob.accepts
+    probes = [0.0, -1.0, math.nan, math.inf, -math.inf]
+    if isinstance(accepts, OneOf):
+        probes += accepts.choices
+    elif accepts is not None:
+        for bound in (accepts.lo, accepts.hi):
+            probes += [
+                float(bound),
+                math.nextafter(bound, -math.inf),
+                math.nextafter(bound, math.inf),
+            ]
+        if accepts.optional:
+            probes.append(None)
+    unique = {}
+    for p in probes:
+        unique.setdefault(repr(p), p)
+    return list(unique.values())
+
+
+def declaration(cls, name):
+    """The field and knob declaration of ``cls.name``."""
+    return next((f, k) for f, k in declared(cls) if f.name == name)
+
+
+def boundary_values(cls, name) -> list:
+    """The probes (:func:`knob_probes`) that ``cls.name`` accepts, as
+    values of the field's type: an int field keeps its integral ones."""
+    f, knob = declaration(cls, name)
+    accepted = [
+        p for p in knob_probes(knob)
+        if knob.accepts is None or knob.accepts.accepts(p)
+    ]
+    if field_type(f) is not int:
+        return accepted
+    return [
+        p if p is None else int(p) for p in accepted
+        if p is None or (math.isfinite(p) and p.is_integer())
+    ]
+
+
+def knob_values(cls, name) -> st.SearchStrategy:
+    """Values the declaration of ``cls.name`` accepts: drawn from its
+    range or choices, or one of its :func:`boundary_values`."""
+    f, knob = declaration(cls, name)
+    accepts = knob.accepts
+    if isinstance(accepts, OneOf):
+        inside = st.sampled_from(accepts.choices)
+    elif field_type(f) is int:
+        if accepts is None:
+            inside = st.integers()
+        else:
+            inside = st.integers(min_value=(
+                math.floor(accepts.lo) + 1 if accepts.lo_open
+                else math.ceil(accepts.lo)
+            ))
+    else:
+        bounded = accepts.hi != math.inf
+        inside = st.floats(
+            min_value=accepts.lo,
+            max_value=accepts.hi if bounded else None,
+            exclude_min=accepts.lo_open,
+            exclude_max=accepts.hi_open and bounded,
+            allow_nan=False,
+            allow_infinity=not (bounded or accepts.hi_open),
+        )
+    if getattr(accepts, "optional", False):
+        inside = inside | st.none()
+    return inside | st.sampled_from(boundary_values(cls, name))

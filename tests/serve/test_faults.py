@@ -128,6 +128,60 @@ class TestPlanValidation:
         with pytest.raises(ParameterError):
             FaultPlan(("not-an-event",))
 
+    @pytest.mark.parametrize("events", [
+        [HBMDegradation(instance=0, start_seconds=0.0,
+                        duration_seconds=1.0, factor=1e-320)],
+        [Straggler(instance=1, start_seconds=0.0, duration_seconds=1.0,
+                   slowdown=1e200),
+         Straggler(instance=1, start_seconds=5.0, duration_seconds=1.0,
+                   slowdown=1e200)],
+    ], ids=["tiny-factor", "disjoint-slowdowns"])
+    def test_plan_rejects_overflowing_derates(self, events):
+        """Checked with every window open, even ones that never overlap;
+        the error names the instance."""
+        instance = events[0].instance
+        with pytest.raises(ParameterError, match=f"instance {instance}"):
+            FaultPlan(tuple(events))
+
+    def test_plan_keeps_derates_on_separate_instances(self):
+        FaultPlan(tuple(
+            Straggler(instance=i, start_seconds=0.0, duration_seconds=1.0,
+                      slowdown=1e200)
+            for i in range(2)
+        ))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"rate": float("nan")},
+        {"horizon_seconds": float("nan")},
+        {"rate": float("inf")},
+        {"horizon_seconds": float("inf")},
+    ], ids=["nan-rate", "nan-horizon", "inf-rate", "inf-horizon"])
+    def test_poisson_crashes_refuse_unbounded_processes(self, kwargs):
+        """NaN used to return an empty plan; an infinite rate or horizon
+        never returned."""
+        with pytest.raises(ParameterError):
+            poisson_crashes(
+                **{"rate": 5.0, "horizon_seconds": 1.0, "instances": 1,
+                   **kwargs}
+            )
+
+    @pytest.mark.parametrize("kwargs", [
+        {"max_attempts": 1100},
+        {"backoff_seconds": 1e308},
+        {"max_attempts": 1025, "backoff_seconds": 1.0, "jitter": 1.0},
+    ], ids=["attempts", "backoff", "jitter-tips-it"])
+    def test_retry_backoff_must_stay_finite(self, kwargs):
+        with pytest.raises(ParameterError, match="overflows"):
+            RetryPolicy(**kwargs)
+
+    def test_retry_delays_never_raise(self):
+        """Zero backoff is zero at any attempt; the largest finite
+        policy's last delay is finite."""
+        zero = RetryPolicy(max_attempts=5000, backoff_seconds=0.0)
+        assert zero.delay_seconds(4999, seed=0, request_id=0) == 0.0
+        edge = RetryPolicy(max_attempts=1025, backoff_seconds=1.0)
+        assert edge.delay_seconds(1024, seed=0, request_id=0) == 2.0 ** 1023
+
     def test_poisson_crashes_deterministic(self):
         kw = dict(rate=5.0, horizon_seconds=1.0, instances=3, seed=4)
         a = poisson_crashes(**kw)

@@ -98,6 +98,13 @@ class TestRequestLifecycle:
         with pytest.raises(KeyError, match="unknown request workload"):
             sim.run("nope", PoissonArrivals(rate=10.0, count=1))
 
+    def test_unreachable_arrival_refused_before_the_run(self):
+        """A rate this small draws infinite gaps; the loop would end
+        with the request pending and no outcome."""
+        sim = single()
+        with pytest.raises(ParameterError, match="non-finite timestamp"):
+            sim.run("keyswitch", PoissonArrivals(rate=1e-320, count=2))
+
 
 class TestBackpressure:
     def test_depth_bound_rejects_burst(self):

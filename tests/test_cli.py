@@ -349,3 +349,44 @@ class TestServe:
         ]) == 0
         out = capsys.readouterr().out
         assert "4 arrived, 4 admitted" in out
+
+    @pytest.mark.parametrize("flags, reason", [
+        (["--key-cache", "-1"], "key_cache_capacity must be None or >= 0"),
+        (["--crash", "x:0.1"], "--crash .*InstanceCrash.instance from 'x'"),
+        (["--crash", "1.5:0.1"],
+         "--crash .*InstanceCrash.instance from '1.5'"),
+        (["--crash", "0:0.1:"],
+         "--crash .*InstanceCrash.restart_after from ''"),
+        (["--straggler", "0:0:1:abc"],
+         "--straggler .*Straggler.slowdown from 'abc'"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+    def test_serve_unreadable_input_errors(self, flags, reason):
+        """Refused with the flag, field and text, not a traceback."""
+        with pytest.raises(SystemExit, match="^error: .*" + reason):
+            main(["serve", *flags])
+
+    @pytest.mark.parametrize("flags", [
+        ["--instances", "2", "--crash", "0:0.02", "--retry-max", "3",
+         "--retry-backoff", "inf", "--arrival-rate", "600",
+         "--requests", "64"],
+        ["--arrival-rate", "1e-320", "--validate"],
+        ["--instances", "1", "--crash", "0:0.001", "--detect-delay", "inf",
+         "--retry-max", "1100", "--arrival-trace", "TRACE"],
+    ], ids=["retry-backoff-inf", "arrival-rate-1e-320", "retry-max-1100"])
+    def test_serve_unreachable_instant_errors(self, flags, tmp_path):
+        """A retry or arrival the clock can never reach is refused
+        before the run, not dropped without an outcome."""
+        trace = tmp_path / "arrivals.json"
+        trace.write_text("[0.01]")
+        argv = [str(trace) if f == "TRACE" else f for f in flags]
+        with pytest.raises(SystemExit, match="^error: "):
+            main(["serve", *argv])
+
+    @pytest.mark.parametrize("flags", [
+        ["--straggler", "0:0:1:inf"],
+        ["--hbm-derate", "0:0:1:1e-320"],
+        ["--straggler", "0:0:1:1e200", "--straggler", "0:0:1:1e200"],
+    ], ids=" ".join)
+    def test_serve_overflowing_derate_errors(self, flags):
+        with pytest.raises(SystemExit, match="^error: "):
+            main(["serve", *flags])
