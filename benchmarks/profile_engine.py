@@ -71,31 +71,43 @@ result held a ``TaskRecord`` per task; 2-core host).
 a warm-up bootstrap stay outside the profile). The linear transforms
 multiply and accumulate in the NTT domain, so what remains is mostly
 keyswitching: ``apply_switch_key`` (830 calls, one per rotation,
-conjugation and relinearization) is about 70% of the profiled time,
-and the transforms' own share (about 70%, down from about 82% when
-every diagonal term ran its own NTT/INTT pair) is now almost all
-their baby and giant rotations. Every N=64 NTT/INTT call folds its
-stacked rows innermost (2,560 ``_run_folded`` calls, about 34%
-cumulative), so the stages loop over up to 510 rows at once instead
-of butterfly runs of 1-32 elements. The top self times are the Shoup
-products (``_shoup``, about 14%) and the uint64 Barrett products
-(``_barrett_narrow``, about 12%), then the two butterfly stages (about
-4% and 3% self) and ``np.tile``'s per-call twiddle tiles (about 4%
-cumulative). Each kernel call resolves its basis once, in
-``check_moduli`` (19,090 calls, under 1%). The raw run takes ~1.55 s,
-against ~1.9 s with uint64 butterflies in rows-as-rows layout and
-~3.2 s with per-term transforms (2-core host).
+conjugation and relinearization) is about 63% of the profiled time,
+and the transforms' own share (about 67%) is almost all their baby
+and giant rotations. Every N=64 NTT/INTT call folds its stacked rows
+innermost (2,560 ``_run_folded`` calls, about 35% cumulative), so the
+stages loop over up to 510 rows at once instead of butterfly runs of
+1-32 elements. The top self times are the NTT's Shoup products
+(``_shoup``, about 15%), the key and spectrum products against their
+stored companions (``_mul_prepared``, about 8%), the uint64 Barrett
+products that remain (``_barrett_narrow``, about 6%: the lazy sums'
+reductions, ``mod_scalar_mul`` and ``basis_convert``; about 12% when
+every key product was a Barrett ``mod_mul``), the conditional
+subtracts (``_csub``, about 5%) and the two butterfly stages (about 4%
+self each). Stacking each folded call's twiddles (``_stacked``, one
+assignment per call) is about 3% cumulative, as ``np.tile`` was; the
+profiler inflates it, since replaying one bootstrap's folded calls
+un-profiled ran them ~4% faster than with ``np.tile``. Each kernel
+call resolves its basis once, in ``check_moduli`` (16,940 calls, about
+1%). The raw run takes ~1.5-2.0 s on a noisy 2-core host, where the
+e2e A/B's raw medians read 1.65 s against 2.13 s with Barrett key
+products, copied ufunc buffers and ``np.tile`` (and ~3.2 s with
+per-term transforms).
 
 ``--workload ckks-ops`` profiles fifty closed-loop requests at N=4096,
 L=8 (multiply, relinearize, rescale, rotate, add; keys and rotation
-keys are set-up). Its NTT/INTT calls hold 8 or 9 rows, so rows stay
-rows: ``_run_rows`` is about 56% of the profiled time. By self time
-the Shoup products lead (``_shoup``, about 28%), then the uint64
-Barrett products (``_barrett_narrow``, about 14%, from ``mod_mul``),
-the forward stage's own adds and subtracts (about 11%), the
-conditional subtracts (``_csub``, about 9%), ``mod_add`` (about 5%)
-and ``lift`` (about 3%). The raw run takes ~3.5 s, against ~4.8 s with
-uint64 butterflies (2-core host).
+keys are set-up). ``apply_switch_key`` is about 73% of the profiled
+time. The NTT/INTT calls hold 8 or 9 rows, so rows stay rows:
+``_run_rows`` is about 55%. By self time the Shoup products lead
+(``_shoup``, about 30%), then the key products against their stored
+companions (``_mul_prepared``, about 10%), the forward stage's own
+adds and subtracts (about 9%), the conditional subtracts (``_csub``,
+about 7%), the uint64 Barrett products (``_barrett_narrow``, about 5%,
+down from about 14% when the key products were ``mod_mul``) and
+``lift`` (about 3%). Every call over 8,192 elements runs under a
+1,024-element ufunc buffer (``_scoped``, 4,850 calls; its set and
+restore are about 2%). The raw run takes ~2.7-2.9 s, against
+~4.5-5.0 s with Barrett key products and copied ufunc buffers (2-core
+host).
 
 ``--workload table6`` profiles building, compiling (default passes)
 and simulating the four Table VI programs, 148,304 tasks in all. Each

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import kernels
 from repro.automorphism.galois import galois_element_for_rotation
 from repro.ckks.params import ERROR_STD, CkksParameters
 from repro.ntt.negacyclic import ntt_negacyclic
@@ -112,10 +113,20 @@ class SwitchKey:
     in the NTT domain, since every use multiplies them pointwise, in
     one ``(rank, 2, L, N)`` array over the key basis ``context``:
     ``rows[j, 0]`` is ``b_j`` and ``rows[j, 1]`` is ``a_j``, so a block
-    of digits meets its key rows in a single kernel call.
+    of digits meets both parts of its key pairs in a single kernel call.
+
+    The key is a prepared constant
+    (:meth:`~repro.kernels.KernelBackend.mod_mul_prepared`): ``rows``
+    holds uint32 residues and ``shoup`` their uint32 Shoup companions
+    ``floor(w * 2^32 / q_i)``, computed once at key generation. The two
+    take the bytes a uint64 ``rows`` would, and a keyswitch multiplies
+    by them with no per-call conversion, summing the products lazily in
+    one uint64 buffer that it reduces once
+    (:func:`repro.ckks.keyswitch.switch_digits`).
     """
 
     rows: np.ndarray
+    shoup: np.ndarray
     context: RnsContext
     source_label: str
 
@@ -124,22 +135,19 @@ class SwitchKey:
         """Number of gadget digits (= chain length at generation)."""
         return self.rows.shape[0]
 
-    def digit_rows(
-        self, digits: slice, level: int, params: CkksParameters
-    ) -> np.ndarray:
-        """Key rows of ``digits`` for a level-``level`` keyswitch.
+    def level_spans(self, level: int) -> tuple[tuple[slice, slice], ...]:
+        """Where a level-``level`` keyswitch reads its key rows.
 
-        Returns a ``(len(digits), 2, L_ext, N)`` array covering chain
-        limbs [0..level] plus all aux limbs — the extended basis used
-        at that level; a view when that basis is the whole key basis.
+        Pairs of ``(extended-basis limbs, key-basis limbs)`` slices: the
+        extended basis at ``level`` is chain limbs [0..level] plus all
+        aux limbs. At the top level that is the whole key basis, one
+        pair; below it the chain prefix and the aux limbs are two pairs,
+        each a view of ``rows``, so no level copies the key.
         """
-        block = self.rows[digits]
-        chain_len = len(params.chain_moduli)
-        if level + 1 == chain_len:
-            return block
-        return np.concatenate(
-            (block[:, :, : level + 1], block[:, :, chain_len:]), axis=2
-        )
+        if level + 1 == self.rank:
+            return ((slice(None), slice(None)),)
+        chain = slice(0, level + 1)
+        return ((chain, chain), (slice(level + 1, None), slice(self.rank, None)))
 
 
 class KeyChain:
@@ -231,7 +239,9 @@ def _make_switch_key(
 
     Pair ``j``: fresh RLWE sample ``(-a_j*s + e_j, a_j)`` over the
     key basis PQ, plus ``(P mod q_j) * source`` injected into limb
-    ``j`` of the ``b`` part only.
+    ``j`` of the ``b`` part only. Pairs are written as uint32 residues
+    one at a time, then the companions one limb at a time, so no
+    uint64 copy of the whole key exists.
     """
     key_ctx = params.key_context
     s = secret.poly_ntt(key_ctx)
@@ -241,7 +251,7 @@ def _make_switch_key(
     p_product = params.aux_product
     rank = len(params.chain_moduli)
     rows = np.empty(
-        (rank, 2, key_ctx.level_count, params.degree), dtype=np.uint64
+        (rank, 2, key_ctx.level_count, params.degree), dtype=np.uint32
     )
     for j in range(rank):
         a = ntt_negacyclic(sample_uniform(key_ctx, params.degree, rng))
@@ -254,7 +264,12 @@ def _make_switch_key(
         )
         rows[j, 0, j] = (injected + b.data[j]) % np.uint64(q_j)
         rows[j, 1] = a.data
-    return SwitchKey(rows=rows, context=key_ctx, source_label=label)
+    return SwitchKey(
+        rows=rows,
+        shoup=kernels.shoup_companions(rows, key_ctx.moduli),
+        context=key_ctx,
+        source_label=label,
+    )
 
 
 # ----------------------------------------------------------------------

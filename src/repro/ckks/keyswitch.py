@@ -17,16 +17,20 @@ SwitchKey`:
 The output pair ``(delta_0, delta_1)`` satisfies
 ``delta_0 + delta_1 * s ≈ d * s'`` with noise ``~ sum_j d_j e_j / P``.
 
-Poseidon streams every digit through the same NTT and MM/MA cores;
-here the digits of one keyswitch share kernel calls the same way. Each
-block of digits within the kernel budget
-(:func:`repro.kernels.batch_blocks`) takes one ``lift``, one NTT, one
-key-product ``mod_mul`` and a pairwise ``mod_add`` fold of its digit
-axis; both accumulators then share one INTT call. A small ring runs
-the whole keyswitch as one block, while at N=4096 a block is one digit.
-Every kernel returns canonical residues and modular addition is
-associative, so the result is bit-identical to a digit-by-digit loop
-in any block layout.
+Poseidon streams every digit through the same NTT and MM/MA cores
+against key material fixed ahead of time; here the digits of one
+keyswitch share kernel calls the same way. Each block of digits within
+the kernel budget (:func:`repro.kernels.batch_blocks`) takes one
+``lift`` and one NTT; the block then meets both parts of its key pairs
+in one ``mod_mul_prepared`` call per key span (one at the top level,
+two below it: :meth:`~repro.ckks.keys.SwitchKey.level_spans`), against
+the key's stored Shoup companions. The products accumulate lazily into
+one uint64 buffer per keyswitch, each adding less than ``2q``, and the
+buffer is reduced once (``barrett_reduce``) before both accumulators
+share one INTT call. A small ring runs the whole keyswitch as one
+block, while at N=4096 a block is one digit. Modular addition is
+associative and the reduction returns canonical residues, so the
+result is bit-identical to a digit-by-digit loop in any block layout.
 """
 
 from __future__ import annotations
@@ -60,29 +64,6 @@ def ntt_digits(d: RnsPolynomial, ext_ctx: RnsContext) -> Iterator[np.ndarray]:
         yield ntt_stack(lifted, ext_ctx.moduli)
 
 
-def sum_terms(backend, terms: np.ndarray, moduli) -> np.ndarray:
-    """Fold a ``(b, P, L, N)`` stack over its first axis -> ``(P, L, N)``.
-
-    Pairwise: each round adds the first half of the terms to the
-    second in one ``mod_add`` call, so ``b`` terms take
-    ``ceil(log2 b)`` calls. The keyswitch folds its digits (``P = 2``
-    accumulators), a linear transform its diagonal terms.
-    """
-    item = terms.shape[1:]
-    matrix = terms.shape[2:]
-    while len(terms) > 1:
-        half = len(terms) // 2
-        summed = backend.mod_add(
-            terms[:half].reshape(-1, *matrix),
-            terms[half:2 * half].reshape(-1, *matrix),
-            moduli,
-        ).reshape(half, *item)
-        if len(terms) % 2:
-            summed = np.concatenate((summed, terms[-1:]))
-        terms = summed
-    return terms[0]
-
-
 def switch_digits(
     blocks: Iterable[np.ndarray],
     key: SwitchKey,
@@ -104,25 +85,24 @@ def switch_digits(
         ``(delta_0, delta_1)`` over ``base_ctx``, coefficient domain.
     """
     backend = kernels.get_backend()
-    level = base_ctx.level_count - 1
     moduli = ext_ctx.moduli
-    acc = None
+    spans = key.level_spans(base_ctx.level_count - 1)
+    # Row 0 accumulates the products with b_j, row 1 those with a_j.
+    acc = np.zeros((2, ext_ctx.level_count, params.degree), dtype=np.uint64)
     start = 0
     for digits in blocks:
-        count, limbs, degree = digits.shape
-        key_rows = key.digit_rows(slice(start, start + count), level, params)
-        start += count
-        # Row 2j meets b_j and row 2j+1 meets a_j: one product call.
-        terms = backend.mod_mul(
-            np.repeat(digits, 2, axis=0),
-            key_rows.reshape(2 * count, limbs, degree),
-            moduli,
-        ).reshape(count, 2, limbs, degree)
-        block_sum = sum_terms(backend, terms, moduli)
-        acc = block_sum if acc is None else backend.mod_add(
-            acc, block_sum, moduli
-        )
-    prod_b, prod_a = intt_stack(acc, moduli)
+        pairs = slice(start, start + len(digits))
+        start += len(digits)
+        for ext, rows in spans:
+            backend.mod_mul_prepared(
+                digits[:, None, ext],
+                key.rows[pairs, :, rows],
+                key.shoup[pairs, :, rows],
+                moduli[ext],
+                acc=acc[:, ext],
+            )
+    # At most rank lazy terms below 2q each: far below q^2.
+    prod_b, prod_a = intt_stack(backend.barrett_reduce(acc, moduli), moduli)
     aux = params.aux_context
     return (
         mod_down(RnsPolynomial(prod_b, ext_ctx, Domain.COEFFICIENT), base_ctx, aux),

@@ -16,20 +16,24 @@ find their operands:
 
 - Each nonzero diagonal is encoded once, when the transform is built:
   pre-rotated by its giant step, over the full modulus chain, and
-  forward-transformed into one ``(D, L, N)`` spectrum stack. A level-
-  ``l`` ciphertext uses the stack's first ``l + 1`` limb rows. Those
-  equal an encoding at level ``l`` bit for bit: the level-``l`` basis
-  is a prefix of the chain, and encoding and NTT both work limb by
-  limb. The stack holds ``D * L * N`` words; the bootstrap preset's
-  six transforms keep 6 x 32 diagonals x 16 limbs x 64 x 8 B ~ 1.6 MB.
+  forward-transformed into one ``(D, L, N)`` spectrum stack, kept as a
+  prepared constant (uint32 residues and their uint32 Shoup
+  companions, :meth:`~repro.kernels.KernelBackend.mod_mul_prepared`).
+  A level-``l`` ciphertext uses the stack's first ``l + 1`` limb rows.
+  Those equal an encoding at level ``l`` bit for bit: the level-``l``
+  basis is a prefix of the chain, and encoding and NTT both work limb
+  by limb. The stack holds ``D * L * N`` residues in 8 bytes each; the
+  bootstrap preset's six transforms keep 6 x 32 diagonals x 16 limbs x
+  64 x 8 B ~ 1.6 MB.
 - :meth:`LinearTransform.apply` transforms each baby-step rotation
   once, all of them in one ``ntt_stack`` call. Each giant-step group
-  then takes one ``mod_mul`` of its baby spectra against its diagonal
-  spectra per :func:`repro.kernels.batch_blocks` block, a pairwise
-  ``mod_add`` fold of its terms (:func:`repro.ckks.keyswitch.sum_terms`)
-  and one INTT, and only then its giant rotation.
+  then sums its terms lazily into one uint64 buffer, one
+  ``mod_mul_prepared`` call of its baby spectra against its diagonal
+  spectra per :func:`repro.kernels.batch_blocks` block, reduces it once
+  (``barrett_reduce``) and takes one INTT, and only then its giant
+  rotation.
 
-Every kernel returns canonical residues and the INTT is linear, so the
+The reduction returns canonical residues and the INTT is linear, so the
 result is bit-identical to a ``multiply_plain`` and an ``add`` per
 diagonal term, and the evaluator's recorder and ``ckks.op.*`` counters
 still see one PMult per term and one HAdd per sum.
@@ -48,7 +52,6 @@ from repro.ckks.ciphertext import Ciphertext
 from repro.ckks.encoder import CkksEncoder
 from repro.ckks.evaluator import CkksEvaluator
 from repro.ckks.hoisting import HoistedRotator
-from repro.ckks.keyswitch import sum_terms
 from repro.ntt.negacyclic import intt_stack, ntt_stack
 from repro.rns.poly import Domain, stack_residues, unstack_residues
 
@@ -150,10 +153,13 @@ class LinearTransform:
             for d in order
         ]
         self._plain_scale = plaintexts[0].scale
-        self._spectra = ntt_stack(
+        moduli = evaluator.params.context.moduli
+        spectra = ntt_stack(
             stack_residues([pt.poly for pt in plaintexts], Domain.COEFFICIENT),
-            evaluator.params.context.moduli,
+            moduli,
         )
+        self._spectra = spectra.astype(np.uint32)
+        self._spectra_shoup = kernels.shoup_companions(spectra, moduli)
 
     # ------------------------------------------------------------------
     def _tile(self, vec: np.ndarray) -> np.ndarray:
@@ -203,25 +209,24 @@ class LinearTransform:
             stack_residues([p for b in babies for p in b.parts], Domain.COEFFICIENT),
             moduli,
         ).reshape(len(babies), parts, *matrix)
-        diag_spectra = self._spectra[:, :ct.level + 1]
+        diag = self._spectra[:, :ct.level + 1]
+        diag_shoup = self._spectra_shoup[:, :ct.level + 1]
 
         acc: Ciphertext | None = None
         for shift, rows, baby_of_row in self._groups:
             # A term is every part of its baby rotation times its
-            # diagonal's spectrum; one product call per block of terms.
-            sums = None
+            # diagonal's spectrum; one product call per block of terms,
+            # summed lazily (fewer than D terms below 2q each).
+            sums = np.zeros((parts, *matrix), dtype=np.uint64)
             for block in kernels.batch_blocks(len(rows), parts * math.prod(matrix)):
-                products = backend.mod_mul(
-                    baby_spectra[baby_of_row[block]].reshape(-1, *matrix),
-                    diag_spectra[np.repeat(rows[block], parts)],
+                backend.mod_mul_prepared(
+                    baby_spectra[baby_of_row[block]],
+                    diag[rows[block], None],
+                    diag_shoup[rows[block], None],
                     moduli,
+                    acc=sums,
                 )
-                block_sum = sum_terms(
-                    backend, products.reshape(-1, parts, *matrix), moduli
-                )
-                sums = block_sum if sums is None else backend.mod_add(
-                    sums, block_sum, moduli
-                )
+            sums = backend.barrett_reduce(sums, moduli)
             inner = Ciphertext(
                 parts=unstack_residues(
                     intt_stack(sums, moduli), context, Domain.COEFFICIENT

@@ -6,9 +6,18 @@ and the RNSconv cascade — through a *kernel backend*:
 
 - ``numpy``     — fully vectorized: NTT butterflies on uint32 lanes
   (Shoup multiplication + Harvey's lazy reduction, layout chosen from
-  the call's shape) and uint64 Barrett products; the default, with no
+  the call's shape), Shoup products by prepared constants on uint32
+  lanes and uint64 Barrett products otherwise; the default, with no
   Python-level per-element loops.
 - ``reference`` — the original per-limb code paths (the oracle).
+
+``mod_mul_prepared`` multiplies by a *prepared constant* (switch keys,
+linear-transform spectra): uint32 residues stored with their uint32
+Shoup companions (:func:`shoup_companions`), computed once with the
+constant. It can also sum its products lazily into a uint64
+accumulator that the caller reduces once. Its default in
+:class:`KernelBackend` goes through ``mod_mul``, so ``reference`` runs
+it unchanged.
 
 Selection, in precedence order:
 
@@ -29,7 +38,7 @@ import os
 from contextlib import contextmanager
 
 from repro.errors import KernelError
-from repro.kernels.base import KernelBackend, batch_blocks
+from repro.kernels.base import KernelBackend, batch_blocks, shoup_companions
 from repro.kernels.numpy_backend import NumpyBackend
 from repro.kernels.reference import ReferenceBackend
 
@@ -118,5 +127,6 @@ __all__ = [
     "get_backend",
     "reset_selection",
     "resolve",
+    "shoup_companions",
     "use_backend",
 ]

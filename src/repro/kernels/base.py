@@ -47,11 +47,27 @@ parts) into blocks of at most :data:`BATCH_ELEMENTS` residues with
 pays where rows are short and per-call overhead dominates; on long rows
 one matrix already fills the budget, so a block holds one matrix and
 the call shapes and temporaries stay those of a per-matrix loop.
+
+Prepared constants
+------------------
+A constant that is multiplied by many times (a switch key, a linear
+transform's diagonal spectra) is stored once as uint32 residues beside
+their uint32 Shoup companions ``floor(w * 2^32 / q_i)``
+(:func:`shoup_companions`): the bytes one uint64 array would take.
+:meth:`KernelBackend.mod_mul_prepared` multiplies by it, broadcasting
+the variable operand (a keyswitch's digits meet both parts of their
+key pairs in one call), and can sum the products lazily into a uint64
+accumulator that the caller reduces once — the MM and MA steps of a
+digit inner product, as Poseidon's cores stream digits against fixed
+key material. Its default here ignores the companions and calls
+``mod_mul``, which is what ``reference`` runs; ``numpy`` overrides it
+with Shoup products on uint32 lanes.
 """
 
 from __future__ import annotations
 
 import abc
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -114,6 +130,23 @@ def check_rows(rows: np.ndarray) -> np.ndarray:
             f"expected an (N,) row or a (B, N) stack, got shape {rows.shape}"
         )
     return rows
+
+
+def shoup_companions(w: np.ndarray, moduli) -> np.ndarray:
+    """Shoup companions ``floor(w * 2^32 / q_i)`` of residues ``w``.
+
+    ``w`` holds reduced residues with its limb axis second to last (row
+    ``i`` mod ``moduli[i]``); the companions come back as uint32 in
+    ``w``'s shape. One division per limb keeps the uint64 temporary to
+    one limb's rows.
+    """
+    out = np.empty(w.shape, dtype=np.uint32)
+    for i, q in enumerate(moduli):
+        np.floor_divide(
+            w[..., i, :].astype(np.uint64) << np.uint64(32), np.uint64(q),
+            out=out[..., i, :], casting="unsafe",
+        )
+    return out
 
 
 def per_matrix(kernel, data: np.ndarray, *operands) -> np.ndarray:
@@ -202,6 +235,38 @@ class KernelBackend(abc.ABC):
             )
         return a, basis
 
+    def _check_prepared(self, a, w, w_shoup, moduli, acc):
+        """Validate ``mod_mul_prepared``'s operands: ``(a, w, w_shoup,
+        basis, elements)``, ``elements`` being the products' count."""
+        basis = self.check_moduli(moduli)
+        a = np.asarray(a, dtype=np.uint64)
+        w, w_shoup = np.asarray(w), np.asarray(w_shoup)
+        if w.shape != w_shoup.shape:
+            raise KernelError(
+                f"constant has shape {w.shape} but its companions "
+                f"{w_shoup.shape}"
+            )
+        try:
+            shape = np.broadcast_shapes(a.shape, w.shape)
+        except ValueError:
+            raise KernelError(
+                f"operand of shape {a.shape} does not broadcast against "
+                f"a constant of shape {w.shape}"
+            ) from None
+        if len(shape) < 2 or shape[-2] != len(basis):
+            raise KernelError(
+                f"products have shape {shape} but basis has {len(basis)} "
+                f"moduli"
+            )
+        if acc is not None and (
+            acc.dtype != np.uint64 or acc.shape != shape[1:]
+        ):
+            raise KernelError(
+                f"accumulator must be uint64 of shape {shape[1:]}, got "
+                f"{acc.dtype} {acc.shape}"
+            )
+        return a, w, w_shoup, basis, math.prod(shape)
+
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
@@ -245,6 +310,49 @@ class KernelBackend(abc.ABC):
     @abc.abstractmethod
     def mod_scalar_mul(self, a: np.ndarray, scalars, moduli) -> np.ndarray:
         """Multiply row ``i`` by the Python-int ``scalars[i]`` mod q_i."""
+
+    def mod_mul_prepared(
+        self,
+        a: np.ndarray,
+        w: np.ndarray,
+        w_shoup: np.ndarray,
+        moduli,
+        acc: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Row-wise ``(a * w) mod q_i`` by a prepared constant ``w``.
+
+        A *prepared constant* is one the caller multiplies by many
+        times (a switch key, a linear transform's diagonal spectra),
+        stored as uint32 residues beside their uint32 Shoup companions
+        ``w_shoup = floor(w * 2^32 / q_i)`` (:func:`shoup_companions`),
+        computed once with the constant. ``a`` and ``w`` broadcast
+        against each other on every axis but the last two, so a block
+        of keyswitch digits ``(B, 1, L, N)`` meets both parts of its key
+        pairs ``(B, 2, L, N)`` in one call.
+
+        Without ``acc`` the products come back canonical, like
+        :meth:`mod_mul`'s. With ``acc``, a uint64 array shaped like the
+        products without their first axis, the products are summed over
+        that axis into ``acc`` in place and ``acc`` is returned: each
+        adds a value below ``2 q_i`` congruent to its product, so the
+        sum stays lazily reduced until the caller reduces it once
+        (:meth:`barrett_reduce`, while it stays below ``q_i^2``).
+
+        This default ignores the companions and goes through
+        :meth:`mod_mul`; ``numpy`` runs Shoup products on uint32 lanes.
+        """
+        a, w, _, basis, _ = self._check_prepared(a, w, w_shoup, moduli, acc)
+        shape = np.broadcast_shapes(a.shape, w.shape)
+        matrix = shape[-2:]
+        products = self.mod_mul(
+            np.broadcast_to(a, shape).reshape(-1, *matrix),
+            np.broadcast_to(w, shape).reshape(-1, *matrix),
+            basis,
+        ).reshape(shape)
+        if acc is None:
+            return products
+        acc += products.sum(axis=0, dtype=np.uint64)
+        return acc
 
     # ------------------------------------------------------------------
     # Reduction and basis plumbing (SBT / RNSconv building blocks)

@@ -33,10 +33,41 @@ copy with Harvey's lazy reduction:
   inner loops. A call with at least that many rows (every call on the
   N=64 rings of bootstrapping, where runs are 1-32 elements) folds its
   rows innermost instead: the ``(n, B * L)`` transpose runs every
-  stage over all rows at once, with the twiddles tiled over the stack.
+  stage over all rows at once, with each limb's twiddles and constants
+  repeated for every matrix of the stack.
 
-Element-wise products use a single-word Barrett reduction in uint64:
-residue products stay below ``q^2 < 2^62``, so every intermediate fits.
+Products
+--------
+Products of two variables use a single-word Barrett reduction in
+uint64: residue products stay below ``q^2 < 2^62``, so every
+intermediate fits. A product by a prepared constant
+(``mod_mul_prepared``: switch keys, linear-transform spectra) is the
+NTT's Shoup product on uint32 lanes against the constant's stored
+uint32 companion, formed in ``[0, 2q)``: one conditional subtraction
+makes it canonical, and an accumulating call adds it to the caller's
+uint64 sum as it is.
+
+Ufunc buffer
+------------
+numpy runs a ufunc whose operands are not one contiguous run through a
+buffer of ``np.getbufsize()`` elements (8,192 by default), copying
+each chunk of a strided operand in and the output back out. The
+butterflies read the strided ``lo``/``hi`` halves of their blocks, and
+the element-wise ops subtract ``(L, 1)`` modulus and twiddle columns,
+so their contiguous runs are at most a row long and, under the default
+buffer, every such pass is copied: it costs 2-3x a contiguous pass. A
+call holding more than the default buffer therefore runs under a
+buffer of ``_ROW_BUFFER`` (1,024) elements (:func:`_scoped`), no longer
+than a row of the rings that reach it, and numpy iterates those views
+in place. No result depends on the buffer size. With numpy 2.4 on a
+shared 2-core x86 host (minimum of repeated calls, default -> scoped):
+``ntt`` of a (1, 9, 4096) keyswitch digit 1.82 -> 1.22 ms, ``intt`` of
+(2, 9, 4096) 3.55 -> 2.29 ms, ``mod_mul`` of (2, 9, 4096) 0.88 -> 0.65
+ms, and a folded ``ntt`` of a (30, 17, 64) bootstrapping stack 0.67 ->
+0.52 ms. Smaller calls skip the scope, whose set and restore cost
+~3 us, about a small call's whole budget. The caller's size is
+restored in a ``finally``, not by ``np.errstate``, which does not
+scope the buffer size on numpy 1.x.
 """
 
 from __future__ import annotations
@@ -160,7 +191,7 @@ class _FoldPlan:
 
     Row ``j`` of ``w`` holds every limb's ``j``-th bit-reversed twiddle,
     so stage ``m`` reads rows ``m .. 2m``; a stack of ``B`` matrices
-    tiles them ``B`` times along the row axis.
+    repeats them ``B`` times along the row axis (:func:`_stacked`).
     """
 
     def __init__(self, moduli: tuple[int, ...], n: int, inverse: bool):
@@ -181,7 +212,8 @@ def _fold_plan(moduli: tuple[int, ...], n: int, inverse: bool) -> _FoldPlan:
 
 @lru_cache(maxsize=256)
 def _fold_columns(moduli: tuple[int, ...], n: int, batch: int) -> _Columns:
-    """:func:`_columns` with one entry per row of a ``batch`` stack."""
+    """:func:`_columns` with one entry per row of a ``batch`` stack,
+    built once per stack height (a few dozen on bootstrapping)."""
     cols = _columns(moduli, n)
     return _Columns(cols.wide, *(np.tile(c, batch) for c in cols[1:]))
 
@@ -293,15 +325,28 @@ def _run_rows(a: np.ndarray, plan: _RowPlan, stage) -> np.ndarray:
     return _from_lanes(a, lanes) if transposed else a
 
 
+def _stacked(c: np.ndarray, rows: int) -> np.ndarray:
+    """Per-limb ``(n, L)`` twiddles repeated for each matrix of an
+    ``(n, rows)`` stack, in one broadcast assignment.
+
+    Broadcasting them inside the stages instead (an ``(m, 1, 1, L)``
+    operand against ``(m, t, B, L)`` blocks) cuts numpy's inner loops
+    to ``L`` elements and made the folded transforms ~12% slower.
+    """
+    n, limbs = c.shape
+    if rows == limbs:
+        return c
+    out = np.empty((n, rows // limbs, limbs), dtype=c.dtype)
+    out[...] = c[:, None]
+    return out.reshape(n, rows)
+
+
 def _run_folded(a: np.ndarray, plan: _FoldPlan, cols: _Columns,
                 stage, inverse: bool) -> np.ndarray:
     """Every stage over ``(n, R)`` uint32 ``a`` with its ``R`` rows
     innermost; ``cols`` holds one constant per row."""
     n, rows = a.shape
-    batch = rows // plan.w.shape[1]
-    w, w_sh = plan.w, plan.w_sh
-    if batch > 1:
-        w, w_sh = np.tile(w, (1, batch)), np.tile(w_sh, (1, batch))
+    w, w_sh = _stacked(plan.w, rows), _stacked(plan.w_sh, rows)
     p = np.empty((n >> 1) * rows, dtype=np.uint64)
     t1 = np.empty(p.shape, dtype=np.uint32)
     t2 = np.empty_like(t1)
@@ -420,8 +465,103 @@ def _q_col(basis: tuple[int, ...]) -> np.ndarray:
     return _narrow_columns(basis)[0]
 
 
+@lru_cache(maxsize=256)
+def _q32_col(basis: tuple[int, ...]) -> np.ndarray:
+    """The ``(L, 1)`` uint32 modulus column of ``basis`` (read only)."""
+    return _q_col(basis).astype(np.uint32)
+
+
+def _mod_add(a, b, basis):
+    q = _q_col(basis)
+    s = a + b  # both < q < 2^31, so the sum fits
+    return np.minimum(s, s - q)
+
+
+def _mod_sub(a, b, basis):
+    q = _q_col(basis)
+    d = a + (q - b)
+    return np.minimum(d, d - q)
+
+
+def _mod_neg(a, basis):
+    q = _q_col(basis)
+    d = q - a  # equals q when a == 0; the csub folds it to 0
+    return np.minimum(d, d - q)
+
+
+def _mul_prepared(a, w, ws, basis, acc):
+    """Shoup products ``a * w`` on uint32 lanes (``a`` canonical, so it
+    fits), canonical, or summed lazily into ``acc`` over the first axis."""
+    q = _q32_col(basis)
+    x = a.astype(np.uint32)
+    shape = np.broadcast_shapes(x.shape, w.shape)
+    p = np.empty(shape, dtype=np.uint64)
+    t = np.empty(shape, dtype=np.uint32)
+    np.multiply(x, ws, out=p, dtype=np.uint64)
+    np.right_shift(p, _SHIFT, out=t, casting="unsafe")
+    np.multiply(t, q, out=t)
+    # p is spent: its first half holds the uint32 products.
+    r = p.reshape(-1).view(np.uint32)[:t.size].reshape(shape)
+    np.multiply(x, w, out=r)
+    np.subtract(r, t, out=r)  # w*x mod q, in [0, 2q)
+    if acc is not None:
+        if len(r) == 1:  # adding in place skips a temporary
+            np.add(acc, r[0], out=acc)
+        else:
+            acc += np.add.reduce(r, axis=0, dtype=np.uint64)
+        return acc
+    np.subtract(r, q, out=t)
+    np.minimum(r, t, out=t)
+    np.copyto(p, t)
+    return p
+
+
+def _lift(row, basis):
+    """Digit rows (below ``max(q) < 2^31``) reduced into every modulus
+    on uint32 lanes; canonical uint64 out."""
+    out = np.empty((*row.shape[:-1], len(basis), row.shape[-1]), np.uint64)
+    np.remainder(row.astype(np.uint32)[..., None, :], _q32_col(basis), out=out)
+    return out
+
+
+def _basis_convert(y, table, basis):
+    src_limbs, n = y.shape
+    p_col = _q_col(basis)
+    acc = np.zeros((len(basis), n), dtype=np.uint64)
+    for j in range(src_limbs):
+        resid = y[j][None, :] % p_col
+        term = _mulmod_rows(resid, table[j][:, None], basis)
+        acc += term  # < 2p < 2^63
+        np.minimum(acc, acc - p_col, out=acc)
+    return acc
+
+
+#: numpy's default ufunc buffer, in elements.
+_NUMPY_BUFFER = 8192
+
+#: The ufunc buffer a call larger than :data:`_NUMPY_BUFFER` runs with.
+_ROW_BUFFER = 1024
+
+
+def _scoped(size: int, kernel, *args):
+    """``kernel(*args)``, under a ufunc buffer of :data:`_ROW_BUFFER`
+    elements when the call holds more than :data:`_NUMPY_BUFFER`.
+
+    The caller's buffer size is restored explicitly, since numpy 1.x's
+    ``errstate`` does not scope it (module docstring).
+    """
+    if size <= _NUMPY_BUFFER:
+        return kernel(*args)
+    previous = np.setbufsize(_ROW_BUFFER)
+    try:
+        return kernel(*args)
+    finally:
+        np.setbufsize(previous)
+
+
 class NumpyBackend(KernelBackend):
-    """Vectorized kernels: uint32 Shoup/lazy NTT, uint64 Barrett products."""
+    """Vectorized kernels: uint32 Shoup/lazy NTT and prepared-constant
+    products, uint64 Barrett products."""
 
     name = "numpy"
 
@@ -429,39 +569,40 @@ class NumpyBackend(KernelBackend):
     def ntt(self, data, moduli):
         data, basis = self._check(data, moduli)
         self._count("ntt", data.size)
-        return _ntt(data, basis)
+        return _scoped(data.size, _ntt, data, basis)
 
     def intt(self, data, moduli):
         data, basis = self._check(data, moduli)
         self._count("intt", data.size)
-        return _intt(data, basis)
+        return _scoped(data.size, _intt, data, basis)
 
     # ------------------------------------------------------------------
     def mod_add(self, a, b, moduli):
         a, b, basis = self._check_pair(a, b, moduli)
         self._count("elementwise", a.size)
-        q = _q_col(basis)
-        s = a + b  # both < q < 2^31, so the sum fits
-        return np.minimum(s, s - q)
+        return _scoped(a.size, _mod_add, a, b, basis)
 
     def mod_sub(self, a, b, moduli):
         a, b, basis = self._check_pair(a, b, moduli)
         self._count("elementwise", a.size)
-        q = _q_col(basis)
-        d = a + (q - b)
-        return np.minimum(d, d - q)
+        return _scoped(a.size, _mod_sub, a, b, basis)
 
     def mod_neg(self, a, moduli):
         a, basis = self._check(a, moduli)
         self._count("elementwise", a.size)
-        q = _q_col(basis)
-        d = q - a  # equals q when a == 0; the csub folds it to 0
-        return np.minimum(d, d - q)
+        return _scoped(a.size, _mod_neg, a, basis)
 
     def mod_mul(self, a, b, moduli):
         a, b, basis = self._check_pair(a, b, moduli)
         self._count("elementwise", a.size)
-        return _mulmod_rows(a, b, basis)
+        return _scoped(a.size, _mulmod_rows, a, b, basis)
+
+    def mod_mul_prepared(self, a, w, w_shoup, moduli, acc=None):
+        a, w, w_shoup, basis, size = self._check_prepared(
+            a, w, w_shoup, moduli, acc
+        )
+        self._count("elementwise", size)
+        return _scoped(size, _mul_prepared, a, w, w_shoup, basis, acc)
 
     def mod_scalar_mul(self, a, scalars, moduli):
         a, basis = self._check_scalars(a, scalars, moduli)
@@ -469,31 +610,27 @@ class NumpyBackend(KernelBackend):
         s_col = np.array(
             [int(s) % q for s, q in zip(scalars, basis)], dtype=np.uint64
         )[:, None]
-        return _mulmod_rows(a, s_col, basis)
+        return _scoped(a.size, _mulmod_rows, a, s_col, basis)
 
     # ------------------------------------------------------------------
     def barrett_reduce(self, x, moduli):
         x, basis = self._check(x, moduli)
         self._count("barrett", x.size)
-        return _barrett_narrow(x.copy(), _narrow_columns(basis))
+        return _scoped(
+            x.size, _barrett_narrow, x.copy(), _narrow_columns(basis)
+        )
 
     def lift(self, row, moduli):
         row = check_rows(row)
         basis = self.check_moduli(moduli)
-        self._count("lift", row.size * len(basis))
-        return row[..., None, :] % _q_col(basis)
+        size = row.size * len(basis)
+        self._count("lift", size)
+        return _scoped(size, _lift, row, basis)
 
     def basis_convert(self, y, table, target_moduli):
         y = np.asarray(y, dtype=np.uint64)
         table = np.asarray(table, dtype=np.uint64)
         basis = self.check_moduli(target_moduli)
-        src_limbs, n = y.shape
-        self._count("basis_convert", n * len(basis))
-        p_col = _q_col(basis)
-        acc = np.zeros((len(basis), n), dtype=np.uint64)
-        for j in range(src_limbs):
-            resid = y[j][None, :] % p_col
-            term = _mulmod_rows(resid, table[j][:, None], basis)
-            acc += term  # < 2p < 2^63
-            np.minimum(acc, acc - p_col, out=acc)
-        return acc
+        size = y.shape[1] * len(basis)
+        self._count("basis_convert", size)
+        return _scoped(size, _basis_convert, y, table, basis)

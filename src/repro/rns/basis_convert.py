@@ -16,6 +16,8 @@ compiler.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro import kernels
@@ -117,13 +119,21 @@ def mod_down(
     part_base = RnsPolynomial(poly.data[:base_limbs].copy(), base, Domain.COEFFICIENT)
     part_aux = RnsPolynomial(poly.data[base_limbs:].copy(), aux, Domain.COEFFICIENT)
 
-    converter = BasisConverter(aux, base)
+    converter, inv_p = _mod_down_constants(base, aux)
     correction = converter.convert(part_aux)
-
-    p_product = aux.modulus_product
-    inv_p = [mod_inverse(p_product % q, q) for q in base.moduli]
     diff = part_base - correction
     return diff.scalar_mul_per_limb(inv_p)
+
+
+@lru_cache(maxsize=256)
+def _mod_down_constants(
+    base: RnsContext, aux: RnsContext
+) -> tuple[BasisConverter, tuple[int, ...]]:
+    """ModDown's constants for one (base, aux) pair, built once: the
+    aux -> base converter and ``P^{-1} mod q_j`` per base limb."""
+    p_product = aux.modulus_product
+    inv_p = tuple(mod_inverse(p_product % q, q) for q in base.moduli)
+    return BasisConverter(aux, base), inv_p
 
 
 def rescale(poly: RnsPolynomial) -> RnsPolynomial:

@@ -149,7 +149,7 @@ class ClusterPolicy:
              "(default {default})",
     )
     key_upload_bytes: int | None = knob(
-        None, Range(lo=0, optional=True), flag="--key-bytes",
+        None, Range(lo=0, hi_open=True, optional=True), flag="--key-bytes",
         help="modeled key-set upload size in bytes; 0 makes uploads "
              "free (default: the mix-shape switch-key size, ~569 MB)",
     )

@@ -13,6 +13,7 @@ rendered or parsed at import.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import MISSING, Field, dataclass, field, fields
 
 from repro.errors import ParameterError
@@ -121,13 +122,22 @@ def declared(cls) -> list[tuple[Field, Knob]]:
 
 def check_knobs(obj) -> None:
     """Refuse any knob value of ``obj`` its declaration does not
-    accept, naming the class and the field."""
+    accept, naming the class and the field. An int-annotated knob also
+    refuses any value but an integer (``2.0`` and ``True`` included)."""
     cls = type(obj)
     for f, k in declared(cls):
-        if k.checked and k.accepts is not None:
-            k.accepts.check(
-                f"{cls.__name__}.{f.name}", getattr(obj, f.name)
+        if not k.checked:
+            continue
+        name, value = f"{cls.__name__}.{f.name}", getattr(obj, f.name)
+        if field_type(f) is int and value is not None and (
+            isinstance(value, bool) or not isinstance(value, numbers.Integral)
+        ):
+            none = "None or " if getattr(k.accepts, "optional", False) else ""
+            raise ParameterError(
+                f"{name} must be {none}an integer, got {value!r}"
             )
+        if k.accepts is not None:
+            k.accepts.check(name, value)
 
 
 def field_type(f: Field):

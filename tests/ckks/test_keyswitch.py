@@ -94,3 +94,23 @@ class TestApplySwitchKey:
         )
         diff = (got - expected).to_integers()
         assert max(abs(v) for v in diff) < params.degree * 64
+
+
+def test_keyswitch_multiplies_only_by_prepared_constants(params, keys, monkeypatch):
+    """The key products use ``mod_mul_prepared`` and its lazy sum: no
+    ``mod_mul`` or ``mod_add`` call, at the top level or below it."""
+    backend = kernels.resolve("numpy")
+    calls = []
+    for op in ("mod_mul", "mod_add", "mod_mul_prepared"):
+        original = getattr(backend, op)
+        monkeypatch.setattr(
+            backend, op,
+            lambda *a, _op=op, _f=original, **k: calls.append(_op) or _f(*a, **k),
+        )
+    with kernels.use_backend(backend):
+        for level in (params.max_level, 1):
+            d = RnsPolynomial.from_integers(
+                [3] * params.degree, params.context_at_level(level)
+            )
+            apply_switch_key(d, keys.relin, params)
+    assert calls and set(calls) == {"mod_mul_prepared"}

@@ -142,3 +142,19 @@ class TestRescale:
         poly = RnsPolynomial.from_integers(values + [0] * (N - 10), base)
         got = rescale(poly).to_integers()[:10]
         assert got == list(range(-5, 5))
+
+
+def test_mod_down_builds_its_constants_once_per_basis_pair(base, aux):
+    from repro.rns import basis_convert
+
+    basis_convert._mod_down_constants.cache_clear()
+    extended = base.extend(aux.moduli)
+    poly = RnsPolynomial(
+        np.ones((extended.level_count, N), dtype=np.uint64),
+        extended, Domain.COEFFICIENT,
+    )
+    first = mod_down(poly, base, aux)
+    again = mod_down(poly, RnsContext(CHAIN), RnsContext(AUX))
+    np.testing.assert_array_equal(first.data, again.data)
+    info = basis_convert._mod_down_constants.cache_info()
+    assert (info.misses, info.hits) == (1, 1)

@@ -9,13 +9,16 @@ one), each built with the class's least arguments. The declarations
 must keep every answer except the refusals in ``NEW_REFUSALS``.
 """
 
+import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cli import FAULT_FLAGS, SERVE_KNOBS
 from repro.errors import ParameterError
+from repro.serve import ClusterPolicy, InstanceCrash, PoissonArrivals
 from repro.serve.knobs import (
     declared,
     flag_default,
@@ -172,6 +175,9 @@ PINNED = {
 _NAN = "a declared range refuses NaN"
 _KEY_CACHE = "declared None or >= 0; the run's KeyCache refused it mid-run"
 _BACKOFF = "a retry delay must stay finite"
+_NOT_INT = "an int knob refuses any value but an integer"
+_INT_PROBES = "inf 1.0 1.0000000000000002 1.7976931348623157e+308"
+_INDEX_PROBES = "0.0 inf 5e-324 1.7976931348623157e+308"
 
 #: Probes accepted before the declarations and refused now, and why.
 NEW_REFUSALS = {
@@ -188,6 +194,35 @@ NEW_REFUSALS = {
     # So does the default 0.5 ms backoff over this many attempts.
     ("RetryPolicy.max_attempts", "inf"): _BACKOFF,
     ("RetryPolicy.max_attempts", "1.7976931348623157e+308"): _BACKOFF,
+    ("ClusterPolicy.key_upload_bytes", "inf"): (
+        "declared finite: an infinite upload never finished, and the "
+        "loop then found no next instant"
+    ),
+    # Every probe is a float, so an int knob now refuses each one it
+    # accepted, integral or not: PoissonArrivals(count=2.0).times()
+    # raised TypeError, and InstanceCrash(instance=1.5) matched no
+    # instance.
+    **{
+        (name, token): _NOT_INT
+        for name, tokens in {
+            "PoissonArrivals.count": _INT_PROBES,
+            "PoissonArrivals.seed": "0.0 -1.0 nan inf -inf",
+            "BatchPolicy.max_batch_size": _INT_PROBES,
+            "BatchPolicy.max_queue_depth": _INT_PROBES,
+            "BatchPolicy.max_inflight_batches": _INT_PROBES,
+            "AutoscalerPolicy.max_instances": _INT_PROBES,
+            "ClusterPolicy.instances": _INT_PROBES,
+            "ClusterPolicy.key_cache_capacity": _INDEX_PROBES,
+            "ClusterPolicy.key_upload_bytes": "0.0 5e-324 1.7976931348623157e+308",
+            "InstanceCrash.instance": _INDEX_PROBES,
+            "Straggler.instance": _INDEX_PROBES,
+            "HBMDegradation.instance": _INDEX_PROBES,
+            "RetryPolicy.max_attempts": "1.0 1.0000000000000002",
+            "TenantPopulation.tenants": _INT_PROBES,
+            "TenantPopulation.key_sets": _INT_PROBES,
+        }.items()
+        for token in tokens.split()
+    },
 }
 
 DOC = Path(__file__).resolve().parents[2] / "docs" / "SERVING.md"
@@ -305,3 +340,28 @@ def test_flag_table_matches_the_doc():
     assert [r for r in rendered if r not in documented] == [], hint
     assert [r for r in documented if r not in rendered] == [], hint
     assert documented == rendered, hint
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True])
+def test_int_knobs_refuse_non_integers(value):
+    with pytest.raises(
+        ParameterError,
+        match=rf"^PoissonArrivals.count must be an integer, got {value!r}$",
+    ):
+        PoissonArrivals(rate=1.0, count=value)
+    with pytest.raises(ParameterError, match="InstanceCrash.instance"):
+        InstanceCrash(instance=value / 2, at_seconds=0.0)
+
+
+def test_int_knobs_take_numpy_integers():
+    arrivals = PoissonArrivals(rate=1.0, count=np.int64(2))
+    assert len(arrivals.times()) == 2
+
+
+def test_infinite_key_upload_is_refused():
+    """Its upload never finished: the serving loop then found no next
+    instant. The declared range is finite, integer check aside."""
+    _, knob = declaration(ClusterPolicy, "key_upload_bytes")
+    assert not knob.accepts.accepts(math.inf)
+    with pytest.raises(ParameterError, match="key_upload_bytes"):
+        ClusterPolicy(instances=1, key_upload_bytes=math.inf)
